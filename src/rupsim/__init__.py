@@ -9,7 +9,7 @@ KL computations for scaling checks.
 """
 
 from .bandwidth import (BandwidthSelection, EffectiveSampleSize, NeedsMultipleDomains,
-                        domain_cv_bandwidth, effective_sample_size,
+                        NumericDeadEnd, domain_cv_bandwidth, effective_sample_size,
                         estimate_tau_from_summaries, naive_cv_bandwidth,
                         oracle_bandwidth, within_bucket_noise_variance)
 from .baseline import (BaselineConfig, Dataset, RegressionFunction, bump_function,
@@ -20,8 +20,9 @@ from .kernels import (EPANECHNIKOV, KERNELS, SMOOTH_BUMP, TRIANGULAR, UNIFORM,
 from .klscale import (BlockCovariance, KlScalingTable, TwoPointConstruction,
                       block_covariance_apply, block_precision_apply, conditional_kl,
                       correlated_noise_kl_suite, kl_mc, two_point_separation)
-from .local_poly import (LpeConfig, NoLocalSupport, WeightVector,
-                         equivalent_kernel_weights, fit_predict, predict_grid)
+from .local_poly import (LocalFit, LpeConfig, NoLocalSupport, SortedDesign, WeightVector,
+                         equivalent_kernel_weights, fit_predict, local_fit, predict_grid,
+                         sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, PerturbationRealization,
                            PerturbationStrength, WeightLaw, bucket_of, delta_at,
                            delta_variance_mc, draw_perturbation, gaussian_bin_means,

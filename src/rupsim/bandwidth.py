@@ -9,13 +9,13 @@ estimated from the spread of per-realization summary statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .baseline import Dataset
-from .local_poly import LpeConfig, predict_grid
+from .local_poly import LpeConfig, predict_grid, sort_design
 from .streams import substream
 
 EVAL_WINDOW = (0.05, 0.95)  # interior window; boundary variance otherwise dominates small-h scores
@@ -23,6 +23,10 @@ EVAL_WINDOW = (0.05, 0.95)  # interior window; boundary variance otherwise domin
 
 class NeedsMultipleDomains(Exception):
     """Realization-structured CV needs at least two realizations."""
+
+
+class NumericDeadEnd(ValueError):
+    """No candidate bandwidth has a finite score, so none can be chosen."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,6 @@ class BandwidthSelection:
     method: str  # "oracle" | "domain_cv" | "naive_cv"
     diagnostics: list[tuple[float, float]]  # (h, score) rows
 
-    CSV_HEADER = ("method", "h", "score")
-
-    def csv_rows(self) -> list[tuple[str, float, float]]:
-        return [(self.method, h, score) for h, score in self.diagnostics]
-
 
 def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray,
                          rtol: float = 1e-9, atol: float = 1e-12) -> float:
@@ -81,7 +80,7 @@ def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray,
     scores = np.asarray(scores, dtype=float)
     finite = np.isfinite(scores)
     if not finite.any():
-        raise ValueError("no candidate has a finite score")
+        raise NumericDeadEnd("no candidate has a finite score")
     best = scores[finite].min()
     tied = finite & (scores <= best + atol + rtol * abs(best))
     return float(values[tied].max())
@@ -96,10 +95,9 @@ def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
     if not keep.any():
         return scores
     xs, ys = test_xs[keep], test_ys[keep]
+    design = sort_design(train.xs, train.ys)
     for i, h in enumerate(h_grid):
-        cfg = LpeConfig(order=lpe_base.order, bandwidth=float(h),
-                        kernel=lpe_base.kernel, ridge=lpe_base.ridge)
-        preds = predict_grid(cfg, train, xs)
+        preds = predict_grid(replace(lpe_base, bandwidth=float(h)), design, xs)
         if np.isnan(preds).any():
             continue
         scores[i] = float(np.mean((ys - preds) ** 2))

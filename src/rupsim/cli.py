@@ -8,7 +8,8 @@ per-output checksums. Reruns with the same config and seed are
 checksum-identical for any --threads value.
 
 Exit codes: 0 success, 2 config error, 3 numeric/regime warnings under
---strict.
+--strict, 4 numeric dead end (no bandwidth in the grid can be scored, e.g.
+none has local support at every evaluation point).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import (effective_sample_size, estimate_tau_from_summaries,
+from .bandwidth import (NumericDeadEnd, effective_sample_size, estimate_tau_from_summaries,
                         oracle_bandwidth, within_bucket_noise_variance)
 from .baseline import BaselineConfig, get_function, sample_baseline
 from .config import Conf, ConfigError, load_yaml
@@ -135,8 +136,7 @@ def _parse_lpe(root: Conf):
 
 
 def _parse_h_grid(blk: Conf) -> list[float]:
-    raw = blk._data.get("h_grid")
-    if isinstance(raw, dict):
+    if blk.has_block("h_grid"):
         sub = blk.block("h_grid")
         lo = sub.get_float("min", gt=0.0)
         hi = sub.get_float("max", gt=0.0)
@@ -414,6 +414,8 @@ def main(argv=None) -> int:
 
     started = datetime.now(timezone.utc).isoformat()
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be nonnegative, got {args.seed}")
         cfg = load_yaml(args.config)
         root = Conf(cfg)
         seed = args.seed if args.seed is not None else root.get_int("seed", ge=0)
@@ -427,6 +429,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericDeadEnd as exc:
+        print(f"numeric dead end: {exc}", file=sys.stderr)
+        return 4
 
     echo["seed"] = seed
     manifest = {

@@ -45,6 +45,10 @@ class Conf:
     def has(self, key: str) -> bool:
         return key in self._data
 
+    def has_block(self, key: str) -> bool:
+        """True when key is present and holds a mapping (a nested block)."""
+        return isinstance(self._data.get(key), dict)
+
     def block(self, key: str, required: bool = True) -> "Conf | None":
         if key not in self._data:
             if required:

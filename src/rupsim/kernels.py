@@ -18,13 +18,16 @@ class Kernel:
     """A compactly supported kernel u -> K(u).
 
     k_max is the sup norm; support is the half-width of the support interval
-    (K(u) = 0 whenever |u| > support).
+    (K(u) = 0 whenever |u| > support). A piecewise-polynomial kernel declares
+    `pieces`: the coefficients, in increasing powers of u, of K on [-support, 0]
+    and on [0, support]; None marks a kernel that is not piecewise polynomial.
     """
 
     name: str
     k_max: float
     support: float
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    pieces: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __call__(self, u) -> np.ndarray:
         return self._fn(np.asarray(u, dtype=float))
@@ -49,9 +52,11 @@ def _smooth_bump(u: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - v * v)), 0.0)
 
 
-EPANECHNIKOV = Kernel("epanechnikov", k_max=0.75, support=1.0, _fn=_epanechnikov)
-UNIFORM = Kernel("uniform", k_max=0.5, support=1.0, _fn=_uniform)
-TRIANGULAR = Kernel("triangular", k_max=1.0, support=1.0, _fn=_triangular)
+EPANECHNIKOV = Kernel("epanechnikov", k_max=0.75, support=1.0, _fn=_epanechnikov,
+                      pieces=((0.75, 0.0, -0.75), (0.75, 0.0, -0.75)))
+UNIFORM = Kernel("uniform", k_max=0.5, support=1.0, _fn=_uniform, pieces=((0.5,), (0.5,)))
+TRIANGULAR = Kernel("triangular", k_max=1.0, support=1.0, _fn=_triangular,
+                    pieces=((1.0, 1.0), (1.0, -1.0)))
 SMOOTH_BUMP = Kernel("smooth_bump", k_max=1.0, support=0.5, _fn=_smooth_bump)
 
 KERNELS = {k.name: k for k in (EPANECHNIKOV, UNIFORM, TRIANGULAR, SMOOTH_BUMP)}

@@ -5,6 +5,17 @@ problem in the rescaled coordinate u = (x - x0)/h; the estimator is linear in
 the responses, y_hat(x0) = sum_k W_k(x0) y_k, and the weight vector is exposed
 so weight-level invariants (sum to one, zero outside the window, 1/(nh) decay)
 can be checked directly.
+
+Every fit goes through one batched engine, `local_fit`. For a design sorted
+once (`sort_design`), one bandwidth and a vector of query points it builds the
+window moments sum K(u) u^j and sum K(u) u^j y, then solves all local systems
+in one stacked call. Piecewise-polynomial kernels get their moments from
+prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
+Engel & Gasser 1994; Langrene & Warin 2019), restarted and centred on every
+cell of a lattice of width h/4 so the sums do not cancel; other kernels sum
+over each gathered window. Nothing a query computes depends on which other
+queries share its batch, so a grid fit equals the scalar fits at its points
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +30,18 @@ from .kernels import EPANECHNIKOV, Kernel
 # Local Gram matrices with smallest eigenvalue below this are treated as
 # degenerate and ridged.
 DEGENERATE_EIG = 1e-10
+
+# Prefix sums are centred on lattice cells of width w = h / CELLS_PER_H. A
+# window of half-width h around a point of cell l lies within the cells
+# l - CELLS_PER_H - 1 .. l + CELLS_PER_H + 1 (one cell of margin for rounding).
+CELLS_PER_H = 4
+_NEAR_CELLS = np.arange(-CELLS_PER_H - 1.0, CELLS_PER_H + 2.0)[:, None]
+_HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
+_E1 = [np.eye(p)[:, :1] for p in range(7)]
+
+# Upper bound on the elements of one stacked array of gathered windows, which
+# bounds the working memory of kernels without polynomial pieces.
+CHUNK_ELEMENTS = 1 << 17
 
 
 class NoLocalSupport(Exception):
@@ -52,42 +75,249 @@ class WeightVector:
     degenerate: bool
 
 
-def _local_weights(config: LpeConfig, xs: np.ndarray, x0: float,
-                   candidates: np.ndarray | None = None):
-    """Solve the local system; returns (kept indices, their weights, degenerate).
+@dataclass(frozen=True)
+class SortedDesign:
+    """A design sorted once by x, reusable across bandwidths and query sets.
 
-    `candidates` restricts the computation to a superset of the support
-    window (ascending indices); results are bit-identical to the full scan
-    because the kept index set and all elementwise arithmetic coincide.
+    xs is ascending, ys (None when only weights are needed) follows it, and
+    xs == original_xs[order].
     """
-    if candidates is None:
-        sub = xs
-        u = (sub - x0) / config.bandwidth
-        k = config.kernel(u)
-        keep = k > 0.0
-        idx = np.nonzero(keep)[0]
-    else:
-        sub = xs[candidates]
-        u = (sub - x0) / config.bandwidth
-        k = config.kernel(u)
-        keep = k > 0.0
-        idx = candidates[keep]
-    if idx.size == 0:
-        raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
-    ul = u[keep]
-    kl = k[keep]
 
+    xs: np.ndarray
+    ys: np.ndarray | None
+    order: np.ndarray
+
+
+def sort_design(xs, ys=None) -> SortedDesign:
+    xs = np.asarray(xs, dtype=float)
+    order = np.argsort(xs, kind="stable")
+    return SortedDesign(xs=xs[order], order=order,
+                        ys=None if ys is None else np.asarray(ys, dtype=float)[order])
+
+
+def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
+    return data if isinstance(data, SortedDesign) else sort_design(data.xs, data.ys)
+
+
+@dataclass
+class LocalFit:
+    """The engine's result for one (design, h) and m query points.
+
+    The fit at query i has weights W_k = K(u_k) * sum_j coef[i, j] u_k^j on
+    the sorted design's window lo[i] <= k < hi[i] and zero elsewhere. values
+    is NaN (and coef a NaN row) where the query has no local support; values
+    is None when the design carries no responses.
+    """
+
+    values: np.ndarray | None
+    coef: np.ndarray
+    supported: np.ndarray
+    degenerate: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
+    """Index range [lo, hi) of the sorted xs where kernel((x - g)/h) > 0.
+
+    The search runs slightly wide, then drops edge points whose kernel value
+    is exactly zero, so membership follows the kernel's own arithmetic (the
+    uniform kernel keeps |u| == 1, the others drop it). Each kernel is
+    nonincreasing in |u|, so the positive set is one contiguous range.
+    """
+    reach = kernel.support * h * (1.0 + 1e-12) + 1e-12  # covers rounding for g in [0, 1]
+    lo = np.searchsorted(xs, g - reach, side="left")
+    hi = np.searchsorted(xs, g + reach, side="right")
+    both = np.concatenate((g, g))
+    while True:
+        edge = np.minimum(np.concatenate((lo, hi - 1)), xs.size - 1)
+        drop = (kernel((xs[edge] - both) / h) == 0.0).reshape(2, -1) & (lo < hi)
+        if not drop.any():
+            break
+        lo = lo + drop[0]
+        hi = np.maximum(hi - drop[1], lo)
+    return lo, hi
+
+
+def _powers(shape: tuple, base, z: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+    """Stack (shape[0], 1 or 2, ...): base * z^i, and base * z^i * y with a y.
+
+    Powers come from repeated multiplication so every element's arithmetic
+    is fixed, whatever the array's shape.
+    """
+    out = np.empty((shape[0], 1 if y is None else 2) + shape[1:])
+    out[0, 0] = base
+    for i in range(1, shape[0]):
+        np.multiply(out[i - 1, 0], z, out=out[i, 0])
+    if y is not None:
+        np.multiply(out[:, 0], y, out=out[:, 1])
+    return out
+
+
+def _taylor_shift(sums: np.ndarray, d: np.ndarray) -> None:
+    """Turn sums of z^i (axis 0 indexes i) into sums of (z + d)^i, in place."""
+    top = sums.shape[0] - 1
+    for k in range(top):
+        sums[k + 1:] += d * sums[k:top]
+
+
+def _tree_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis by adding aligned pairs, level by level.
+
+    Zeros padded onto the end of a row leave its sum unchanged, so a row's
+    sum does not depend on how wide its batch was.
+    """
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            a = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+        a = a[..., 0::2] + a[..., 1::2]
+    return a[..., 0]
+
+
+def _moments(sums: np.ndarray, pieces, p: int):
+    """Gram moments sum K u^k (k < 2p-1) and sum K u^k y (k < p).
+
+    sums[i, group, side] holds sum u^i (group 0) or sum u^i y (group 1) over
+    one side of the window; side s carries the kernel piece pieces[s], given
+    as coefficients a_t of u^t, so sum K u^k = sum_s sum_t a_t S_{k+t}.
+    """
+    count = 2 * p - 1
+    acc = np.zeros((count,) + sums.shape[1:2] + sums.shape[3:])
+    for side, coefs in enumerate(pieces):
+        for t, a in enumerate(coefs):
+            if a:
+                acc += a * sums[t:t + count, :, side]
+    return acc[:, 0], (acc[:p, 1] if acc.shape[1] > 1 else None)
+
+
+def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: float,
+                    lo: np.ndarray, hi: np.ndarray, p: int):
+    """Window moments of a piecewise-polynomial kernel from prefix sums.
+
+    The design is cut into lattice cells [l w, (l + 1) w), w = h/4, and each
+    cell keeps prefix sums of z^i and z^i y, z = (x - c_l)/h, centred on its
+    own centre c_l = (l + 1/2) w and restarted at its first point, so
+    |z| <= 1/8 and no sum cancels. A window [g - h, g + h] lies within the
+    cells floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
+    difference of two prefix sums, which a Taylor shift by (c_l - g)/h turns
+    into sums of u^i. The two kernel pieces are summed over x < g and
+    x >= g separately unless they coincide. The work is O(n) per (design, h)
+    plus O(1) per query point.
+    """
+    split = kernel.pieces[0] != kernel.pieces[1]
+    pieces = kernel.pieces if split else kernel.pieces[:1]
+    npow = 2 * p - 2 + max(len(c) for c in pieces)
+
+    # only the cells that some query's window can reach; each cell's sums
+    # depend on its own points alone
+    w = h / CELLS_PER_H
+    qcell = np.floor(g / w)
+    cell = np.floor(design.xs / w)
+    i0, i1 = np.searchsorted(cell, [qcell.min() + _NEAR_CELLS[0, 0],
+                                    qcell.max() + _NEAR_CELLS[-1, 0] + 1.0])
+    groups = 1 if design.ys is None else 2
+    if i0 == i1:  # no design point near any query: every window is empty
+        return _moments(np.zeros((npow, groups, len(pieces), g.size)), pieces, p)
+    xs, cell = design.xs[i0:i1], cell[i0:i1]
+    first = cell[0]
+    row = (cell - first).astype(np.int64) + 1
+    ncell = int(row[-1])
+    # acc row t holds lattice cell first + t - 1, whose points are
+    # start[t]:start[t + 1] (offset by i0); rows 0 and ncell + 1 stay empty
+    start = np.searchsorted(row, np.arange(ncell + 3))
+    col = np.arange(1, xs.size + 1) - start[row]
+    flat = _powers((npow, xs.size), 1.0, (xs - (cell + 0.5) * w) / h,
+                   None if design.ys is None else design.ys[i0:i1])
+    acc = np.zeros(flat.shape[:2] + (ncell + 2, int(col.max()) + 1))
+    acc[:, :, row, col] = flat
+    np.cumsum(acc, axis=-1, out=acc)
+    start += i0
+
+    near = qcell - first + _NEAR_CELLS
+    d = ((near + (first + 0.5)) * w - g) / h
+    rows = np.minimum(np.maximum(near + 1.0, 0.0), ncell + 1.0).astype(np.int64)
+    begin, end = start[rows], start[rows + 1]
+    edges = [lo, np.searchsorted(design.xs, g, side="left"), hi] if split else [lo, hi]
+    at = [acc[:, :, rows, np.minimum(np.maximum(e, begin), end) - begin] for e in edges]
+    parts = np.stack([at[s + 1] - at[s] for s in range(len(pieces))], axis=2)
+    _taylor_shift(parts, d)
+    return _moments(np.cumsum(parts, axis=3)[:, :, :, -1], pieces, p)
+
+
+def _window_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: float,
+                    lo: np.ndarray, hi: np.ndarray, p: int):
+    """Window moments of any kernel from sums over each gathered window.
+
+    Rows are zero-padded to the longest window of their chunk.
+    """
+    xs, ys = design.xs, design.ys
+    npow = 2 * p - 1
+    sums = np.empty((npow, 1 if ys is None else 2, 1, g.size))
+    span = hi - lo
+    width = max(int(span.max()), 1)
+    offsets = np.arange(width)
+    step = max(1, CHUNK_ELEMENTS // (sums.shape[1] * npow * width))
+    for first in range(0, g.size, step):
+        rows = slice(first, first + step)
+        valid = offsets < span[rows, None]
+        idx = np.minimum(lo[rows, None] + offsets, xs.size - 1)
+        u = np.where(valid, (xs[idx] - g[rows, None]) / h, 0.0)
+        stack = _powers((npow,) + idx.shape, np.where(valid, kernel(u), 0.0), u,
+                        None if ys is None else np.where(valid, ys[idx], 0.0))
+        sums[:, :, 0, rows] = _tree_sum(stack)
+    return _moments(sums, ((1.0,),), p)
+
+
+def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray,
+           p: int, ridge: float):
+    """Stacked local solves; returns (values, coef, degenerate).
+
+    Gram[i, j] = moments[i + j]. A Gram whose smallest eigenvalue is below
+    DEGENERATE_EIG gets ridge * trace / p added to its diagonal.
+    """
+    gram = moments.T[:, _HANKEL[p]]
+    unsupported = ~supported
+    if unsupported.any():
+        gram[unsupported] = np.eye(p)  # solvable; its row is voided below
+    degenerate = np.linalg.eigvalsh(gram)[:, 0] < DEGENERATE_EIG
+    if degenerate.any():
+        trace = moments[0].copy()
+        for j in range(1, p):
+            trace += moments[2 * j]
+        gram[degenerate] += (ridge * trace[degenerate] / p)[:, None, None] * np.eye(p)
+    coef = np.linalg.solve(gram, np.broadcast_to(_E1[p], gram.shape[:2] + (1,)))[..., 0]
+    if unsupported.any():
+        coef[unsupported] = np.nan
+    if ymoments is None:
+        return None, coef, degenerate
+    values = coef[:, 0] * ymoments[0]
+    for j in range(1, p):
+        values += coef[:, j] * ymoments[j]
+    return values, coef, degenerate
+
+
+def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
+    """LP(order) fits at every query point in [0, 1] over one sorted design."""
+    g = np.asarray(queries, dtype=float).ravel()
     p = config.order + 1
-    basis = np.vander(ul, N=p, increasing=True)
-    gram = (basis * kl[:, None]).T @ basis
-    degenerate = False
-    if np.linalg.eigvalsh(gram)[0] < DEGENERATE_EIG:
-        gram = gram + (config.ridge * np.trace(gram) / p) * np.eye(p)
-        degenerate = True
-    rhs = np.zeros(p)
-    rhs[0] = 1.0
-    coef = np.linalg.solve(gram, rhs)
-    return idx, (basis @ coef) * kl, degenerate
+    m = g.size
+    if m and (g.min() < 0.0 or g.max() > 1.0):
+        raise ValueError("query points outside [0, 1]")
+    if m == 0 or design.xs.size == 0:
+        none = np.zeros(m, dtype=bool)
+        zero = np.zeros(m, dtype=np.int64)
+        return LocalFit(values=None if design.ys is None else np.full(m, np.nan),
+                        coef=np.full((m, p), np.nan), supported=none,
+                        degenerate=none.copy(), lo=zero, hi=zero.copy())
+    h = config.bandwidth
+    kernel = config.kernel
+    lo, hi = _window(kernel, design.xs, g, h)
+    moment_stage = _window_moments if kernel.pieces is None else _prefix_moments
+    moments, ymoments = moment_stage(kernel, design, g, h, lo, hi, p)
+    supported = hi > lo
+    values, coef, degenerate = _solve(moments, ymoments, supported, p, config.ridge)
+    return LocalFit(values=values, coef=coef, supported=supported,
+                    degenerate=degenerate, lo=lo, hi=hi)
 
 
 def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
@@ -102,45 +332,37 @@ def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
         raise NoLocalSupport("empty design")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("query point outside [0, 1]")
-    idx, local, degenerate = _local_weights(config, xs, x0)
+    design = sort_design(xs)
+    fit = local_fit(config, design, [x0])
+    if not fit.supported[0]:
+        raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
+    lo, hi = fit.lo[0], fit.hi[0]
+    u = (design.xs[lo:hi] - x0) / config.bandwidth
+    coef = fit.coef[0]
+    basis = np.full(u.size, coef[-1])
+    for c in coef[-2::-1]:
+        basis = basis * u + c
     weights = np.zeros(xs.size)
-    weights[idx] = local
-    return WeightVector(weights=weights, query=x0, degenerate=degenerate)
+    weights[design.order[lo:hi]] = basis * config.kernel(u)
+    return WeightVector(weights=weights, query=x0, degenerate=bool(fit.degenerate[0]))
 
 
-def fit_predict(config: LpeConfig, data: Dataset, x0: float) -> float:
-    """Local polynomial prediction at x0: dot of the weights with ys."""
-    xs = data.xs
+def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> float:
+    """Local polynomial prediction at x0: the engine on the single point x0."""
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("query point outside [0, 1]")
-    idx, local, _ = _local_weights(config, xs, x0)
-    return float(local @ data.ys[idx])
+    fit = local_fit(config, _as_design(data), [x0])
+    if not fit.supported[0]:
+        raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
+    return float(fit.values[0])
 
 
-def predict_grid(config: LpeConfig, data: Dataset, grid) -> np.ndarray:
+def predict_grid(config: LpeConfig, data: Dataset | SortedDesign, grid) -> np.ndarray:
     """Vectorized fit_predict over query points.
 
-    Query points without local support yield NaN, never a silent zero. Uses a
-    sorted-window scan but produces bit-identical values to the scalar path.
+    `data` may be a SortedDesign to reuse one sort across bandwidths. Query
+    points without local support yield NaN, never a silent zero; every value
+    equals fit_predict at that point bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
-    flat = grid.ravel()
-    vals = np.full(flat.size, np.nan)
-    if flat.size == 0:
-        return vals.reshape(grid.shape)
-    if flat.min() < 0.0 or flat.max() > 1.0:
-        raise ValueError("query points outside [0, 1]")
-    xs = data.xs
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    h = config.bandwidth
-    for i, g in enumerate(flat):
-        lo = np.searchsorted(xs_sorted, g - h, side="left")
-        hi = np.searchsorted(xs_sorted, g + h, side="right")
-        cand = np.sort(order[lo:hi])
-        try:
-            idx, local, _ = _local_weights(config, xs, g, candidates=cand)
-        except NoLocalSupport:
-            continue
-        vals[i] = local @ data.ys[idx]
-    return vals.reshape(grid.shape)
+    return local_fit(config, _as_design(data), grid).values.reshape(grid.shape)

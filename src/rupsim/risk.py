@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import argmin_prefer_larger
+from .bandwidth import NumericDeadEnd, argmin_prefer_larger
 from .baseline import BaselineConfig
-from .local_poly import LpeConfig, NoLocalSupport, equivalent_kernel_weights, fit_predict, predict_grid
+from .local_poly import (LpeConfig, NoLocalSupport, equivalent_kernel_weights, fit_predict,
+                         predict_grid, sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
 from .streams import map_indexed, substream
@@ -54,13 +55,6 @@ class RiskReport:
     def identity_residual(self) -> float:
         return self.total_mse - (self.bias2 + self.sampling_var +
                                  self.diagnostics["dist_var_raw"])
-
-    CSV_HEADER = ("x0", "n_reps_xi", "n_reps_data", "bias2", "sampling_var",
-                  "dist_var", "total_mse", "se_total")
-
-    def csv_row(self) -> tuple:
-        return (self.x0, self.reps_xi, self.reps_data, self.bias2,
-                self.sampling_var, self.dist_var, self.total_mse, self.se_total)
 
 
 def _risk_components(mu, v, v_over_b, t, f0):
@@ -196,10 +190,11 @@ def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
     def one_rep(r: int) -> np.ndarray:
         xi = draw_perturbation(spec, substream(seed, "xi", r), realization_id=f"xi{r:05d}")
         ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", r))
+        design = sort_design(ds.xs, ds.ys)
         out = np.empty(h_grid.size)
         for i, h in enumerate(h_grid):
             cfg = replace(lpe_base, bandwidth=float(h))
-            preds = predict_grid(cfg, ds, eval_grid)
+            preds = predict_grid(cfg, design, eval_grid)
             err = preds - truth
             out[i] = np.mean(err ** 2)  # NaN if any grid point lacked support
         return out
@@ -210,7 +205,12 @@ def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
     se = table.std(axis=0, ddof=1) / math.sqrt(reps)
     mise[bad] = np.inf
     se[bad] = np.nan
-    argmin_h = argmin_prefer_larger(h_grid, mise)
+    try:
+        argmin_h = argmin_prefer_larger(h_grid, mise)
+    except NumericDeadEnd:
+        raise NumericDeadEnd(
+            f"no bandwidth in the grid (max h={h_grid.max():g}) has local support at "
+            f"every evaluation point for n={base.n}") from None
     meta = {"n": base.n, "sigma2": base.sigma2, "f": base.f.name, "reps": reps,
             "seed": seed, "order": lpe_base.order, "kernel": lpe_base.kernel.name,
             "failed_h": h_grid[bad].tolist()}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -50,10 +50,3 @@ def map_indexed(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
-
-
-def map_over(fn: Callable[[T], object], items: Sequence[T], threads: int = 1) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

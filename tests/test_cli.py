@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from rupsim import load_realization
@@ -138,6 +139,35 @@ rup: {model: correlated_noise, b_x: ten, delta2: 0.1}
 
     missing = str(tmp_path / "nope.yaml")
     assert main(["sample", "--config", missing]) == 2
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SAMPLE_CFG)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --seed: must be nonnegative, got -1"]
+    assert not out.exists()
+
+
+DEAD_END_CFG = """
+seed: 5
+baseline: {{f: sine, sigma2: 0.5, {n}}}
+rup: {{model: correlated_noise, b_x: 5, tau_grid: [0.0]}}
+lpe: {{order: 1, h_grid: [0.001, 0.002]}}
+eval: {{grid_points: 11}}
+mc: {{reps: 2}}
+"""
+
+
+@pytest.mark.parametrize("command, n", [("mise-sweep", "n: 3"),
+                                        ("bandwidth-vs-n", "n_grid: [3, 4]")])
+def test_no_valid_bandwidth_is_numeric_dead_end(tmp_path, capsys, command, n):
+    cfg = write_cfg(tmp_path, DEAD_END_CFG.format(n=n))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric dead end: no bandwidth in the grid")
 
 
 def test_partition_model_rejected_for_sweeps(tmp_path, capsys):

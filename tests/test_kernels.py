@@ -50,3 +50,16 @@ def test_get_kernel():
     assert get_kernel("epanechnikov") is EPANECHNIKOV
     with pytest.raises(KeyError):
         get_kernel("gaussian")
+
+
+@pytest.mark.parametrize("kernel", [k for k in KERNELS.values() if k.pieces is not None],
+                         ids=[name for name, k in KERNELS.items() if k.pieces is not None])
+def test_polynomial_pieces_match_kernel(kernel):
+    left, right = kernel.pieces
+    u = np.linspace(-kernel.support, kernel.support, 2001)[1:-1]
+    pieces = np.where(u < 0, np.polyval(left[::-1], u), np.polyval(right[::-1], u))
+    assert np.allclose(kernel(u), pieces, rtol=0.0, atol=1e-15)
+
+
+def test_smooth_bump_is_not_piecewise_polynomial():
+    assert SMOOTH_BUMP.pieces is None

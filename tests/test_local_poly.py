@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rupsim import (Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
-                    fit_predict, get_kernel, predict_grid, sine_function, substream)
+from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
+                    fit_predict, get_kernel, local_fit, predict_grid, sine_function,
+                    sort_design, substream)
+from rupsim.local_poly import DEGENERATE_EIG
 
 
 def brute_force_lp(xs, ys, x0, order, h, kernel):
@@ -176,3 +180,96 @@ def test_config_validation():
         LpeConfig(order=1, bandwidth=0.0)
     with pytest.raises(ValueError):
         LpeConfig(order=1, bandwidth=1.5)
+
+
+ACCURACY_QUERIES = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 23)])
+
+
+@pytest.mark.parametrize("n", [200, 4000])
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=list(KERNELS))
+def test_engine_matches_lstsq_oracle(kernel, n):
+    """The batched engine against the lstsq oracle, orders 0-5, h down to 0.02.
+
+    Any solver that goes through the normal equations (the engine, and the
+    per-point direct solver before it) loses accuracy like eps * cond(Gram),
+    and a fit's value is a combination sum_k W_k y_k whose own rounding
+    scale is max|y| * sum_k |W_k|. So errors are measured on that scale:
+    within 1e-10 (orders 0-3) or 1e-8 (orders 4-5) of it wherever
+    cond(Gram) <= 1e8, and within 1e-14 * cond(Gram) of it everywhere. Ridged
+    (degenerate) fits are not least-squares solutions and are checked in
+    test_engine_ridges_singular_windows; their flag must follow the direct
+    Gram's smallest eigenvalue wherever that is clear of the threshold.
+    """
+    rng = substream(3, "engine-accuracy", n)
+    xs = rng.random(n)
+    if n == 200:
+        xs = np.round(xs, 2)  # ties, and points on window edges and lattice boundaries
+    ys = np.sin(9 * xs) + rng.normal(size=n)
+    design = sort_design(xs, ys)
+    for order in range(6):
+        tol = 1e-10 if order <= 3 else 1e-8
+        for h in (0.02, 0.05, 0.2, 0.6):
+            fit = local_fit(LpeConfig(order=order, bandwidth=h, kernel=kernel), design,
+                            ACCURACY_QUERIES)
+            for i, x0 in enumerate(ACCURACY_QUERIES):
+                u = (xs - x0) / h
+                k = kernel(u)
+                keep = k > 0
+                assert fit.supported[i] == keep.any()
+                if not keep.any():
+                    assert np.isnan(fit.values[i])
+                    continue
+                sw = np.sqrt(k[keep])
+                root = np.vander(u[keep], N=order + 1, increasing=True) * sw[:, None]
+                eig = np.linalg.eigvalsh(root.T @ root)[0]
+                if not 0.5 * DEGENERATE_EIG <= eig <= 2.0 * DEGENERATE_EIG:
+                    assert fit.degenerate[i] == (eig < DEGENERATE_EIG)
+                if fit.degenerate[i]:
+                    continue
+                cond = np.linalg.cond(root) ** 2
+                scale = np.abs(ys).max() * np.abs(np.linalg.pinv(root)[0] * sw).sum()
+                err = abs(fit.values[i] - brute_force_lp(xs, ys, x0, order, h, kernel))
+                assert err <= 1e-14 * cond * scale, (order, h, x0, err, cond)
+                if cond <= 1e8:
+                    assert err <= tol * scale, (order, h, x0, err, cond)
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=list(KERNELS))
+def test_engine_ridges_singular_windows(kernel):
+    # a one-point window, and a window whose points share one x: every order >= 1
+    # has a singular Gram, which must be flagged and ridged, and the ridged fit
+    # tends to the minimum-norm least-squares value
+    designs = [(np.array([0.1, 0.5, 0.9]), np.array([1.0, -2.0, 3.0]), 0.52),
+               (np.array([0.2, 0.5, 0.5, 0.5, 0.8]), np.array([5.0, 1.0, 2.0, 4.0, -1.0]), 0.5)]
+    for xs, ys, x0 in designs:
+        design = sort_design(xs, ys)
+        for order in range(6):
+            fit = local_fit(LpeConfig(order=order, bandwidth=0.1, kernel=kernel), design, [x0])
+            assert fit.supported[0]
+            assert fit.degenerate[0] == (order >= 1)
+            assert np.isfinite(fit.values[0])
+            oracle = brute_force_lp(xs, ys, x0, order, 0.1, kernel)
+            assert fit.values[0] == pytest.approx(oracle, rel=1e-6)
+            w = equivalent_kernel_weights(LpeConfig(order=order, bandwidth=0.1, kernel=kernel),
+                                          xs, x0)
+            assert w.degenerate == (order >= 1)
+            assert w.weights @ ys == pytest.approx(fit.values[0], rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), n=st.integers(1, 3000),
+       seed=st.integers(0, 2 ** 16), perm=st.permutations(range(41)),
+       size=st.integers(1, 41))
+@example(kernel="smooth_bump", order=2, h=1.0, n=3000, seed=0, perm=list(range(41)), size=5)
+@example(kernel="epanechnikov", order=1, h=0.05, n=3000, seed=0, perm=list(range(41)), size=5)
+def test_batch_composition_leaves_values_bit_identical(kernel, order, h, n, seed, perm, size):
+    # every query's arithmetic is independent of the other queries in its batch
+    rng = substream(seed, "batch-composition")
+    xs = np.round(rng.random(n), 2)  # rounding makes ties and exact window edges common
+    design = sort_design(xs, rng.normal(size=n))
+    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+    grid = np.linspace(0.0, 1.0, 41)
+    full = predict_grid(cfg, design, grid)
+    pick = np.array(perm[:size])
+    assert np.array_equal(predict_grid(cfg, design, grid[pick]), full[pick], equal_nan=True)
