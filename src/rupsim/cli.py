@@ -9,7 +9,9 @@ checksum-identical for any --threads value.
 
 Exit codes: 0 success, 2 config error, 3 numeric/regime warnings under
 --strict, 4 numeric dead end (no bandwidth in the grid can be scored, e.g.
-none has local support at every evaluation point).
+none has local support at every evaluation point). A run that exits 2 or 4
+removes the output directory if it created it; a directory that existed
+before the run is left in place.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -386,6 +389,22 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path, threads: int):
     return echo, {"tau_report.csv": csv_path}, warnings
 
 
+def _make_outdir(outdir: Path) -> Path | None:
+    """Create outdir and its missing parents; return the topmost one created.
+
+    None means outdir existed before this run, so a failed run leaves it.
+    """
+    missing = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    return missing[-1] if missing else None
+
+
+def _remove_created(created: Path | None) -> None:
+    """Delete a directory this run created, with whatever it wrote there."""
+    if created is not None:
+        shutil.rmtree(created, ignore_errors=True)
+
+
 COMMANDS = {
     "sample": cmd_sample,
     "mise-sweep": cmd_mise_sweep,
@@ -413,23 +432,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = datetime.now(timezone.utc).isoformat()
+    created = None
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be nonnegative, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError("--threads: must be at least 1")
         cfg = load_yaml(args.config)
         root = Conf(cfg)
         seed = args.seed if args.seed is not None else root.get_int("seed", ge=0)
         out_blk = root.block("output", required=False)
         out_default = out_blk.get_str("dir", default="out") if out_blk else "out"
         outdir = Path(args.out if args.out is not None else out_default)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.threads < 1:
-            raise ConfigError("--threads: must be at least 1")
+        created = _make_outdir(outdir)
         echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir, args.threads)
     except ConfigError as exc:
+        _remove_created(created)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericDeadEnd as exc:
+        _remove_created(created)
         print(f"numeric dead end: {exc}", file=sys.stderr)
         return 4
 

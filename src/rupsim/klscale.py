@@ -7,6 +7,12 @@ The rank-one structure gives a closed-form precision, applied blockwise in
 O(n) without materializing the matrix, and the two-hypothesis KL is a single
 quadratic form in the mean difference. Averaging that KL over designs checks
 that it grows like the effective sample size, not n.
+
+The mean difference vanishes outside the bump's support window, and buckets
+are independent blocks, so only the buckets that meet the window enter the
+quadratic form. conditional_kl works on those buckets alone (with every
+design point they hold), which makes its cost follow the window's occupancy
+rather than n and B_X.
 """
 
 from __future__ import annotations
@@ -109,12 +115,23 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
 
     Equal covariances leave only the mean-shift quadratic form
     0.5 * df^T Sigma^{-1} df with df = f1 - f0 evaluated on the design.
+    Buckets outside the bump's window hold df = 0 and, being independent
+    blocks, add nothing, so the form is taken over the buckets that meet the
+    window only.
     """
     xs = np.asarray(design_xs, dtype=float)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("design points must lie in [0, 1]")
-    df = construction.bump(xs)
-    cov = BlockCovariance(bucket_ids=bucket_of(xs, spec.b_x),
+    buckets = bucket_of(xs, spec.b_x)
+    # df != 0 needs |x - x0| <= support * h; the margin covers the rounding of
+    # (x - x0) / h. bucket_of is nondecreasing in x, so every point in a bucket
+    # outside [first, last] lies beyond the reach and has df = 0.
+    reach = construction.kernel.support * construction.h * (1.0 + 1e-12) + 1e-12
+    first, last = bucket_of(np.clip([construction.x0 - reach, construction.x0 + reach],
+                                    0.0, 1.0), spec.b_x)
+    near = (buckets >= first) & (buckets <= last)
+    df = construction.bump(xs[near])
+    cov = BlockCovariance(bucket_ids=buckets[near] - first,
                           sigma2=spec.baseline.sigma2, delta2=spec.delta2)
     return float(0.5 * df @ block_precision_apply(cov, df))
 

@@ -157,8 +157,10 @@ def _powers(shape: tuple, base, z: np.ndarray, y: np.ndarray | None) -> np.ndarr
 def _taylor_shift(sums: np.ndarray, d: np.ndarray) -> None:
     """Turn sums of z^i (axis 0 indexes i) into sums of (z + d)^i, in place."""
     top = sums.shape[0] - 1
+    scratch = np.empty_like(sums[1:])
     for k in range(top):
-        sums[k + 1:] += d * sums[k:top]
+        step = np.multiply(d, sums[k:top], out=scratch[:top - k])
+        sums[k + 1:] += step
 
 
 def _tree_sum(a: np.ndarray) -> np.ndarray:
@@ -226,10 +228,17 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: floa
     # start[t]:start[t + 1] (offset by i0); rows 0 and ncell + 1 stay empty
     start = np.searchsorted(row, np.arange(ncell + 3))
     col = np.arange(1, xs.size + 1) - start[row]
-    flat = _powers((npow, xs.size), 1.0, (xs - (cell + 0.5) * w) / h,
-                   None if design.ys is None else design.ys[i0:i1])
-    acc = np.zeros(flat.shape[:2] + (ncell + 2, int(col.max()) + 1))
-    acc[:, :, row, col] = flat
+    # powers are taken in the padded (cell, column) layout itself; padding has
+    # base 0 and z = y = 0, so it holds zeros and leaves every prefix sum as is
+    padded = (ncell + 2, int(col.max()) + 1)
+    base, z = np.zeros(padded), np.zeros(padded)
+    base[row, col] = 1.0
+    z[row, col] = (xs - (cell + 0.5) * w) / h
+    y = None
+    if design.ys is not None:
+        y = np.zeros(padded)
+        y[row, col] = design.ys[i0:i1]
+    acc = _powers((npow,) + padded, base, z, y)
     np.cumsum(acc, axis=-1, out=acc)
     start += i0
 
@@ -241,7 +250,10 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: floa
     at = [acc[:, :, rows, np.minimum(np.maximum(e, begin), end) - begin] for e in edges]
     parts = np.stack([at[s + 1] - at[s] for s in range(len(pieces))], axis=2)
     _taylor_shift(parts, d)
-    return _moments(np.cumsum(parts, axis=3)[:, :, :, -1], pieces, p)
+    total = parts[:, :, :, 0].copy()
+    for k in range(1, parts.shape[3]):  # left to right: a fixed order for any batch
+        total += parts[:, :, :, k]
+    return _moments(total, pieces, p)
 
 
 def _window_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: float,

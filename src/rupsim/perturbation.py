@@ -7,17 +7,25 @@ correlated noise model adds an iid Gaussian mean shift to the noise within
 each X bucket. Both keep the covariate marginal fixed, are mean-zero across
 realizations, and carry a strength tau = delta2 * rho_bar where rho_bar is
 the average within-bucket correlation 1/B_X.
+
+Sampling cost. The Gaussian quantile comes from `scipy.special.ndtri`, so
+importing the package does not load `scipy.stats`. The truncated-normal bin
+means depend only on (sigma2, B_eps) and are computed once per pair; the
+cached array is read-only. A partition draw finds every point's noise bin in
+one binary search over the (bucket, cumulative row weight) pairs, which gives
+the same bins as a per-bucket search over each row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .baseline import BaselineConfig, Dataset, get_function
 
@@ -145,14 +153,41 @@ class PerturbationRealization:
 
 def gaussian_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
     """Exact means of N(0, sigma2) truncated to its b_eps quantile bins."""
+    return _cached_bin_means(sigma2, b_eps).copy()
+
+
+@lru_cache(maxsize=64)
+def _cached_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
+    """gaussian_bin_means, computed once per (sigma2, b_eps) and read-only."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    edges = stats.norm.ppf(np.arange(b_eps + 1) / b_eps)
+    edges = ndtri(np.arange(b_eps + 1) / b_eps)
     pdf = np.exp(-0.5 * edges ** 2) / math.sqrt(2.0 * math.pi)
     pdf[0] = 0.0
     pdf[-1] = 0.0
     # truncated-normal mean on a slice of probability 1/b_eps
-    return math.sqrt(sigma2) * b_eps * (pdf[:-1] - pdf[1:])
+    means = math.sqrt(sigma2) * b_eps * (pdf[:-1] - pdf[1:])
+    means.flags.writeable = False
+    return means
+
+
+def _noise_bins(row_cum: np.ndarray, buckets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(row_cum[b], u, side="right") for every point, in one search.
+
+    numpy orders complex numbers by real part, then imaginary part. With each
+    row of row_cum nondecreasing, the keys bucket + i*row_cum are sorted, and a
+    right-sided search for buckets + i*u lands after the b * b_eps keys of the
+    earlier rows plus the entries of row b that are <= u, ties included. Keys
+    and queries are filled part by part, so no complex arithmetic rounds them.
+    """
+    b_x, b_eps = row_cum.shape
+    keys = np.empty((b_x, b_eps), dtype=complex)
+    keys.real = np.arange(b_x)[:, None]
+    keys.imag = row_cum
+    queries = np.empty(buckets.shape, dtype=complex)
+    queries.real = buckets
+    queries.imag = u
+    return np.searchsorted(keys.ravel(), queries, side="right") - buckets * b_eps
 
 
 def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
@@ -179,7 +214,7 @@ def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
         variant="partition", spec=spec, realization_id=realization_id,
         partition_weights=weights,
         row_normalizers=weights.mean(axis=1),
-        eps_bin_means=gaussian_bin_means(spec.baseline.sigma2, spec.b_eps))
+        eps_bin_means=_cached_bin_means(spec.baseline.sigma2, spec.b_eps))
 
 
 def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int,
@@ -212,15 +247,11 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
     # Gaussian restricted to that bin by inverse CDF on its probability slice.
     b_eps = spec.b_eps
     row_cum = np.cumsum(xi.normalized_weights / b_eps, axis=1)
-    u_bin = rng.random(n)
-    bins = np.empty(n, dtype=np.int64)
-    for b in np.unique(buckets):
-        mask = buckets == b
-        bins[mask] = np.searchsorted(row_cum[b], u_bin[mask], side="right")
+    bins = _noise_bins(row_cum, buckets, rng.random(n))
     np.clip(bins, 0, b_eps - 1, out=bins)
     u_pos = rng.random(n)
     slice_prob = np.clip((bins + u_pos) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)
-    eps = math.sqrt(base.sigma2) * stats.norm.ppf(slice_prob)
+    eps = math.sqrt(base.sigma2) * ndtri(slice_prob)
     ys = base.f(xs) + eps
     return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=xi.realization_id)
 
@@ -284,7 +315,9 @@ def realization_to_json(xi: PerturbationRealization) -> dict:
         "realization_id": xi.realization_id,
         "spec": {
             "b_x": spec.b_x,
-            "baseline": {"f": base.f.name, "sigma2": base.sigma2, "n": base.n},
+            "baseline": {"f": base.f.name, "beta": base.f.beta,
+                         "holder_const": base.f.holder_const,
+                         "sigma2": base.sigma2, "n": base.n},
         },
     }
     if xi.variant == "partition":
@@ -300,11 +333,18 @@ def realization_to_json(xi: PerturbationRealization) -> dict:
 
 
 def realization_from_json(doc: dict) -> PerturbationRealization:
-    """Rebuild a realization from its replay document."""
+    """Rebuild a realization from its replay document.
+
+    The target function is the catalog entry named in the document with its
+    recorded beta and holder_const; a document without them keeps the
+    catalog defaults.
+    """
     sp = doc["spec"]
-    base = BaselineConfig(f=get_function(sp["baseline"]["f"]),
-                          sigma2=float(sp["baseline"]["sigma2"]),
-                          n=int(sp["baseline"]["n"]))
+    bdoc = sp["baseline"]
+    f = get_function(bdoc["f"])
+    f = replace(f, beta=float(bdoc.get("beta", f.beta)),
+                holder_const=float(bdoc.get("holder_const", f.holder_const)))
+    base = BaselineConfig(f=f, sigma2=float(bdoc["sigma2"]), n=int(bdoc["n"]))
     if doc["variant"] == "partition":
         law = WeightLaw(kind=sp["weight_law"]["kind"],
                         log_mean=float(sp["weight_law"]["log_mean"]),
@@ -315,7 +355,7 @@ def realization_from_json(doc: dict) -> PerturbationRealization:
         return PerturbationRealization(
             variant="partition", spec=spec, realization_id=doc.get("realization_id"),
             partition_weights=weights, row_normalizers=weights.mean(axis=1),
-            eps_bin_means=gaussian_bin_means(base.sigma2, spec.b_eps))
+            eps_bin_means=_cached_bin_means(base.sigma2, spec.b_eps))
     spec = CorrelatedNoiseSpec(b_x=int(sp["b_x"]), delta2=float(sp["delta2"]), baseline=base)
     return PerturbationRealization(
         variant="correlated_noise", spec=spec, realization_id=doc.get("realization_id"),

@@ -168,6 +168,30 @@ def test_no_valid_bandwidth_is_numeric_dead_end(tmp_path, capsys, command, n):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("numeric dead end: no bandwidth in the grid")
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_removes_only_directories_it_created(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DEAD_END_CFG.format(n="n: 3"))
+    nested = tmp_path / "new" / "deeper" / "o"
+    assert main(["mise-sweep", "--config", cfg, "--out", str(nested)]) == 4
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "earlier.txt").write_text("x", encoding="utf-8")
+    assert main(["mise-sweep", "--config", cfg, "--out", str(kept / "o")]) == 4
+    assert main(["mise-sweep", "--config", cfg, "--out", str(kept)]) == 4
+    assert sorted(p.name for p in kept.iterdir()) == ["earlier.txt"]
+    capsys.readouterr()
+
+
+def test_bad_threads_exit_2_without_out_dir(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SAMPLE_CFG)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--threads", "0"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: --threads: must be at least 1"]
+    assert not out.exists()
 
 
 def test_partition_model_rejected_for_sweeps(tmp_path, capsys):
@@ -180,6 +204,7 @@ mc: {reps: 2}
 """)
     assert main(["mise-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "rup.model" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mise_sweep_smoke_schema_and_threads(tmp_path):

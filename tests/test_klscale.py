@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rupsim import (BaselineConfig, BlockCovariance, CorrelatedNoiseSpec, Kernel,
-                    SMOOTH_BUMP, TwoPointConstruction, block_covariance_apply,
-                    block_precision_apply, conditional_kl, correlated_noise_kl_suite,
-                    substream, two_point_separation, zero_function)
+from rupsim import (EPANECHNIKOV, SMOOTH_BUMP, TRIANGULAR, UNIFORM, BaselineConfig,
+                    BlockCovariance, CorrelatedNoiseSpec, Kernel, TwoPointConstruction,
+                    block_covariance_apply, block_precision_apply, bucket_of, conditional_kl,
+                    correlated_noise_kl_suite, substream, two_point_separation,
+                    zero_function)
 
 
 def base(n=100, sigma2=1.0):
@@ -80,6 +81,26 @@ def test_conditional_kl_nonnegative_and_zero_iff_flat():
     spec = CorrelatedNoiseSpec(b_x=5, delta2=0.8, baseline=base())
     constr = TwoPointConstruction(x0=0.5, h=0.2, beta=1.0, holder_const=1.0)
     assert conditional_kl(xs, constr, spec) > 0.0
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, TRIANGULAR, SMOOTH_BUMP],
+                         ids=lambda k: k.name)
+def test_windowed_kl_matches_dense_solve_over_full_design(kernel):
+    # dyadic x0 and h put the window edges x0 +- support*h exactly on design
+    # points, where the uniform kernel is still positive
+    for i, (x0, h) in enumerate(((0.5, 0.25), (0.0, 0.25), (1.0, 0.25), (0.125, 0.5),
+                                 (0.875, 0.5), (0.5, 4.0))):
+        constr = TwoPointConstruction(x0=x0, h=h, beta=1.0, holder_const=1.0, kernel=kernel)
+        edges = [e for e in (x0 - kernel.support * h, x0 + kernel.support * h) if 0 <= e <= 1]
+        xs = np.concatenate((substream(9, "window", i).random(60), edges, [0.0, 1.0]))
+        for b_x in (1, 7, xs.size):
+            spec = CorrelatedNoiseSpec(b_x=b_x, delta2=0.8, baseline=base(sigma2=1.3))
+            cov = BlockCovariance(bucket_ids=bucket_of(xs, b_x), sigma2=1.3, delta2=0.8)
+            df = constr.bump(xs)
+            dense = 0.5 * df @ np.linalg.solve(cov.dense(), df)
+            kl = conditional_kl(xs, constr, spec)
+            assert dense > 0.0
+            assert abs(kl - dense) <= 1e-12 * dense
 
 
 def test_conditional_kl_decreasing_in_delta2_shared_bucket():

@@ -1,9 +1,17 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+
+import rupsim
+from rupsim.perturbation import _noise_bins
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, WeightLaw, bucket_of, delta_at,
@@ -257,15 +265,135 @@ def test_sampling_is_reproducible_and_tagged():
 
 
 def test_serialization_round_trip():
+    sine3 = BaselineConfig(f=sine_function(beta=3), sigma2=0.5, n=77)
     for spec in (PartitionSpec(b_x=3, b_eps=6, weight_law=WeightLaw.lognormal_with_ratio(0.7),
                                baseline=BaselineConfig(f=sine_function(), sigma2=0.5, n=77)),
                  CorrelatedNoiseSpec(b_x=6, delta2=0.4,
-                                     baseline=BaselineConfig(f=sine_function(), sigma2=0.5, n=77))):
+                                     baseline=BaselineConfig(f=sine_function(), sigma2=0.5, n=77)),
+                 CorrelatedNoiseSpec(b_x=6, delta2=0.4, baseline=sine3)):
         xi = draw_perturbation(spec, substream(14, "ser"), realization_id="xi00001")
         back = realization_from_json(realization_to_json(xi))
         xs = np.linspace(0, 1, 23)
         assert np.allclose(delta_at(back, xs), delta_at(xi, xs), atol=1e-15)
         assert back.realization_id == "xi00001"
+        f, f_back = spec.baseline.f, back.spec.baseline.f
+        assert (f_back.name, f_back.beta, f_back.holder_const) == (f.name, f.beta, f.holder_const)
+        assert np.array_equal(f_back(xs), f(xs))
+    assert back.spec.baseline.f.beta == 3
+
+
+def test_replay_document_without_function_parameters_uses_catalog_defaults():
+    spec = CorrelatedNoiseSpec(b_x=4, delta2=0.4,
+                               baseline=BaselineConfig(f=sine_function(beta=3), sigma2=0.5, n=9))
+    doc = realization_to_json(draw_perturbation(spec, substream(14, "old")))
+    del doc["spec"]["baseline"]["beta"], doc["spec"]["baseline"]["holder_const"]
+    f = realization_from_json(doc).spec.baseline.f
+    assert (f.beta, f.holder_const) == (sine_function().beta, sine_function().holder_const)
+
+
+def test_bin_means_cache_is_read_only_and_public_copy_is_fresh():
+    spec = PartitionSpec(b_x=2, b_eps=5, weight_law=WeightLaw.exponential(), baseline=BASE)
+    xi = draw_perturbation(spec, substream(17, "cache"))
+    assert not xi.eps_bin_means.flags.writeable
+    with pytest.raises(ValueError):
+        xi.eps_bin_means[0] = 0.0
+    mine = gaussian_bin_means(1.0, 5)
+    assert mine.flags.writeable
+    mine[:] = 0.0
+    assert np.array_equal(draw_perturbation(spec, substream(17, "again")).eps_bin_means,
+                          gaussian_bin_means(1.0, 5))
+    assert np.array_equal(gaussian_bin_means(1.0, 5), xi.eps_bin_means)
+
+
+def _per_row_bins(row_cum, buckets, u):
+    return np.array([np.searchsorted(row_cum[b], v, side="right")
+                     for b, v in zip(buckets, u)], dtype=np.int64)
+
+
+@st.composite
+def bin_lookups(draw):
+    """Nondecreasing rows (ties allowed) ending at, just above or just below 1,
+    and queries that hit row entries, their neighbours and the ends of [0, 1)."""
+    b_x = draw(st.integers(1, 5))
+    b_eps = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(b_x):
+        end = draw(st.sampled_from([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]))
+        steps = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 1.0]) |
+                                       st.floats(0.0, 1.0), min_size=b_eps, max_size=b_eps)))
+        cum = np.cumsum(steps)
+        row = np.minimum(cum / cum[-1] * end, end) if cum[-1] > 0 else np.zeros(b_eps)
+        row[-1] = end
+        rows.append(row)
+    row_cum = np.array(rows)
+    n = draw(st.integers(1, 30))
+    buckets = np.array(draw(st.lists(st.integers(0, b_x - 1), min_size=n, max_size=n)),
+                       dtype=np.int64)
+    entry = st.builds(lambda v, step: float(np.nextafter(v, 2.0 * step)) if step else v,
+                      st.sampled_from(row_cum.ravel().tolist()), st.sampled_from([-1, 0, 0, 1]))
+    u = np.array(draw(st.lists(entry | st.floats(0.0, 1.0, exclude_max=True) |
+                               st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+                               min_size=n, max_size=n)))
+    return row_cum, buckets, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bin_lookups())
+@example(case=(np.array([[0.5, 1.0]]), np.array([0, 0, 0, 0]), np.array([0.0, 0.5, 0.75, 1.0])))
+@example(case=(np.array([[0.25, 0.25, np.nextafter(1.0, 0.0)], [0.0, 0.5, np.nextafter(1.0, 2.0)]]),
+               np.array([0, 0, 0, 1, 1, 1, 1]),
+               np.array([0.25, np.nextafter(1.0, 0.0), 0.999, 0.0, 0.5, np.nextafter(1.0, 0.0),
+                         np.nextafter(0.5, 0.0)])))
+def test_one_call_bin_lookup_equals_per_row_search(case):
+    row_cum, buckets, u = case
+    assert np.array_equal(_noise_bins(row_cum, buckets, u), _per_row_bins(row_cum, buckets, u))
+
+
+def _seed_partition_sample(spec, xi, n, rng, xs=None):
+    """The partition branch of sample_perturbed before the one-call bin lookup:
+    one searchsorted per occupied bucket and scipy.stats for the quantile."""
+    xs = rng.random(n) if xs is None else np.asarray(xs, dtype=float)
+    buckets = bucket_of(xs, spec.b_x)
+    b_eps = spec.b_eps
+    row_cum = np.cumsum(xi.normalized_weights / b_eps, axis=1)
+    u_bin = rng.random(n)
+    bins = np.empty(n, dtype=np.int64)
+    for b in np.unique(buckets):
+        mask = buckets == b
+        bins[mask] = np.searchsorted(row_cum[b], u_bin[mask], side="right")
+    np.clip(bins, 0, b_eps - 1, out=bins)
+    u_pos = rng.random(n)
+    slice_prob = np.clip((bins + u_pos) / b_eps, np.finfo(float).tiny,
+                         1.0 - np.finfo(float).epsneg)
+    eps = math.sqrt(spec.baseline.sigma2) * stats.norm.ppf(slice_prob)
+    return xs, spec.baseline.f(xs) + eps, buckets
+
+
+@pytest.mark.parametrize("b_x", [1, 3, 10, 50])
+def test_partition_sampling_is_bit_identical_to_per_bucket_loop(b_x):
+    base = BaselineConfig(f=sine_function(), sigma2=0.7, n=500)
+    forced = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 0.0)], np.arange(b_x + 1) / b_x,
+                             substream(18, "xs", b_x).random(40)))
+    for law in (WeightLaw.exponential(), WeightLaw.lognormal_with_ratio(3.0)):
+        for b_eps in (2, 7, 50):
+            spec = PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=law, baseline=base)
+            xi = draw_perturbation(spec, substream(18, "xi", b_x, b_eps))
+            for n, xs in ((1, None), (500, None), (forced.size, forced)):
+                ds = sample_perturbed(spec, xi, n, substream(18, "d", n), xs=xs)
+                ref_xs, ref_ys, ref_buckets = _seed_partition_sample(
+                    spec, xi, n, substream(18, "d", n), xs=xs)
+                assert np.array_equal(ds.xs, ref_xs)
+                assert np.array_equal(ds.ys, ref_ys)
+                assert np.array_equal(ds.bucket_ids, ref_buckets)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(rupsim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rupsim, rupsim.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_degenerate_weight_draws_abort_with_diagnostic():
