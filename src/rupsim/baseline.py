@@ -156,7 +156,8 @@ class Dataset:
         self.ys = np.asarray(self.ys, dtype=float)
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have the same length")
-        if self.xs.size and (self.xs.min() < 0.0 or self.xs.max() > 1.0):
+        # min and max carry a NaN through, and NaN fails both comparisons
+        if self.xs.size and not (self.xs.min() >= 0.0 and self.xs.max() <= 1.0):
             raise ValueError("xs must lie in [0, 1]")
         if self.bucket_ids is not None:
             self.bucket_ids = np.asarray(self.bucket_ids, dtype=np.int64)

@@ -120,7 +120,8 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
     window only.
     """
     xs = np.asarray(design_xs, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    # min and max carry a NaN through, and NaN fails both comparisons
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise ValueError("design points must lie in [0, 1]")
     buckets = bucket_of(xs, spec.b_x)
     # df != 0 needs |x - x0| <= support * h; the margin covers the rounding of

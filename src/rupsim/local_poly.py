@@ -7,15 +7,17 @@ so weight-level invariants (sum to one, zero outside the window, 1/(nh) decay)
 can be checked directly.
 
 Every fit goes through one batched engine, `local_fit`. For a design sorted
-once (`sort_design`), one bandwidth and a vector of query points it builds the
-window moments sum K(u) u^j and sum K(u) u^j y, then solves all local systems
-in one stacked call. Piecewise-polynomial kernels get their moments from
+once (`sort_design`), or a stack of equal-size designs sorted row by row, one
+bandwidth and a vector of query points it builds the window moments
+sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one stacked
+call. Piecewise-polynomial kernels get their moments from
 prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
 Engel & Gasser 1994; Langrene & Warin 2019), restarted and centred on every
 cell of a lattice of width h/4 so the sums do not cancel; other kernels sum
 over each gathered window. Nothing a query computes depends on which other
-queries share its batch, so a grid fit equals the scalar fits at its points
-bit for bit.
+queries or designs share its batch, so a grid fit equals the scalar fits at
+its points, and a stacked fit equals the fits of its designs one by one, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class SortedDesign:
     """A design sorted once by x, reusable across bandwidths and query sets.
 
     xs is ascending, ys (None when only weights are needed) follows it, and
-    xs == original_xs[order].
+    xs == original_xs[order]. A stack of D designs of n points each has 2-D
+    (D, n) arrays, each row sorted on its own: xs[d] == original_xs[d][order[d]].
     """
 
     xs: np.ndarray
@@ -89,10 +92,12 @@ class SortedDesign:
 
 
 def sort_design(xs, ys=None) -> SortedDesign:
+    """Sort a design by x, stably; a 2-D (D, n) xs (and ys) is sorted row by row."""
     xs = np.asarray(xs, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    return SortedDesign(xs=xs[order], order=order,
-                        ys=None if ys is None else np.asarray(ys, dtype=float)[order])
+    order = np.argsort(xs, kind="stable", axis=-1)
+    return SortedDesign(xs=np.take_along_axis(xs, order, -1), order=order,
+                        ys=None if ys is None else
+                        np.take_along_axis(np.asarray(ys, dtype=float), order, -1))
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
@@ -106,7 +111,9 @@ class LocalFit:
     The fit at query i has weights W_k = K(u_k) * sum_j coef[i, j] u_k^j on
     the sorted design's window lo[i] <= k < hi[i] and zero elsewhere. values
     is NaN (and coef a NaN row) where the query has no local support; values
-    is None when the design carries no responses.
+    is None when the design carries no responses. For a stack of D designs
+    every field has a leading axis of length D: values[d, i] is the fit of
+    design d at query i.
     """
 
     values: np.ndarray | None
@@ -117,8 +124,30 @@ class LocalFit:
     hi: np.ndarray
 
 
+def _search_rows(xs: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
+    """searchsorted(xs[d], q, side) for every row d of the (D, n) xs: (D, m).
+
+    numpy orders complex numbers by real part, then imaginary part, so the
+    keys d + i*xs[d] of the sorted rows form one sorted array, and a search
+    for d + i*q lands after the d * n keys of the earlier rows plus the
+    entries of row d that the search in that row alone would pass. Keys and
+    queries are filled part by part, so no complex arithmetic rounds them.
+    """
+    count, n = xs.shape
+    if count == 1:
+        return np.searchsorted(xs[0], q, side=side)[None]
+    design = np.arange(count)[:, None]
+    keys = np.empty(xs.shape, dtype=complex)
+    keys.real = design
+    keys.imag = xs
+    queries = np.empty((count, q.size), dtype=complex)
+    queries.real = design
+    queries.imag = q
+    return np.searchsorted(keys.ravel(), queries, side=side) - design * n
+
+
 def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
-    """Index range [lo, hi) of the sorted xs where kernel((x - g)/h) > 0.
+    """Ranges [lo, hi), each (D, m), of each sorted row of xs where K((x - g)/h) > 0.
 
     The search runs slightly wide, then drops edge points whose kernel value
     is exactly zero, so membership follows the kernel's own arithmetic (the
@@ -126,12 +155,12 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
     nonincreasing in |u|, so the positive set is one contiguous range.
     """
     reach = kernel.support * h * (1.0 + 1e-12) + 1e-12  # covers rounding for g in [0, 1]
-    lo = np.searchsorted(xs, g - reach, side="left")
-    hi = np.searchsorted(xs, g + reach, side="right")
-    both = np.concatenate((g, g))
+    lo = _search_rows(xs, g - reach, "left")
+    hi = _search_rows(xs, g + reach, "right")
+    design = np.arange(xs.shape[0])[:, None]
     while True:
-        edge = np.minimum(np.concatenate((lo, hi - 1)), xs.size - 1)
-        drop = (kernel((xs[edge] - both) / h) == 0.0).reshape(2, -1) & (lo < hi)
+        edge = np.minimum(np.concatenate((lo[None], hi[None] - 1)), xs.shape[1] - 1)
+        drop = (kernel((xs[design, edge] - g) / h) == 0.0) & (lo < hi)
         if not drop.any():
             break
         lo = lo + drop[0]
@@ -192,15 +221,17 @@ def _moments(sums: np.ndarray, pieces, p: int):
     return acc[:, 0], (acc[:p, 1] if acc.shape[1] > 1 else None)
 
 
-def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: float,
-                    lo: np.ndarray, hi: np.ndarray, p: int):
+def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
+                    h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of a piecewise-polynomial kernel from prefix sums.
 
-    The design is cut into lattice cells [l w, (l + 1) w), w = h/4, and each
-    cell keeps prefix sums of z^i and z^i y, z = (x - c_l)/h, centred on its
-    own centre c_l = (l + 1/2) w and restarted at its first point, so
-    |z| <= 1/8 and no sum cancels. A window [g - h, g + h] lies within the
-    cells floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
+    Each design (row of xs) is cut into lattice cells [l w, (l + 1) w),
+    w = h/4, and each cell keeps prefix sums of z^i and z^i y,
+    z = (x - c_l)/h, centred on its own centre c_l = (l + 1/2) w and
+    restarted at its first point, so |z| <= 1/8 and no sum cancels. Padded
+    rows are keyed by (design, cell), so a row's sums depend on that cell's
+    own points alone. A window [g - h, g + h] lies within the cells
+    floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
     difference of two prefix sums, which a Taylor shift by (c_l - g)/h turns
     into sums of u^i. The two kernel pieces are summed over x < g and
     x >= g separately unless they coincide. The work is O(n) per (design, h)
@@ -210,44 +241,60 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: floa
     pieces = kernel.pieces if split else kernel.pieces[:1]
     npow = 2 * p - 2 + max(len(c) for c in pieces)
 
-    # only the cells that some query's window can reach; each cell's sums
-    # depend on its own points alone
+    # only the cells that hold points and that some query's window can reach,
+    # first .. first + ncell - 1
     w = h / CELLS_PER_H
     qcell = np.floor(g / w)
-    cell = np.floor(design.xs / w)
-    i0, i1 = np.searchsorted(cell, [qcell.min() + _NEAR_CELLS[0, 0],
-                                    qcell.max() + _NEAR_CELLS[-1, 0] + 1.0])
-    groups = 1 if design.ys is None else 2
-    if i0 == i1:  # no design point near any query: every window is empty
-        return _moments(np.zeros((npow, groups, len(pieces), g.size)), pieces, p)
-    xs, cell = design.xs[i0:i1], cell[i0:i1]
-    first = cell[0]
-    row = (cell - first).astype(np.int64) + 1
-    ncell = int(row[-1])
-    # acc row t holds lattice cell first + t - 1, whose points are
-    # start[t]:start[t + 1] (offset by i0); rows 0 and ncell + 1 stay empty
-    start = np.searchsorted(row, np.arange(ncell + 3))
-    col = np.arange(1, xs.size + 1) - start[row]
-    # powers are taken in the padded (cell, column) layout itself; padding has
+    cell = np.floor(xs / w)
+    first = max(qcell.min() + _NEAR_CELLS[0, 0], min(cell[:, 0]))
+    ncell = int(min(qcell.max() + _NEAR_CELLS[-1, 0], max(cell[:, -1])) - first) + 1
+    count, n = xs.shape
+    groups = 1 if ys is None else 2
+    # design d's points i0[d]:i1[d] fall in those cells; they are listed design
+    # by design, and a design's index plus shift[d] is its place in the list
+    i0, i1 = _search_rows(cell, np.array([first, first + max(ncell, 0)]), "left").T
+    kept = i1 - i0
+    if not kept.any():  # no design point near any query: every window is empty
+        return _moments(np.zeros((npow, groups, len(pieces), count * g.size)), pieces, p)
+    shift = np.cumsum(kept) - i1
+    # padded row d * stride + t holds cell first + t - 1 of design d, whose
+    # points are start[row]:start[row + 1] of the list; rows t = 0 and
+    # t = ncell + 1 stay empty
+    stride = ncell + 2
+    if count == 1:  # the list is one slice of the design
+        pick, row_base = slice(i0[0], i1[0]), 1
+    else:
+        pick = np.arange(shift[-1] + i1[-1]) + np.repeat(np.arange(0, count * n, n) - shift, kept)
+        row_base = np.repeat(np.arange(1, count * stride, stride), kept)
+    kcell = cell.ravel()[pick]
+    row = (kcell - first).astype(np.int64) + row_base
+    start = np.searchsorted(row, np.arange(count * stride + 1))
+    col = np.arange(1, row.size + 1) - start[row]
+    # powers are taken in the padded (row, column) layout itself; padding has
     # base 0 and z = y = 0, so it holds zeros and leaves every prefix sum as is
-    padded = (ncell + 2, int(col.max()) + 1)
+    padded = (count * stride, int(col.max()) + 1)
     base, z = np.zeros(padded), np.zeros(padded)
     base[row, col] = 1.0
-    z[row, col] = (xs - (cell + 0.5) * w) / h
+    z[row, col] = (xs.ravel()[pick] - (kcell + 0.5) * w) / h
     y = None
-    if design.ys is not None:
+    if ys is not None:
         y = np.zeros(padded)
-        y[row, col] = design.ys[i0:i1]
+        y[row, col] = ys.ravel()[pick]
     acc = _powers((npow,) + padded, base, z, y)
     np.cumsum(acc, axis=-1, out=acc)
-    start += i0
 
-    near = qcell - first + _NEAR_CELLS
+    # from here on, fits are indexed design by design along one axis of count * m
+    near = qcell - first + _NEAR_CELLS  # (near cell, query)
     d = ((near + (first + 0.5)) * w - g) / h
     rows = np.minimum(np.maximum(near + 1.0, 0.0), ncell + 1.0).astype(np.int64)
+    if count > 1:
+        d = np.tile(d, count)
+        rows = (rows[:, None] + np.arange(0, count * stride, stride)[:, None]).reshape(
+            rows.shape[0], -1)
     begin, end = start[rows], start[rows + 1]
-    edges = [lo, np.searchsorted(design.xs, g, side="left"), hi] if split else [lo, hi]
-    at = [acc[:, :, rows, np.minimum(np.maximum(e, begin), end) - begin] for e in edges]
+    edges = [lo, _search_rows(xs, g, "left"), hi] if split else [lo, hi]
+    at = [acc[:, :, rows, np.minimum(np.maximum((e + shift[:, None]).ravel(), begin), end)
+              - begin] for e in edges]
     parts = np.stack([at[s + 1] - at[s] for s in range(len(pieces))], axis=2)
     _taylor_shift(parts, d)
     total = parts[:, :, :, 0].copy()
@@ -256,26 +303,31 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: floa
     return _moments(total, pieces, p)
 
 
-def _window_moments(kernel: Kernel, design: SortedDesign, g: np.ndarray, h: float,
-                    lo: np.ndarray, hi: np.ndarray, p: int):
+def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
+                    h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of any kernel from sums over each gathered window.
 
-    Rows are zero-padded to the longest window of their chunk.
+    Windows are gathered from the flattened stack of designs, and rows are
+    zero-padded to the longest window of their chunk; the padding is masked,
+    so it may read into the next design.
     """
-    xs, ys = design.xs, design.ys
+    count, n = xs.shape
     npow = 2 * p - 1
+    flat_x = xs.ravel()
+    flat_y = None if ys is None else ys.ravel()
+    lo, span = (lo + np.arange(0, count * n, n)[:, None]).ravel(), (hi - lo).ravel()
+    g = np.tile(g, count)
     sums = np.empty((npow, 1 if ys is None else 2, 1, g.size))
-    span = hi - lo
     width = max(int(span.max()), 1)
     offsets = np.arange(width)
     step = max(1, CHUNK_ELEMENTS // (sums.shape[1] * npow * width))
     for first in range(0, g.size, step):
         rows = slice(first, first + step)
         valid = offsets < span[rows, None]
-        idx = np.minimum(lo[rows, None] + offsets, xs.size - 1)
-        u = np.where(valid, (xs[idx] - g[rows, None]) / h, 0.0)
+        idx = np.minimum(lo[rows, None] + offsets, flat_x.size - 1)
+        u = np.where(valid, (flat_x[idx] - g[rows, None]) / h, 0.0)
         stack = _powers((npow,) + idx.shape, np.where(valid, kernel(u), 0.0), u,
-                        None if ys is None else np.where(valid, ys[idx], 0.0))
+                        None if ys is None else np.where(valid, flat_y[idx], 0.0))
         sums[:, :, 0, rows] = _tree_sum(stack)
     return _moments(sums, ((1.0,),), p)
 
@@ -309,27 +361,65 @@ def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarr
 
 
 def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
-    """LP(order) fits at every query point in [0, 1] over one sorted design."""
+    """LP(order) fits at every query point in [0, 1] over one sorted design.
+
+    A stacked design (2-D xs of D equal-size designs) is fitted at the same
+    queries in the same call; each field of the result then has a leading
+    axis of length D, and row d equals the fit of design d alone bit for bit.
+    """
     g = np.asarray(queries, dtype=float).ravel()
+    # min and max carry a NaN through, and NaN fails both comparisons
+    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):
+        raise ValueError("query points outside [0, 1]")
     p = config.order + 1
     m = g.size
-    if m and (g.min() < 0.0 or g.max() > 1.0):
-        raise ValueError("query points outside [0, 1]")
-    if m == 0 or design.xs.size == 0:
-        none = np.zeros(m, dtype=bool)
-        zero = np.zeros(m, dtype=np.int64)
-        return LocalFit(values=None if design.ys is None else np.full(m, np.nan),
-                        coef=np.full((m, p), np.nan), supported=none,
+    shape = design.xs.shape[:-1] + (m,)
+    xs, ys = design.xs, design.ys
+    if xs.ndim == 1:
+        xs, ys = xs[None], None if ys is None else ys[None]
+    if m == 0 or xs.shape[1] == 0:
+        none = np.zeros(shape, dtype=bool)
+        zero = np.zeros(shape, dtype=np.int64)
+        return LocalFit(values=None if ys is None else np.full(shape, np.nan),
+                        coef=np.full(shape + (p,), np.nan), supported=none,
                         degenerate=none.copy(), lo=zero, hi=zero.copy())
     h = config.bandwidth
     kernel = config.kernel
-    lo, hi = _window(kernel, design.xs, g, h)
+    lo, hi = _window(kernel, xs, g, h)
     moment_stage = _window_moments if kernel.pieces is None else _prefix_moments
-    moments, ymoments = moment_stage(kernel, design, g, h, lo, hi, p)
+    moments, ymoments = moment_stage(kernel, xs, ys, g, h, lo, hi, p)
     supported = hi > lo
-    values, coef, degenerate = _solve(moments, ymoments, supported, p, config.ridge)
-    return LocalFit(values=values, coef=coef, supported=supported,
-                    degenerate=degenerate, lo=lo, hi=hi)
+    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p, config.ridge)
+    return LocalFit(values=None if values is None else values.reshape(shape),
+                    coef=coef.reshape(shape + (p,)), supported=supported.reshape(shape),
+                    degenerate=degenerate.reshape(shape), lo=lo.reshape(shape),
+                    hi=hi.reshape(shape))
+
+
+def _kernel_weights(config: LpeConfig, design: SortedDesign, fit: LocalFit,
+                    x0: float) -> np.ndarray:
+    """Equivalent-kernel weights of a fit at the single query x0.
+
+    Returns one weight per design point, in each design's original order
+    (shape design.xs.shape); a design without support at x0 gets zeros.
+    """
+    xs = np.atleast_2d(design.xs)
+    count, n = xs.shape
+    lo, hi = fit.lo.reshape(count), fit.hi.reshape(count)
+    coef = fit.coef.reshape(count, -1)
+    span = hi - lo
+    valid = np.arange(max(int(span.max()), 1)) < span[:, None]
+    rows = np.broadcast_to(np.arange(count)[:, None], valid.shape)
+    idx = np.minimum(lo[:, None] + np.arange(valid.shape[1]), n - 1)
+    u = (xs[rows, idx] - x0) / config.bandwidth
+    basis = coef[:, -1:]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        basis = basis * u + coef[:, j:j + 1]
+    ordered = np.zeros((count, n))
+    ordered[rows[valid], idx[valid]] = (basis * config.kernel(u))[valid]
+    weights = np.empty((count, n))
+    np.put_along_axis(weights, np.atleast_2d(design.order), ordered, -1)
+    return weights.reshape(design.xs.shape)
 
 
 def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
@@ -348,15 +438,8 @@ def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
     fit = local_fit(config, design, [x0])
     if not fit.supported[0]:
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
-    lo, hi = fit.lo[0], fit.hi[0]
-    u = (design.xs[lo:hi] - x0) / config.bandwidth
-    coef = fit.coef[0]
-    basis = np.full(u.size, coef[-1])
-    for c in coef[-2::-1]:
-        basis = basis * u + c
-    weights = np.zeros(xs.size)
-    weights[design.order[lo:hi]] = basis * config.kernel(u)
-    return WeightVector(weights=weights, query=x0, degenerate=bool(fit.degenerate[0]))
+    return WeightVector(weights=_kernel_weights(config, design, fit, x0), query=x0,
+                        degenerate=bool(fit.degenerate[0]))
 
 
 def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bandwidth import NumericDeadEnd, argmin_prefer_larger
 from .baseline import BaselineConfig
-from .local_poly import (LpeConfig, NoLocalSupport, equivalent_kernel_weights, fit_predict,
+from .local_poly import (CHUNK_ELEMENTS, LpeConfig, NoLocalSupport, _kernel_weights, local_fit,
                          predict_grid, sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
@@ -85,8 +85,10 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
 
     Outer loop draws perturbation realizations, inner loop draws datasets
     conditional on each realization; every replicate has a pre-assigned
-    stream, so the report is identical for any thread count. Aborts if more
-    than 1% of fits fail with NoLocalSupport.
+    stream, so the report is identical for any thread count. The datasets of
+    one realization are fitted in one stacked engine call. Aborts if more
+    than 1% of fits lack local support. diagnostics["ridged_fits"] counts
+    the supported fits whose local Gram matrix was ridged.
     """
     if reps_xi < 2 or reps_data < 2:
         raise ValueError("need reps_xi >= 2 and reps_data >= 2")
@@ -94,16 +96,12 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
 
     def one_realization(i: int):
         xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
-        ests = np.empty(reps_data)
-        for j in range(reps_data):
-            ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", i, j))
-            try:
-                ests[j] = fit_predict(lpe, ds, x0)
-            except NoLocalSupport:
-                ests[j] = np.nan
-        return ests
+        sets = [sample_perturbed(spec, xi, base.n, substream(seed, "data", i, j))
+                for j in range(reps_data)]
+        fit = local_fit(lpe, sort_design([ds.xs for ds in sets], [ds.ys for ds in sets]), [x0])
+        return fit.values[:, 0], int((fit.degenerate & fit.supported).sum())
 
-    rows = np.array(map_indexed(one_realization, reps_xi, threads))
+    rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi, threads)))
     valid = ~np.isnan(rows)
     failed = int((~valid).sum())
     if failed > MAX_FAIL_FRACTION * rows.size:
@@ -130,7 +128,8 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
         se_sampling=float(se_samp), se_dist=float(se_dist), se_combined=float(se_combined),
         reps_xi=reps_xi, reps_data=reps_data, x0=x0,
         diagnostics={"dist_var_raw": float(dist_raw), "failed_fits": failed,
-                     "total_fits": rows.size, "dropped_rows": dropped_rows})
+                     "total_fits": rows.size, "dropped_rows": dropped_rows,
+                     "ridged_fits": int(ridged.sum())})
 
 
 def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
@@ -140,15 +139,26 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     Averages sum_b (sum of in-bucket weights)^2 over fresh uniform designs
     and scales by delta2*sigma2 (the block correlation makes the double sum
     over weight pairs collapse to per-bucket squares). Returns (value, se).
+    Designs are fitted in stacks of at most CHUNK_ELEMENTS / 8 points, which
+    bounds the working memory. Raises NoLocalSupport when a design has no
+    point with positive kernel weight at x0.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     acc = np.empty(reps)
-    for r in range(reps):
-        xs = substream(seed, "oracle-design", r).random(base.n)
-        w = equivalent_kernel_weights(lpe, xs, x0).weights
-        s = np.bincount(bucket_of(xs, spec.b_x), weights=w, minlength=spec.b_x)
-        acc[r] = (s ** 2).sum()
+    chunk = max(1, CHUNK_ELEMENTS // (8 * base.n))
+    for first in range(0, reps, chunk):
+        draws = np.arange(first, min(first + chunk, reps))
+        xs = np.array([substream(seed, "oracle-design", r).random(base.n) for r in draws])
+        design = sort_design(xs)
+        fit = local_fit(lpe, design, [x0])
+        if not fit.supported.all():
+            raise NoLocalSupport(f"no kernel support at x0={x0} with h={lpe.bandwidth}")
+        w = _kernel_weights(lpe, design, fit, x0)
+        # one bincount: design k's buckets are offset by k * b_x
+        keys = bucket_of(xs, spec.b_x) + (np.arange(draws.size) * spec.b_x)[:, None]
+        s = np.bincount(keys.ravel(), weights=w.ravel(), minlength=draws.size * spec.b_x)
+        acc[draws] = (s.reshape(draws.size, spec.b_x) ** 2).sum(axis=1)
     scale = spec.delta2 * base.sigma2
     return (float(scale * acc.mean()),
             float(scale * acc.std(ddof=1) / math.sqrt(reps)))

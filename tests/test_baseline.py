@@ -35,6 +35,13 @@ def test_eval_rejects_out_of_domain():
         f(np.array([0.3, -0.1]))
 
 
+def test_dataset_rejects_x_outside_unit_interval_and_nan():
+    for bad in ([0.2, -0.1], [0.2, 1.5], [0.2, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):
+            Dataset(xs=np.array(bad), ys=np.zeros(len(bad)))
+    assert len(Dataset(xs=np.array([0.0, 1.0]), ys=np.zeros(2))) == 2
+
+
 def test_gaussian_variance_moment_check():
     cfg = BaselineConfig(f=zero_function(), sigma2=1.0, n=100_000)
     ds = sample_baseline(cfg, substream(11, "mc"))

@@ -55,6 +55,14 @@ def test_conditional_kl_zero_when_bump_misses_design():
     assert conditional_kl(np.array([0.1, 0.2, 0.9]), constr, spec) == 0.0
 
 
+def test_conditional_kl_rejects_design_outside_unit_interval_and_nan():
+    spec = CorrelatedNoiseSpec(b_x=10, delta2=0.5, baseline=base())
+    constr = TwoPointConstruction(x0=0.5, h=0.1, beta=1.0, holder_const=1.0)
+    for bad in ([0.5, 1.2], [-0.3, 0.5], [0.5, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match=r"design points must lie in \[0, 1\]"):
+            conditional_kl(np.array(bad), constr, spec)
+
+
 def test_conditional_kl_hand_case_same_bucket():
     # two points at the peak in one bucket: KL = a^2 / (1 + 2*delta2), a = L*h^beta
     constr = TwoPointConstruction(x0=0.5, h=0.2, beta=1.0, holder_const=1.0)

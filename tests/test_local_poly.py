@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
                     fit_predict, get_kernel, local_fit, predict_grid, sine_function,
                     sort_design, substream)
-from rupsim.local_poly import DEGENERATE_EIG
+from rupsim.local_poly import DEGENERATE_EIG, _kernel_weights
 
 
 def brute_force_lp(xs, ys, x0, order, h, kernel):
@@ -124,6 +124,16 @@ def test_predict_grid_empty_and_singleton():
     single = predict_grid(cfg, ds, [0.4])
     assert single.shape == (1,)
     assert single[0] == fit_predict(cfg, ds, 0.4)
+
+
+def test_queries_outside_unit_interval_or_nan_rejected():
+    ds = Dataset(xs=np.linspace(0, 1, 30), ys=np.zeros(30))
+    cfg = LpeConfig(order=1, bandwidth=0.2)
+    for grid in ([0.5, np.nan], [np.nan], [np.nan, 0.5], [0.5, 1.5], [-0.2]):
+        with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
+            predict_grid(cfg, ds, grid)
+    with pytest.raises(ValueError, match=r"query point outside \[0, 1\]"):
+        fit_predict(cfg, ds, np.nan)
 
 
 def test_no_local_support_raises_and_grid_marks_nan():
@@ -273,3 +283,98 @@ def test_batch_composition_leaves_values_bit_identical(kernel, order, h, n, seed
     full = predict_grid(cfg, design, grid)
     pick = np.array(perm[:size])
     assert np.array_equal(predict_grid(cfg, design, grid[pick]), full[pick], equal_nan=True)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stacked_designs(rng, count, n, far):
+    # tie-heavy designs on a 0.01 lattice; design `far` sits in [0.95, 1] only,
+    # so it has no support at queries below about 0.9 for small h
+    xs = np.round(rng.random((count, n)), 2)
+    if far is not None:
+        xs[far] = np.round(0.95 + 0.05 * rng.random(n), 2)
+    return xs, rng.normal(size=(count, n))
+
+
+STACK_QUERIES = [np.array([0.5]), np.array([0.0, 0.3, 0.3, 0.77, 1.0]), np.linspace(0, 1, 9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 8),
+       n=st.integers(1, 400), seed=st.integers(0, 2 ** 16), far=st.booleans(),
+       queries=st.integers(0, len(STACK_QUERIES) - 1))
+@example(kernel="triangular", order=3, h=0.05, count=8, n=400, seed=0, far=True, queries=1)
+@example(kernel="smooth_bump", order=2, h=0.05, count=3, n=400, seed=1, far=True, queries=2)
+@example(kernel="epanechnikov", order=0, h=0.01, count=2, n=13, seed=0, far=False, queries=2)
+def test_stacked_fit_equals_fits_one_design_at_a_time(kernel, order, h, count, n, seed,
+                                                      far, queries):
+    rng = substream(seed, "stacked-fit")
+    xs, ys = _stacked_designs(rng, count, n, count - 1 if far else None)
+    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+    g = STACK_QUERIES[queries]
+    for responses in (ys, None):
+        stacked = local_fit(cfg, sort_design(xs, responses), g)
+        assert stacked.coef.shape == (count, g.size, order + 1)
+        for d in range(count):
+            alone = local_fit(cfg, sort_design(xs[d], None if responses is None
+                                               else responses[d]), g)
+            for field in ("values", "coef", "supported", "degenerate", "lo", "hi"):
+                mine, theirs = getattr(stacked, field), getattr(alone, field)
+                if theirs is None:
+                    assert mine is None
+                else:
+                    assert _same_bits(mine[d], theirs), (field, d)
+
+
+def test_stacked_fit_covers_an_unsupported_design():
+    xs, ys = _stacked_designs(substream(2, "unsupported"), 4, 300, far=2)
+    fit = local_fit(LpeConfig(order=1, bandwidth=0.05), sort_design(xs, ys), [0.1, 0.5])
+    assert not fit.supported[2].any() and np.isnan(fit.values[2]).all()
+    assert np.isnan(fit.coef[2]).all() and not fit.degenerate[2].any()
+    assert fit.supported[[0, 1, 3]].all()
+
+
+def weights_one_design(cfg, xs, x0):
+    """Equivalent-kernel weights from a one-design fit, evaluated on its window alone."""
+    design = sort_design(xs)
+    fit = local_fit(cfg, design, [x0])
+    lo, hi = fit.lo[0], fit.hi[0]
+    u = (design.xs[lo:hi] - x0) / cfg.bandwidth
+    coef = fit.coef[0]
+    basis = np.full(u.size, coef[-1])
+    for c in coef[-2::-1]:
+        basis = basis * u + c
+    weights = np.zeros(xs.size)
+    weights[design.order[lo:hi]] = basis * cfg.kernel(u)
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 8),
+       n=st.integers(1, 400), seed=st.integers(0, 2 ** 16), far=st.booleans(),
+       x0=st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]))
+@example(kernel="uniform", order=5, h=0.05, count=8, n=400, seed=0, far=True, x0=0.3)
+def test_stacked_weights_equal_equivalent_kernel_weights(kernel, order, h, count, n, seed,
+                                                         far, x0):
+    rng = substream(seed, "stacked-weights")
+    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
+    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+    design = sort_design(xs)
+    fit = local_fit(cfg, design, [x0])
+    weights = _kernel_weights(cfg, design, fit, x0)
+    assert weights.shape == xs.shape
+    for d in range(count):
+        try:
+            alone = equivalent_kernel_weights(cfg, xs[d], x0)
+        except NoLocalSupport:
+            assert not fit.supported[d, 0]
+            assert _same_bits(weights[d], np.zeros(n))
+            continue
+        assert _same_bits(weights[d], alone.weights)
+        assert _same_bits(weights[d], weights_one_design(cfg, xs[d], x0))
+        assert bool(fit.degenerate[d, 0]) == alone.degenerate

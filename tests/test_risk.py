@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rupsim import (BaselineConfig, CorrelatedNoiseSpec, LpeConfig, RegressionFunction,
-                    dist_var_weight_oracle, mise_mc, oracle_bandwidth,
-                    optimal_bandwidth_curve, pointwise_risk_mc, rate_fit,
-                    sine_function, zero_function)
+from rupsim import (KERNELS, BaselineConfig, CorrelatedNoiseSpec, LpeConfig, NoLocalSupport,
+                    PartitionSpec, RegressionFunction, WeightLaw, bucket_of,
+                    dist_var_weight_oracle, draw_perturbation, equivalent_kernel_weights,
+                    fit_predict, get_kernel, mise_mc, oracle_bandwidth,
+                    optimal_bandwidth_curve, pointwise_risk_mc, rate_fit, risk,
+                    sample_perturbed, sine_function, substream, zero_function)
 
 
 def affine_function(a=0.5, b=1.5):
@@ -94,6 +96,101 @@ def test_tiny_bandwidth_aborts_with_diagnostic():
         pointwise_risk_mc(base, corr_spec(0.0, base),
                           LpeConfig(order=1, bandwidth=0.001), x0=0.5,
                           reps_xi=10, reps_data=5, seed=9)
+
+
+def per_dataset_risk(base, spec, lpe, x0, reps_xi, reps_data, seed):
+    """The risk decomposition with one fit_predict per dataset, as before stacking."""
+    f0 = float(base.f(x0))
+    rows = np.empty((reps_xi, reps_data))
+    for i in range(reps_xi):
+        xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
+        for j in range(reps_data):
+            ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", i, j))
+            try:
+                rows[i, j] = fit_predict(lpe, ds, x0)
+            except NoLocalSupport:
+                rows[i, j] = np.nan
+    valid = ~np.isnan(rows)
+    counts = valid.sum(axis=1)
+    sub = rows[counts >= 2]
+    mu = np.nanmean(sub, axis=1)
+    v = np.nanvar(sub, axis=1, ddof=1)
+    v_over_b = v / counts[counts >= 2]
+    t = np.nanmean((sub - f0) ** 2, axis=1)
+    return (risk._risk_components(mu, v, v_over_b, t, f0),
+            risk._jackknife_se(mu, v, v_over_b, t, f0), int((~valid).sum()))
+
+
+def per_design_oracle(base, spec, lpe, x0, reps, seed):
+    """dist_var_weight_oracle with one equivalent_kernel_weights call per design."""
+    acc = np.empty(reps)
+    for r in range(reps):
+        xs = substream(seed, "oracle-design", r).random(base.n)
+        w = equivalent_kernel_weights(lpe, xs, x0).weights
+        s = np.bincount(bucket_of(xs, spec.b_x), weights=w, minlength=spec.b_x)
+        acc[r] = (s ** 2).sum()
+    scale = spec.delta2 * base.sigma2
+    return (float(scale * acc.mean()),
+            float(scale * acc.std(ddof=1) / math.sqrt(reps)))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stacked_risk_is_bit_identical_to_per_dataset_fits(kernel):
+    base = BaselineConfig(f=sine_function(), sigma2=1.0, n=120)
+    partition = PartitionSpec(b_x=10, b_eps=50, weight_law=WeightLaw.exponential(),
+                              baseline=base)
+    cases = [(corr_spec(0.02, base), 1, 0.2, 0.5), (partition, 2, 0.3, 0.03),
+             (corr_spec(0.01, base), 0, 0.1, 1.0), (partition, 4, 0.5, 0.77)]
+    for spec, order, h, x0 in cases:
+        lpe = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+        components, ses, failed = per_dataset_risk(base, spec, lpe, x0, 7, 5, seed=21)
+        for threads in (1, 3):
+            rep = pointwise_risk_mc(base, spec, lpe, x0, 7, 5, seed=21, threads=threads)
+            got = np.array([rep.bias2, rep.sampling_var, rep.diagnostics["dist_var_raw"],
+                            rep.total_mse, rep.se_bias2, rep.se_sampling, rep.se_dist,
+                            rep.se_total])
+            assert got.tobytes() == np.concatenate([components, ses]).tobytes()
+            assert rep.diagnostics["failed_fits"] == failed
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stacked_oracle_is_bit_identical_to_per_design_weights(kernel):
+    for n, b_x, order, h, x0, reps in ((300, 10, 1, 0.1, 0.5, 45), (40, 7, 2, 0.4, 0.0, 9),
+                                       (2000, 1, 0, 0.05, 1.0, 12), (900, 200, 3, 0.3, 0.3, 5)):
+        base = BaselineConfig(f=zero_function(), sigma2=0.7, n=n)
+        spec = CorrelatedNoiseSpec(b_x=b_x, delta2=0.25, baseline=base)
+        lpe = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+        stacked = dist_var_weight_oracle(base, spec, lpe, x0, reps, seed=22)
+        alone = per_design_oracle(base, spec, lpe, x0, reps, seed=22)
+        assert np.array(stacked).tobytes() == np.array(alone).tobytes()
+
+
+def test_oracle_without_support_raises():
+    base = BaselineConfig(f=zero_function(), sigma2=1.0, n=5)
+    with pytest.raises(NoLocalSupport):
+        dist_var_weight_oracle(base, corr_spec(0.01, base), LpeConfig(order=1, bandwidth=0.001),
+                               x0=0.5, reps=4, seed=0)
+
+
+def test_ridged_fits_counted_in_diagnostics(monkeypatch):
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=200)
+    spec = corr_spec(0.01, base)
+    ordinary = pointwise_risk_mc(base, spec, LpeConfig(order=1, bandwidth=0.15), x0=0.5,
+                                 reps_xi=6, reps_data=5, seed=23)
+    assert ordinary.diagnostics["ridged_fits"] == 0
+
+    def on_lattice(spec, xi, n, rng):
+        # x on a 0.05 lattice: a window of half-width 0.06 at 0.5 holds three
+        # distinct x values, too few for a cubic, so every fit is ridged
+        ds = sample_perturbed(spec, xi, n, rng)
+        ds.xs = np.round(ds.xs * 20.0) / 20.0
+        return ds
+
+    monkeypatch.setattr(risk, "sample_perturbed", on_lattice)
+    rep = pointwise_risk_mc(base, spec, LpeConfig(order=3, bandwidth=0.06), x0=0.5,
+                            reps_xi=6, reps_data=5, seed=23)
+    assert rep.diagnostics["failed_fits"] == 0
+    assert rep.diagnostics["ridged_fits"] == 30
 
 
 def test_mise_noiseless_affine_is_zero_everywhere():
