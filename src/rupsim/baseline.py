@@ -37,7 +37,8 @@ class RegressionFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        # min and max carry a NaN through, and NaN fails both comparisons
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise ValueError("x outside the domain [0, 1]")
         return self._fn(x)
 

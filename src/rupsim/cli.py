@@ -5,7 +5,9 @@ Each run reads one YAML config, derives every random stream from the
 mandatory seed, writes CSV artifacts plus SVG charts rendered purely from
 those CSVs, and records a manifest with the fully defaulted config echo and
 per-output checksums. Reruns with the same config and seed are
-checksum-identical for any --threads value.
+checksum-identical. Monte Carlo replicates always run one after another in
+this process; --threads is still accepted (an integer >= 1) and recorded in
+the manifest, but results never depend on it.
 
 Exit codes: 0 success, 2 config error, 3 numeric/regime warnings under
 --strict, 4 numeric dead end (no bandwidth in the grid can be scored, e.g.
@@ -37,7 +39,7 @@ from .klscale import correlated_noise_kl_suite
 from .local_poly import LpeConfig
 from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, WeightLaw,
                            draw_perturbation, sample_perturbed, save_realization)
-from .risk import mise_mc, optimal_bandwidth_curve
+from .risk import optimal_bandwidth_curve
 from .streams import substream
 from .svgplot import line_chart
 
@@ -121,11 +123,6 @@ def _parse_rup_spec(root: Conf, base: BaselineConfig, models=("correlated_noise"
     return PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=law, baseline=base), echo
 
 
-def _parse_tau_grid(root: Conf) -> list[float]:
-    blk = root.block("rup")
-    return blk.get_float_list("tau_grid", ge=0.0)
-
-
 def _parse_lpe(root: Conf):
     blk = root.block("lpe")
     order = blk.get_int("order", default=1, ge=0)
@@ -177,7 +174,7 @@ def _parse_eval_grid(root: Conf):
 
 # ----------------------------------------------------------------- subcommands
 
-def cmd_sample(root: Conf, seed: int, outdir: Path, threads: int):
+def cmd_sample(root: Conf, seed: int, outdir: Path):
     base, becho = _parse_baseline(root)
     echo = {"baseline": becho}
     outputs = {}
@@ -203,27 +200,38 @@ def cmd_sample(root: Conf, seed: int, outdir: Path, threads: int):
     return echo, outputs, []
 
 
-def cmd_mise_sweep(root: Conf, seed: int, outdir: Path, threads: int):
-    base, becho = _parse_baseline(root)
-    spec_blk = root.block("rup")
-    model = spec_blk.get_str("model", default="correlated_noise",
-                             choices=("correlated_noise",))
-    b_x = spec_blk.get_int("b_x", ge=1)
-    tau_grid = _parse_tau_grid(root)
+def _parse_sweep(root: Conf, need: str):
+    """Arguments of optimal_bandwidth_curve, less the seed, and the config echo.
+
+    Both sweeps read the same rup, lpe, eval and mc blocks; need="n" reads a
+    single baseline.n (mise-sweep), need="n_grid" a list (bandwidth-vs-n).
+    """
+    if need == "n":
+        base, becho = _parse_baseline(root)
+        n_grid = [base.n]
+    else:
+        base, n_grid, becho = _parse_baseline(root, need="n_grid")
+    blk = root.block("rup")
+    model = blk.get_str("model", default="correlated_noise", choices=("correlated_noise",))
+    b_x = blk.get_int("b_x", ge=1)
+    tau_grid = blk.get_float_list("tau_grid", ge=0.0)
     lpe_base, h_grid, lecho = _parse_lpe(root)
     eval_grid, eecho = _parse_eval_grid(root)
-    mc = root.block("mc")
-    reps = mc.get_int("reps", default=100, ge=2)
+    reps = root.block("mc").get_int("reps", default=100, ge=2)
     echo = {"baseline": becho, "rup": {"model": model, "b_x": b_x, "tau_grid": tau_grid},
             "lpe": lecho, "eval": eecho, "mc": {"reps": reps}}
+    args = {"base": base, "lpe_base": lpe_base, "b_x": b_x, "tau_grid": tau_grid,
+            "n_grid": n_grid, "h_grid": h_grid, "eval_grid": eval_grid, "reps": reps}
+    return args, echo
 
+
+def cmd_mise_sweep(root: Conf, seed: int, outdir: Path):
+    args, echo = _parse_sweep(root, need="n")
     warnings: list[str] = []
     rows = []
-    for tau in tau_grid:
-        spec = CorrelatedNoiseSpec(b_x=b_x, delta2=tau * b_x, baseline=base)
-        curve = mise_mc(base, spec, lpe_base, h_grid, eval_grid, reps, seed, threads)
-        for h, m, s in curve.rows:
-            rows.append((h, tau, m, s))
+    for cell in optimal_bandwidth_curve(**args, seed=seed):
+        tau, curve = cell["tau"], cell["curve"]
+        rows.extend((h, tau, m, s) for h, m, s in curve.rows)
         for h in curve.meta["failed_h"]:
             warnings.append(f"tau={tau:g}: h={h:g} invalid (no local support on the grid)")
         print(f"tau={tau:g}: argmin_h={curve.argmin_h:g}")
@@ -245,22 +253,9 @@ def _render_mise_svg(csv_path: Path, svg_path: Path) -> None:
                                    title="MISE against bandwidth"), encoding="utf-8")
 
 
-def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path, threads: int):
-    base, n_grid, becho = _parse_baseline(root, need="n_grid")
-    spec_blk = root.block("rup")
-    model = spec_blk.get_str("model", default="correlated_noise",
-                             choices=("correlated_noise",))
-    b_x = spec_blk.get_int("b_x", ge=1)
-    tau_grid = _parse_tau_grid(root)
-    lpe_base, h_grid, lecho = _parse_lpe(root)
-    eval_grid, eecho = _parse_eval_grid(root)
-    mc = root.block("mc")
-    reps = mc.get_int("reps", default=100, ge=2)
-    echo = {"baseline": becho, "rup": {"model": model, "b_x": b_x, "tau_grid": tau_grid},
-            "lpe": lecho, "eval": eecho, "mc": {"reps": reps}}
-
-    table = optimal_bandwidth_curve(base, lpe_base, b_x, tau_grid, n_grid,
-                                    h_grid, eval_grid, reps, seed, threads)
+def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
+    args, echo = _parse_sweep(root, need="n_grid")
+    table = optimal_bandwidth_curve(**args, seed=seed)
     rows = [(r["n"], r["tau"], r["h_star"]) for r in table]
     csv_path = outdir / "hstar_vs_n.csv"
     write_csv(csv_path, ["n", "tau", "h_star"], rows)
@@ -283,7 +278,7 @@ def _render_hstar_svg(csv_path: Path, svg_path: Path) -> None:
                                    logx=True, logy=True), encoding="utf-8")
 
 
-def cmd_kl_check(root: Conf, seed: int, outdir: Path, threads: int):
+def cmd_kl_check(root: Conf, seed: int, outdir: Path):
     blk = root.block("baseline", required=False)
     sigma2 = blk.get_float("sigma2", default=1.0, gt=0.0) if blk else 1.0
     kl = root.block("kl")
@@ -309,8 +304,7 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path, threads: int):
                    "bucket_rule": rule_name, "b_x": b_x}}
     base = BaselineConfig(f=get_function("zero"), sigma2=sigma2, n=n_grid[0])
     table = correlated_noise_kl_suite(n_grid, delta2, base, beta, holder_const, x0,
-                                      bucket_rule=bucket_rule, reps=reps,
-                                      seed=seed, threads=threads)
+                                      bucket_rule=bucket_rule, reps=reps, seed=seed)
     rows = [(r.n, r.n_eff, r.kl_mean, r.kl_se, r.ratio, r.regime_warning)
             for r in table.rows]
     csv_path = outdir / "kl_scaling.csv"
@@ -324,7 +318,7 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path, threads: int):
     return echo, {"kl_scaling.csv": csv_path}, warnings
 
 
-def cmd_estimate_tau(root: Conf, seed: int, outdir: Path, threads: int):
+def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
     est_blk = root.block("tau_estimate", required=False)
     warnings: list[str] = []
     if est_blk is not None and est_blk.has("from_files"):
@@ -423,7 +417,8 @@ def main(argv=None) -> int:
                         help="override the config seed")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo replicates")
+                        help="accepted and recorded in the manifest; replicates always run "
+                             "in one process, so results never depend on it")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 on numeric/regime warnings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -445,7 +440,7 @@ def main(argv=None) -> int:
         out_default = out_blk.get_str("dir", default="out") if out_blk else "out"
         outdir = Path(args.out if args.out is not None else out_default)
         created = _make_outdir(outdir)
-        echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir, args.threads)
+        echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir)
     except ConfigError as exc:
         _remove_created(created)
         print(f"config error: {exc}", file=sys.stderr)

@@ -157,7 +157,7 @@ class KlScalingTable:
 
 
 def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
-          seed: int, threads: int = 1) -> KlScalingTable:
+          seed: int) -> KlScalingTable:
     """Design-averaged KL and its normalized ratio across sample sizes.
 
     bucket_rule(n) gives B_X, spec_builder(n, b_x) the noise spec, and
@@ -183,7 +183,7 @@ def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
             xs = substream(seed, "design", ni, r).random(n)
             return conditional_kl(xs, constr, spec)
 
-        kls = np.array(map_indexed(one_design, reps, threads))
+        kls = np.array(map_indexed(one_design, reps))
         kl_mean = float(kls.mean())
         kl_se = float(kls.std(ddof=1) / math.sqrt(reps))
         norm = n_eff * constr.h ** (2.0 * constr.beta + 1.0)
@@ -200,8 +200,7 @@ def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
 
 def correlated_noise_kl_suite(n_grid, delta2: float, base: BaselineConfig,
                               beta: float, holder_const: float, x0: float,
-                              bucket_rule=None, reps: int = 400, seed: int = 0,
-                              threads: int = 1) -> KlScalingTable:
+                              bucket_rule=None, reps: int = 400, seed: int = 0) -> KlScalingTable:
     """Convenience wiring of kl_mc for the bucket-per-point regime.
 
     Defaults to B_X = n and the rate-matched bandwidth h = n_eff^(-1/(2beta+1)).
@@ -218,4 +217,4 @@ def correlated_noise_kl_suite(n_grid, delta2: float, base: BaselineConfig,
         h = n_eff ** (-1.0 / (2.0 * beta + 1.0))
         return TwoPointConstruction(x0=x0, h=h, beta=beta, holder_const=holder_const)
 
-    return kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps, seed, threads)
+    return kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps, seed)

@@ -124,26 +124,30 @@ class LocalFit:
     hi: np.ndarray
 
 
-def _search_rows(xs: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
-    """searchsorted(xs[d], q, side) for every row d of the (D, n) xs: (D, m).
+def _search_rows(table: np.ndarray, rows, q, side: str = "right") -> np.ndarray:
+    """searchsorted(table[r], v, side) for each pair (r, v) of rows and q.
 
+    table is (R, n) with nondecreasing rows; rows holds integer row indices
+    and broadcasts against q, and the result has their broadcast shape.
     numpy orders complex numbers by real part, then imaginary part, so the
-    keys d + i*xs[d] of the sorted rows form one sorted array, and a search
-    for d + i*q lands after the d * n keys of the earlier rows plus the
-    entries of row d that the search in that row alone would pass. Keys and
-    queries are filled part by part, so no complex arithmetic rounds them.
+    keys r + i*table[r] form one sorted array, and a search for r + i*v
+    lands after the r * n keys of the earlier rows plus the entries of row r
+    that the search in that row alone would pass. Keys and queries are filled
+    part by part, so no complex arithmetic rounds them.
     """
-    count, n = xs.shape
+    count, n = table.shape
+    shape = np.broadcast(rows, q).shape
     if count == 1:
-        return np.searchsorted(xs[0], q, side=side)[None]
-    design = np.arange(count)[:, None]
-    keys = np.empty(xs.shape, dtype=complex)
-    keys.real = design
-    keys.imag = xs
-    queries = np.empty((count, q.size), dtype=complex)
-    queries.real = design
+        out = np.empty(shape, dtype=np.intp)
+        out[...] = np.searchsorted(table[0], q, side=side)
+        return out
+    keys = np.empty(table.shape, dtype=complex)
+    keys.real = np.arange(count)[:, None]
+    keys.imag = table
+    queries = np.empty(shape, dtype=complex)
+    queries.real = rows
     queries.imag = q
-    return np.searchsorted(keys.ravel(), queries, side=side) - design * n
+    return np.searchsorted(keys.ravel(), queries, side=side) - rows * n
 
 
 def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
@@ -155,9 +159,9 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
     nonincreasing in |u|, so the positive set is one contiguous range.
     """
     reach = kernel.support * h * (1.0 + 1e-12) + 1e-12  # covers rounding for g in [0, 1]
-    lo = _search_rows(xs, g - reach, "left")
-    hi = _search_rows(xs, g + reach, "right")
     design = np.arange(xs.shape[0])[:, None]
+    lo = _search_rows(xs, design, g - reach, "left")
+    hi = _search_rows(xs, design, g + reach, "right")
     while True:
         edge = np.minimum(np.concatenate((lo[None], hi[None] - 1)), xs.shape[1] - 1)
         drop = (kernel((xs[design, edge] - g) / h) == 0.0) & (lo < hi)
@@ -249,10 +253,11 @@ def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     first = max(qcell.min() + _NEAR_CELLS[0, 0], min(cell[:, 0]))
     ncell = int(min(qcell.max() + _NEAR_CELLS[-1, 0], max(cell[:, -1])) - first) + 1
     count, n = xs.shape
+    design = np.arange(count)[:, None]
     groups = 1 if ys is None else 2
     # design d's points i0[d]:i1[d] fall in those cells; they are listed design
     # by design, and a design's index plus shift[d] is its place in the list
-    i0, i1 = _search_rows(cell, np.array([first, first + max(ncell, 0)]), "left").T
+    i0, i1 = _search_rows(cell, design, np.array([first, first + max(ncell, 0)]), "left").T
     kept = i1 - i0
     if not kept.any():  # no design point near any query: every window is empty
         return _moments(np.zeros((npow, groups, len(pieces), count * g.size)), pieces, p)
@@ -292,7 +297,7 @@ def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
         rows = (rows[:, None] + np.arange(0, count * stride, stride)[:, None]).reshape(
             rows.shape[0], -1)
     begin, end = start[rows], start[rows + 1]
-    edges = [lo, _search_rows(xs, g, "left"), hi] if split else [lo, hi]
+    edges = [lo, _search_rows(xs, design, g, "left"), hi] if split else [lo, hi]
     at = [acc[:, :, rows, np.minimum(np.maximum((e + shift[:, None]).ravel(), begin), end)
               - begin] for e in edges]
     parts = np.stack([at[s + 1] - at[s] for s in range(len(pieces))], axis=2)

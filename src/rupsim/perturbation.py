@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .baseline import BaselineConfig, Dataset, get_function
+from .local_poly import _search_rows
 
 _MAX_REDRAWS = 100
 _TINY = np.finfo(float).tiny
@@ -171,25 +172,6 @@ def _cached_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
     return means
 
 
-def _noise_bins(row_cum: np.ndarray, buckets: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(row_cum[b], u, side="right") for every point, in one search.
-
-    numpy orders complex numbers by real part, then imaginary part. With each
-    row of row_cum nondecreasing, the keys bucket + i*row_cum are sorted, and a
-    right-sided search for buckets + i*u lands after the b * b_eps keys of the
-    earlier rows plus the entries of row b that are <= u, ties included. Keys
-    and queries are filled part by part, so no complex arithmetic rounds them.
-    """
-    b_x, b_eps = row_cum.shape
-    keys = np.empty((b_x, b_eps), dtype=complex)
-    keys.real = np.arange(b_x)[:, None]
-    keys.imag = row_cum
-    queries = np.empty(buckets.shape, dtype=complex)
-    queries.real = buckets
-    queries.imag = u
-    return np.searchsorted(keys.ravel(), queries, side="right") - buckets * b_eps
-
-
 def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
                       realization_id: str | None = None) -> PerturbationRealization:
     """Draw one perturbation realization xi from the spec's law."""
@@ -247,7 +229,7 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
     # Gaussian restricted to that bin by inverse CDF on its probability slice.
     b_eps = spec.b_eps
     row_cum = np.cumsum(xi.normalized_weights / b_eps, axis=1)
-    bins = _noise_bins(row_cum, buckets, rng.random(n))
+    bins = _search_rows(row_cum, buckets, rng.random(n))
     np.clip(bins, 0, b_eps - 1, out=bins)
     u_pos = rng.random(n)
     slice_prob = np.clip((bins + u_pos) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)

@@ -6,6 +6,11 @@ and distributional variance (outer, across realizations). The nested
 estimator subtracts the inner-noise contamination from the outer variance so
 the three pieces add up to the total mean squared error within Monte Carlo
 error.
+
+Every Monte Carlo routine here (the risk split, MISE curves and the optimal
+bandwidth per (n, tau) cell) draws each replicate from its own pre-assigned
+substream and runs the replicates one after another in the calling process,
+so a result depends on the seed alone.
 """
 
 from __future__ import annotations
@@ -79,13 +84,12 @@ def _jackknife_se(mu, v, v_over_b, t, f0) -> np.ndarray:
 
 
 def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConfig,
-                      x0: float, reps_xi: int, reps_data: int, seed: int,
-                      threads: int = 1) -> RiskReport:
+                      x0: float, reps_xi: int, reps_data: int, seed: int) -> RiskReport:
     """Nested Monte Carlo estimate of the pointwise risk decomposition at x0.
 
     Outer loop draws perturbation realizations, inner loop draws datasets
     conditional on each realization; every replicate has a pre-assigned
-    stream, so the report is identical for any thread count. The datasets of
+    stream, so the report depends on the seed alone. The datasets of
     one realization are fitted in one stacked engine call. Aborts if more
     than 1% of fits lack local support. diagnostics["ridged_fits"] counts
     the supported fits whose local Gram matrix was ridged.
@@ -101,7 +105,7 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
         fit = local_fit(lpe, sort_design([ds.xs for ds in sets], [ds.ys for ds in sets]), [x0])
         return fit.values[:, 0], int((fit.degenerate & fit.supported).sum())
 
-    rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi, threads)))
+    rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi)))
     valid = ~np.isnan(rows)
     failed = int((~valid).sum())
     if failed > MAX_FAIL_FRACTION * rows.size:
@@ -180,7 +184,7 @@ class MiseCurve:
 
 
 def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
-            h_grid, eval_grid, reps: int, seed: int, threads: int = 1) -> MiseCurve:
+            h_grid, eval_grid, reps: int, seed: int) -> MiseCurve:
     """Mean integrated squared error across perturbation realizations.
 
     Each replicate draws a fresh (realization, dataset) pair; the same
@@ -209,7 +213,7 @@ def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
             out[i] = np.mean(err ** 2)  # NaN if any grid point lacked support
         return out
 
-    table = np.array(map_indexed(one_rep, reps, threads))  # (reps, n_h)
+    table = np.array(map_indexed(one_rep, reps))  # (reps, n_h)
     bad = np.isnan(table).any(axis=0)
     mise = table.mean(axis=0)
     se = table.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -229,12 +233,13 @@ def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
 
 def optimal_bandwidth_curve(base: BaselineConfig, lpe_base: LpeConfig, b_x: int,
                             tau_grid, n_grid, h_grid, eval_grid, reps: int,
-                            seed: int, threads: int = 1) -> list[dict]:
+                            seed: int) -> list[dict]:
     """Empirical optimal bandwidth per (n, tau) cell.
 
     Cells are generated from the correlated noise model with delta2 =
     tau*b_x, all under the same seed so curves across n and tau are coupled.
-    Returns rows {n, tau, h_star}.
+    Returns rows {n, tau, h_star, curve}, tau by tau and n by n within each
+    tau, where curve is the cell's MiseCurve.
     """
     rows = []
     for tau in np.asarray(tau_grid, dtype=float):
@@ -243,8 +248,9 @@ def optimal_bandwidth_curve(base: BaselineConfig, lpe_base: LpeConfig, b_x: int,
         for n in np.asarray(n_grid, dtype=np.int64):
             cell_base = replace(base, n=int(n))
             spec = CorrelatedNoiseSpec(b_x=b_x, delta2=float(tau) * b_x, baseline=cell_base)
-            curve = mise_mc(cell_base, spec, lpe_base, h_grid, eval_grid, reps, seed, threads)
-            rows.append({"n": int(n), "tau": float(tau), "h_star": curve.argmin_h})
+            curve = mise_mc(cell_base, spec, lpe_base, h_grid, eval_grid, reps, seed)
+            rows.append({"n": int(n), "tau": float(tau), "h_star": curve.argmin_h,
+                         "curve": curve})
     return rows
 
 

@@ -35,6 +35,15 @@ def test_eval_rejects_out_of_domain():
         f(np.array([0.3, -0.1]))
 
 
+def test_eval_rejects_nan():
+    f = sine_function()
+    for bad in (np.array([0.5, np.nan]), np.array([np.nan]), np.nan):
+        with pytest.raises(ValueError, match=r"x outside the domain \[0, 1\]"):
+            f(bad)
+    assert f(np.array([0.0, 1.0])).shape == (2,)
+    assert f(np.array([])).shape == (0,)
+
+
 def test_dataset_rejects_x_outside_unit_interval_and_nan():
     for bad in ([0.2, -0.1], [0.2, 1.5], [0.2, np.nan], [np.nan]):
         with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):

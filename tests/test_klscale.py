@@ -176,15 +176,6 @@ def test_kl_mc_ratio_stabilizes_in_lemma_regime():
     assert not table.regime_warning
 
 
-def test_kl_mc_threads_deterministic():
-    kwargs = dict(n_grid=[200, 400], delta2=1.0, base=base(), beta=1.0,
-                  holder_const=1.0, x0=0.5, reps=60, seed=7)
-    a = correlated_noise_kl_suite(**kwargs, threads=1)
-    b = correlated_noise_kl_suite(**kwargs, threads=4)
-    assert [r.kl_mean for r in a.rows] == [r.kl_mean for r in b.rows]
-    assert [r.ratio for r in a.rows] == [r.ratio for r in b.rows]
-
-
 def test_block_covariance_validation():
     with pytest.raises(ValueError):
         BlockCovariance(bucket_ids=np.array([0, 1]), sigma2=0.0, delta2=0.1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import rupsim
-from rupsim.perturbation import _noise_bins
+from rupsim.local_poly import _search_rows as _noise_bins
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, WeightLaw, bucket_of, delta_at,

@@ -79,17 +79,6 @@ def test_risk_floor_at_positive_tau():
     assert reports[8000].total_mse > 0.5 * reports[1000].total_mse
 
 
-def test_pointwise_risk_threads_deterministic():
-    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=150)
-    kwargs = dict(base=base, spec=corr_spec(0.01, base),
-                  lpe=LpeConfig(order=1, bandwidth=0.2), x0=0.5,
-                  reps_xi=20, reps_data=8, seed=8)
-    a = pointwise_risk_mc(**kwargs, threads=1)
-    b = pointwise_risk_mc(**kwargs, threads=4)
-    assert a.total_mse == b.total_mse
-    assert a.dist_var == b.dist_var
-
-
 def test_tiny_bandwidth_aborts_with_diagnostic():
     base = BaselineConfig(f=sine_function(), sigma2=0.5, n=40)
     with pytest.raises(RuntimeError, match="local support"):
@@ -144,13 +133,12 @@ def test_stacked_risk_is_bit_identical_to_per_dataset_fits(kernel):
     for spec, order, h, x0 in cases:
         lpe = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
         components, ses, failed = per_dataset_risk(base, spec, lpe, x0, 7, 5, seed=21)
-        for threads in (1, 3):
-            rep = pointwise_risk_mc(base, spec, lpe, x0, 7, 5, seed=21, threads=threads)
-            got = np.array([rep.bias2, rep.sampling_var, rep.diagnostics["dist_var_raw"],
-                            rep.total_mse, rep.se_bias2, rep.se_sampling, rep.se_dist,
-                            rep.se_total])
-            assert got.tobytes() == np.concatenate([components, ses]).tobytes()
-            assert rep.diagnostics["failed_fits"] == failed
+        rep = pointwise_risk_mc(base, spec, lpe, x0, 7, 5, seed=21)
+        got = np.array([rep.bias2, rep.sampling_var, rep.diagnostics["dist_var_raw"],
+                        rep.total_mse, rep.se_bias2, rep.se_sampling, rep.se_dist,
+                        rep.se_total])
+        assert got.tobytes() == np.concatenate([components, ses]).tobytes()
+        assert rep.diagnostics["failed_fits"] == failed
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -216,16 +204,6 @@ def test_mise_smoke_shapes_and_common_seed_reuse():
     assert np.array_equal(curve.mise, again.mise)
 
 
-def test_mise_threads_bit_identical():
-    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=200)
-    kwargs = dict(base=base, spec=corr_spec(0.02, base),
-                  lpe_base=LpeConfig(order=1, bandwidth=0.1),
-                  h_grid=[0.1, 0.2], eval_grid=np.linspace(0.05, 0.95, 31),
-                  reps=6, seed=12)
-    assert np.array_equal(mise_mc(**kwargs, threads=1).mise,
-                          mise_mc(**kwargs, threads=4).mise)
-
-
 def test_mise_argmin_grows_with_tau():
     base = BaselineConfig(f=sine_function(), sigma2=0.5, n=400)
     h_grid = np.geomspace(0.05, 0.5, 10)
@@ -260,6 +238,13 @@ def test_optimal_bandwidth_curve_single_cell():
     assert len(rows) == 1
     assert rows[0]["n"] == 200 and rows[0]["tau"] == 0.01
     assert rows[0]["h_star"] in (0.1, 0.2, 0.4)
+    direct = mise_mc(base, corr_spec(0.01, base), LpeConfig(order=1, bandwidth=0.1),
+                     h_grid=[0.1, 0.2, 0.4], eval_grid=np.linspace(0.05, 0.95, 31),
+                     reps=4, seed=15)
+    curve = rows[0]["curve"]
+    assert curve.argmin_h == rows[0]["h_star"] == direct.argmin_h
+    assert curve.mise.tobytes() == direct.mise.tobytes()
+    assert curve.se.tobytes() == direct.se.tobytes()
 
 
 def test_rate_fit_exact_line_and_errors():
