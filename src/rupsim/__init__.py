@@ -29,7 +29,7 @@ from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, PerturbationReali
                            kl_to_baseline_partition, load_realization,
                            perturbation_strength, realization_from_json,
                            realization_to_json, sample_perturbed, save_realization)
-from .risk import (MiseCurve, RiskReport, dist_var_weight_oracle, mise_mc,
+from .risk import (MiseCurve, RiskReport, dist_var_weight_oracle, mise_ladder, mise_mc,
                    optimal_bandwidth_curve, pointwise_risk_mc, rate_fit)
 from .streams import map_indexed, substream
 

@@ -261,9 +261,13 @@ def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
     write_csv(csv_path, ["n", "tau", "h_star"], rows)
     svg_path = outdir / "fig5.svg"
     _render_hstar_svg(csv_path, svg_path)
+    warnings = []
     for r in table:
         print(f"n={r['n']} tau={r['tau']:g}: h_star={r['h_star']:g}")
-    return echo, {"hstar_vs_n.csv": csv_path, "fig5.svg": svg_path}, []
+        for h in r["curve"].meta["failed_h"]:
+            warnings.append(f"n={r['n']}, tau={r['tau']:g}: h={h:g} invalid "
+                            "(no local support on the grid)")
+    return echo, {"hstar_vs_n.csv": csv_path, "fig5.svg": svg_path}, warnings
 
 
 def _render_hstar_svg(csv_path: Path, svg_path: Path) -> None:

@@ -10,7 +10,10 @@ Every fit goes through one batched engine, `local_fit`. For a design sorted
 once (`sort_design`), or a stack of equal-size designs sorted row by row, one
 bandwidth and a vector of query points it builds the window moments
 sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one stacked
-call. Piecewise-polynomial kernels get their moments from
+call. A design may carry k response vectors at once: the window, moments
+of x, Gram matrices, ridge and solve are shared, and only the y moments
+widen to k groups, each computed with the arithmetic of a one-response fit.
+Piecewise-polynomial kernels get their moments from
 prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
 Engel & Gasser 1994; Langrene & Warin 2019), restarted and centred on every
 cell of a lattice of width h/4 so the sums do not cancel; other kernels sum
@@ -84,6 +87,8 @@ class SortedDesign:
     xs is ascending, ys (None when only weights are needed) follows it, and
     xs == original_xs[order]. A stack of D designs of n points each has 2-D
     (D, n) arrays, each row sorted on its own: xs[d] == original_xs[d][order[d]].
+    ys may carry one more leading axis of k responses over the same design,
+    (k, n) for one design or (k, D, n) for a stack; ys[j] is then sorted as xs.
     """
 
     xs: np.ndarray
@@ -92,12 +97,19 @@ class SortedDesign:
 
 
 def sort_design(xs, ys=None) -> SortedDesign:
-    """Sort a design by x, stably; a 2-D (D, n) xs (and ys) is sorted row by row."""
+    """Sort a design by x, stably; a 2-D (D, n) xs is sorted row by row.
+
+    ys has the shape of xs, or one more leading axis of k responses, and every
+    response is sorted with its design.
+    """
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs, kind="stable", axis=-1)
-    return SortedDesign(xs=np.take_along_axis(xs, order, -1), order=order,
-                        ys=None if ys is None else
-                        np.take_along_axis(np.asarray(ys, dtype=float), order, -1))
+    if ys is not None:
+        ys = np.asarray(ys, dtype=float)
+        if ys.ndim - xs.ndim not in (0, 1):
+            raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}")
+        ys = np.take_along_axis(ys, np.broadcast_to(order, ys.shape), -1)
+    return SortedDesign(xs=np.take_along_axis(xs, order, -1), order=order, ys=ys)
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
@@ -113,7 +125,8 @@ class LocalFit:
     is NaN (and coef a NaN row) where the query has no local support; values
     is None when the design carries no responses. For a stack of D designs
     every field has a leading axis of length D: values[d, i] is the fit of
-    design d at query i.
+    design d at query i. A design with k responses puts one more leading
+    axis of length k on values alone: values[j] is the fit of ys[j].
     """
 
     values: np.ndarray | None
@@ -173,17 +186,18 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
 
 
 def _powers(shape: tuple, base, z: np.ndarray, y: np.ndarray | None) -> np.ndarray:
-    """Stack (shape[0], 1 or 2, ...): base * z^i, and base * z^i * y with a y.
+    """Stack (shape[0], 1 + k, ...): base * z^i, then base * z^i * y[j] for k responses.
 
-    Powers come from repeated multiplication so every element's arithmetic
-    is fixed, whatever the array's shape.
+    y is None (k = 0) or has shape (k,) + shape[1:]. Powers come from
+    repeated multiplication so every element's arithmetic is fixed, whatever
+    the array's shape or the number of responses.
     """
-    out = np.empty((shape[0], 1 if y is None else 2) + shape[1:])
+    out = np.empty((shape[0], 1 + (0 if y is None else len(y))) + shape[1:])
     out[0, 0] = base
     for i in range(1, shape[0]):
         np.multiply(out[i - 1, 0], z, out=out[i, 0])
     if y is not None:
-        np.multiply(out[:, 0], y, out=out[:, 1])
+        np.multiply(out[:, :1], y, out=out[:, 1:])
     return out
 
 
@@ -210,10 +224,10 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _moments(sums: np.ndarray, pieces, p: int):
-    """Gram moments sum K u^k (k < 2p-1) and sum K u^k y (k < p).
+    """Gram moments sum K u^k (k < 2p-1) and, per response j, sum K u^k y_j (k < p).
 
-    sums[i, group, side] holds sum u^i (group 0) or sum u^i y (group 1) over
-    one side of the window; side s carries the kernel piece pieces[s], given
+    sums[i, group, side] holds sum u^i (group 0) or sum u^i y_j (group 1 + j)
+    over one side of the window; side s carries the kernel piece pieces[s], given
     as coefficients a_t of u^t, so sum K u^k = sum_s sum_t a_t S_{k+t}.
     """
     count = 2 * p - 1
@@ -222,7 +236,7 @@ def _moments(sums: np.ndarray, pieces, p: int):
         for t, a in enumerate(coefs):
             if a:
                 acc += a * sums[t:t + count, :, side]
-    return acc[:, 0], (acc[:p, 1] if acc.shape[1] > 1 else None)
+    return acc[:, 0], (acc[:p, 1:] if acc.shape[1] > 1 else None)
 
 
 def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
@@ -254,7 +268,7 @@ def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     ncell = int(min(qcell.max() + _NEAR_CELLS[-1, 0], max(cell[:, -1])) - first) + 1
     count, n = xs.shape
     design = np.arange(count)[:, None]
-    groups = 1 if ys is None else 2
+    groups = 1 if ys is None else 1 + len(ys)
     # design d's points i0[d]:i1[d] fall in those cells; they are listed design
     # by design, and a design's index plus shift[d] is its place in the list
     i0, i1 = _search_rows(cell, design, np.array([first, first + max(ncell, 0)]), "left").T
@@ -283,8 +297,8 @@ def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     z[row, col] = (xs.ravel()[pick] - (kcell + 0.5) * w) / h
     y = None
     if ys is not None:
-        y = np.zeros(padded)
-        y[row, col] = ys.ravel()[pick]
+        y = np.zeros((len(ys),) + padded)
+        y[:, row, col] = ys.reshape(len(ys), -1)[:, pick]
     acc = _powers((npow,) + padded, base, z, y)
     np.cumsum(acc, axis=-1, out=acc)
 
@@ -313,16 +327,17 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     """Window moments of any kernel from sums over each gathered window.
 
     Windows are gathered from the flattened stack of designs, and rows are
-    zero-padded to the longest window of their chunk; the padding is masked,
-    so it may read into the next design.
+    zero-padded to the longest window of all; the padding is masked, so it
+    may read into the next design. Queries are taken in chunks whose stack
+    of 1 + k groups stays within CHUNK_ELEMENTS.
     """
     count, n = xs.shape
     npow = 2 * p - 1
     flat_x = xs.ravel()
-    flat_y = None if ys is None else ys.ravel()
+    flat_y = None if ys is None else ys.reshape(len(ys), -1)
     lo, span = (lo + np.arange(0, count * n, n)[:, None]).ravel(), (hi - lo).ravel()
     g = np.tile(g, count)
-    sums = np.empty((npow, 1 if ys is None else 2, 1, g.size))
+    sums = np.empty((npow, 1 if ys is None else 1 + len(ys), 1, g.size))
     width = max(int(span.max()), 1)
     offsets = np.arange(width)
     step = max(1, CHUNK_ELEMENTS // (sums.shape[1] * npow * width))
@@ -332,7 +347,7 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
         idx = np.minimum(lo[rows, None] + offsets, flat_x.size - 1)
         u = np.where(valid, (flat_x[idx] - g[rows, None]) / h, 0.0)
         stack = _powers((npow,) + idx.shape, np.where(valid, kernel(u), 0.0), u,
-                        None if ys is None else np.where(valid, flat_y[idx], 0.0))
+                        None if ys is None else np.where(valid, flat_y[:, idx], 0.0))
         sums[:, :, 0, rows] = _tree_sum(stack)
     return _moments(sums, ((1.0,),), p)
 
@@ -342,7 +357,8 @@ def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarr
     """Stacked local solves; returns (values, coef, degenerate).
 
     Gram[i, j] = moments[i + j]. A Gram whose smallest eigenvalue is below
-    DEGENERATE_EIG gets ridge * trace / p added to its diagonal.
+    DEGENERATE_EIG gets ridge * trace / p added to its diagonal. ymoments is
+    (p, k, fits), and values (k, fits) combine each response with one coef.
     """
     gram = moments.T[:, _HANKEL[p]]
     unsupported = ~supported
@@ -371,6 +387,9 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     A stacked design (2-D xs of D equal-size designs) is fitted at the same
     queries in the same call; each field of the result then has a leading
     axis of length D, and row d equals the fit of design d alone bit for bit.
+    A design with k responses (ys of shape (k,) + xs.shape) is fitted once
+    for all of them: values gains a leading axis of length k, and values[j]
+    equals the fit of the design with ys[j] alone bit for bit.
     """
     g = np.asarray(queries, dtype=float).ravel()
     # min and max carry a NaN through, and NaN fails both comparisons
@@ -380,12 +399,14 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     m = g.size
     shape = design.xs.shape[:-1] + (m,)
     xs, ys = design.xs, design.ys
-    if xs.ndim == 1:
-        xs, ys = xs[None], None if ys is None else ys[None]
+    responses = () if ys is None or ys.ndim == xs.ndim else ys.shape[:1]
+    xs = np.atleast_2d(xs)
+    if ys is not None:  # (k, D, n), k = 1 for a single response
+        ys = ys.reshape((responses or (1,)) + xs.shape)
     if m == 0 or xs.shape[1] == 0:
         none = np.zeros(shape, dtype=bool)
         zero = np.zeros(shape, dtype=np.int64)
-        return LocalFit(values=None if ys is None else np.full(shape, np.nan),
+        return LocalFit(values=None if ys is None else np.full(responses + shape, np.nan),
                         coef=np.full(shape + (p,), np.nan), supported=none,
                         degenerate=none.copy(), lo=zero, hi=zero.copy())
     h = config.bandwidth
@@ -395,7 +416,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     moments, ymoments = moment_stage(kernel, xs, ys, g, h, lo, hi, p)
     supported = hi > lo
     values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p, config.ridge)
-    return LocalFit(values=None if values is None else values.reshape(shape),
+    return LocalFit(values=None if values is None else values.reshape(responses + shape),
                     coef=coef.reshape(shape + (p,)), supported=supported.reshape(shape),
                     degenerate=degenerate.reshape(shape), lo=lo.reshape(shape),
                     hi=hi.reshape(shape))
@@ -448,21 +469,31 @@ def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
 
 
 def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> float:
-    """Local polynomial prediction at x0: the engine on the single point x0."""
+    """Local polynomial prediction at x0: the engine on the single point x0.
+
+    The design carries one response; any other shape raises ValueError.
+    """
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("query point outside [0, 1]")
     fit = local_fit(config, _as_design(data), [x0])
     if not fit.supported[0]:
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
-    return float(fit.values[0])
+    return fit.values.item()
 
 
-def predict_grid(config: LpeConfig, data: Dataset | SortedDesign, grid) -> np.ndarray:
+def predict_grid(config: LpeConfig, data: Dataset | SortedDesign, grid, *,
+                 ridged: list | None = None) -> np.ndarray:
     """Vectorized fit_predict over query points.
 
-    `data` may be a SortedDesign to reuse one sort across bandwidths. Query
-    points without local support yield NaN, never a silent zero; every value
-    equals fit_predict at that point bit for bit.
+    `data` may be a SortedDesign to reuse one sort across bandwidths, and one
+    with k responses gives k rows of values, one per response. Query points
+    without local support yield NaN, never a silent zero; every value equals
+    fit_predict at that point bit for bit. When `ridged` is a list, the
+    number of supported fits whose local Gram matrix was ridged is appended
+    to it; the Gram depends on the design alone, so responses share one count.
     """
     grid = np.asarray(grid, dtype=float)
-    return local_fit(config, _as_design(data), grid).values.reshape(grid.shape)
+    fit = local_fit(config, _as_design(data), grid)
+    if ridged is not None:
+        ridged.append(int((fit.degenerate & fit.supported).sum()))
+    return fit.values.reshape(fit.values.shape[:-1] + grid.shape)

@@ -11,6 +11,13 @@ Every Monte Carlo routine here (the risk split, MISE curves and the optimal
 bandwidth per (n, tau) cell) draws each replicate from its own pre-assigned
 substream and runs the replicates one after another in the calling process,
 so a result depends on the seed alone.
+
+MISE curves for a ladder of perturbation specs share one baseline and one
+seed, so every spec's replicate r sees the same design (common random
+numbers) and only its responses differ. A local polynomial fit is linear in
+y and its Gram matrices depend on the design alone, so the ladder is fitted
+as one multi-response engine call per (replicate, h), and each curve equals
+the curve of its spec run alone bit for bit.
 """
 
 from __future__ import annotations
@@ -191,44 +198,76 @@ def mise_mc(base: BaselineConfig, spec: PerturbationSpec, lpe_base: LpeConfig,
     replicate data are reused across the whole h grid (common random
     numbers), so curves for different h, and for different strengths run
     under the same seed, are variance-coupled. Any NoLocalSupport at a grid
-    point invalidates that h (+inf), it is never scored as zero.
+    point invalidates that h (+inf), it is never scored as zero. This is
+    the ladder of one spec; see mise_ladder for the curve's meta block.
     """
+    return mise_ladder(base, [spec], lpe_base, h_grid, eval_grid, reps, seed)[0]
+
+
+def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_grid,
+                reps: int, seed: int) -> list[MiseCurve]:
+    """MISE curves of several perturbation specs under one seed, one per spec.
+
+    The specs share one baseline. Replicate r of every spec draws its
+    realization and dataset from the same xi and data substreams, so all
+    specs see the same design (x is the data stream's first draw) and only
+    their responses differ; each (replicate, h) is one engine call that fits
+    every spec's responses. curves[j] equals mise_mc on specs[j] alone bit
+    for bit. meta["failed_h"] lists the h scored +inf, and
+    meta["ridged_fits"], per h, counts the supported fits over all
+    replicates whose local Gram matrix was ridged; it depends on the design
+    alone, so every spec reports the same counts.
+    """
+    specs = list(specs)
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if not specs:
+        raise ValueError("the spec ladder is empty")
+    if any(spec.baseline != specs[0].baseline for spec in specs):
+        raise ValueError("every spec of a ladder must share one baseline")
     h_grid = np.sort(np.asarray(h_grid, dtype=float))
     eval_grid = np.asarray(eval_grid, dtype=float)
     if h_grid.size == 0 or eval_grid.size == 0:
         raise ValueError("h_grid and eval_grid must be nonempty")
     truth = base.f(eval_grid)
 
-    def one_rep(r: int) -> np.ndarray:
-        xi = draw_perturbation(spec, substream(seed, "xi", r), realization_id=f"xi{r:05d}")
-        ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", r))
-        design = sort_design(ds.xs, ds.ys)
-        out = np.empty(h_grid.size)
+    def one_rep(r: int):
+        sets = []
+        for spec in specs:
+            xi = draw_perturbation(spec, substream(seed, "xi", r), realization_id=f"xi{r:05d}")
+            sets.append(sample_perturbed(spec, xi, base.n, substream(seed, "data", r)))
+        if any(not np.array_equal(ds.xs, sets[0].xs) for ds in sets):
+            raise RuntimeError("specs of one ladder drew different designs")
+        design = sort_design(sets[0].xs, [ds.ys for ds in sets])
+        out = np.empty((len(specs), h_grid.size))
+        ridged: list[int] = []
         for i, h in enumerate(h_grid):
             cfg = replace(lpe_base, bandwidth=float(h))
-            preds = predict_grid(cfg, design, eval_grid)
-            err = preds - truth
-            out[i] = np.mean(err ** 2)  # NaN if any grid point lacked support
-        return out
+            err = predict_grid(cfg, design, eval_grid, ridged=ridged) - truth
+            out[:, i] = np.mean(err ** 2, axis=-1)  # NaN if any grid point lacked support
+        return out, ridged
 
-    table = np.array(map_indexed(one_rep, reps))  # (reps, n_h)
-    bad = np.isnan(table).any(axis=0)
-    mise = table.mean(axis=0)
-    se = table.std(axis=0, ddof=1) / math.sqrt(reps)
-    mise[bad] = np.inf
-    se[bad] = np.nan
-    try:
-        argmin_h = argmin_prefer_larger(h_grid, mise)
-    except NumericDeadEnd:
-        raise NumericDeadEnd(
-            f"no bandwidth in the grid (max h={h_grid.max():g}) has local support at "
-            f"every evaluation point for n={base.n}") from None
-    meta = {"n": base.n, "sigma2": base.sigma2, "f": base.f.name, "reps": reps,
-            "seed": seed, "order": lpe_base.order, "kernel": lpe_base.kernel.name,
-            "failed_h": h_grid[bad].tolist()}
-    return MiseCurve(h=h_grid, mise=mise, se=se, argmin_h=argmin_h, meta=meta)
+    tables, ridged = zip(*map_indexed(one_rep, reps))
+    ridged = np.sum(ridged, axis=0).tolist()
+    curves = []
+    for j in range(len(specs)):
+        table = np.array([t[j] for t in tables])  # (reps, n_h)
+        bad = np.isnan(table).any(axis=0)
+        mise = table.mean(axis=0)
+        se = table.std(axis=0, ddof=1) / math.sqrt(reps)
+        mise[bad] = np.inf
+        se[bad] = np.nan
+        try:
+            argmin_h = argmin_prefer_larger(h_grid, mise)
+        except NumericDeadEnd:
+            raise NumericDeadEnd(
+                f"no bandwidth in the grid (max h={h_grid.max():g}) has local support at "
+                f"every evaluation point for n={base.n}") from None
+        meta = {"n": base.n, "sigma2": base.sigma2, "f": base.f.name, "reps": reps,
+                "seed": seed, "order": lpe_base.order, "kernel": lpe_base.kernel.name,
+                "failed_h": h_grid[bad].tolist(), "ridged_fits": list(ridged)}
+        curves.append(MiseCurve(h=h_grid, mise=mise, se=se, argmin_h=argmin_h, meta=meta))
+    return curves
 
 
 def optimal_bandwidth_curve(base: BaselineConfig, lpe_base: LpeConfig, b_x: int,
@@ -238,20 +277,24 @@ def optimal_bandwidth_curve(base: BaselineConfig, lpe_base: LpeConfig, b_x: int,
 
     Cells are generated from the correlated noise model with delta2 =
     tau*b_x, all under the same seed so curves across n and tau are coupled.
-    Returns rows {n, tau, h_star, curve}, tau by tau and n by n within each
-    tau, where curve is the cell's MiseCurve.
+    The whole tau ladder is checked before any fit and then fitted per n in
+    one mise_ladder call. Returns rows {n, tau, h_star, curve}, tau by tau
+    and n by n within each tau, where curve is the cell's MiseCurve.
     """
-    rows = []
-    for tau in np.asarray(tau_grid, dtype=float):
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        for n in np.asarray(n_grid, dtype=np.int64):
-            cell_base = replace(base, n=int(n))
-            spec = CorrelatedNoiseSpec(b_x=b_x, delta2=float(tau) * b_x, baseline=cell_base)
-            curve = mise_mc(cell_base, spec, lpe_base, h_grid, eval_grid, reps, seed)
-            rows.append({"n": int(n), "tau": float(tau), "h_star": curve.argmin_h,
-                         "curve": curve})
-    return rows
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if not np.all(tau_grid >= 0):  # NaN fails too
+        raise ValueError("tau must be nonnegative")
+    if tau_grid.size == 0:
+        return []
+    cells = []  # (n, one curve per tau)
+    for n in np.asarray(n_grid, dtype=np.int64):
+        cell_base = replace(base, n=int(n))
+        specs = [CorrelatedNoiseSpec(b_x=b_x, delta2=float(tau) * b_x, baseline=cell_base)
+                 for tau in tau_grid]
+        cells.append((int(n), mise_ladder(cell_base, specs, lpe_base, h_grid, eval_grid,
+                                          reps, seed)))
+    return [{"n": n, "tau": float(tau), "h_star": curves[i].argmin_h, "curve": curves[i]}
+            for i, tau in enumerate(tau_grid) for n, curves in cells]
 
 
 def rate_fit(xs, ys) -> tuple[float, float, float]:

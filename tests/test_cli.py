@@ -265,6 +265,29 @@ mc: {reps: 2}
     assert again.read_bytes() == (out / "fig5.svg").read_bytes()
 
 
+FAILED_H_CFG = """
+seed: 8
+baseline: {{f: sine, sigma2: 0.5, {n}}}
+rup: {{model: correlated_noise, b_x: 5, tau_grid: [0.0]}}
+lpe: {{order: 1, h_grid: [0.001, 0.3]}}
+mc: {{reps: 2}}
+"""
+
+
+@pytest.mark.parametrize("command, n, cells", [
+    ("mise-sweep", "n: 300", ["tau=0"]),
+    ("bandwidth-vs-n", "n_grid: [300, 600]", ["n=300, tau=0", "n=600, tau=0"])])
+def test_sweep_warns_of_failed_h_and_strict_exits_3(tmp_path, capsys, command, n, cells):
+    # h = 0.001 leaves grid points without local support at these n
+    cfg = write_cfg(tmp_path, FAILED_H_CFG.format(n=n))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    expected = [f"warning: {cell}: h=0.001 invalid (no local support on the grid)"
+                for cell in cells]
+    assert capsys.readouterr().err.strip().splitlines() == expected
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "s"), "--strict"]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == expected
+
+
 def test_kl_check_regime_warning_and_strict_exit(tmp_path, capsys):
     cfg = write_cfg(tmp_path, KL_FIXED_CFG)
     out = tmp_path / "o"

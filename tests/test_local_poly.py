@@ -378,3 +378,86 @@ def test_stacked_weights_equal_equivalent_kernel_weights(kernel, order, h, count
         assert _same_bits(weights[d], alone.weights)
         assert _same_bits(weights[d], weights_one_design(cfg, xs[d], x0))
         assert bool(fit.degenerate[d, 0]) == alone.degenerate
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 4),
+       flat=st.booleans(), k=st.integers(1, 5), n=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 16), far=st.booleans(),
+       queries=st.integers(0, len(STACK_QUERIES) - 1))
+@example(kernel="smooth_bump", order=2, h=0.05, count=3, flat=False, k=5, n=400, seed=1,
+         far=True, queries=2)
+@example(kernel="triangular", order=5, h=0.01, count=1, flat=True, k=3, n=400, seed=0,
+         far=False, queries=2)
+def test_multi_response_fit_equals_one_response_fits(kernel, order, h, count, flat, k, n,
+                                                      seed, far, queries):
+    # a design's k responses share the window, Gram and solve; each response's
+    # values and NaN positions equal its one-response fit bit for bit
+    rng = substream(seed, "multi-response")
+    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
+    if flat and count == 1:
+        xs = xs[0]
+    ys = rng.normal(size=(k,) + xs.shape)
+    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+    g = STACK_QUERIES[queries]
+    multi = local_fit(cfg, sort_design(xs, ys), g)
+    assert multi.values.shape == (k,) + xs.shape[:-1] + (g.size,)
+    for j in range(k):
+        alone = local_fit(cfg, sort_design(xs, ys[j]), g)
+        assert _same_bits(multi.values[j], alone.values), j
+        for field in ("coef", "supported", "degenerate", "lo", "hi"):
+            assert _same_bits(getattr(multi, field), getattr(alone, field)), (field, j)
+    with pytest.raises(ValueError):
+        sort_design(xs, ys[None])
+
+
+def test_predict_grid_reports_ridged_fits():
+    # a cubic on a 0.05 lattice with h = 0.06 sees at most three distinct x
+    xs = np.round(substream(4, "ridged-grid").random(200) * 20.0) / 20.0
+    design = sort_design(xs, np.stack([np.sin(xs), np.cos(xs)]))
+    grid = np.linspace(0.05, 0.95, 19)
+    ridged = []
+    values = predict_grid(LpeConfig(order=3, bandwidth=0.06), design, grid, ridged=ridged)
+    predict_grid(LpeConfig(order=1, bandwidth=0.3), design, grid, ridged=ridged)
+    assert values.shape == (2, grid.size) and np.isfinite(values).all()
+    assert ridged == [grid.size, 0]
+
+
+# |sum_k W_k u_k^j - [j == 0]| is bounded by a small multiple of eps times
+# the condition number of the local Gram matrix (a backward-stable solve of a
+# Gram whose moments carry rounding errors of order eps); 1e4 leaves a wide
+# margin over the factor 3 seen on 3000 random cases.
+WEIGHT_TOL = 1e4 * np.finfo(float).eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), n=st.integers(1, 800),
+       seed=st.integers(0, 2 ** 16), lattice=st.booleans(),
+       x0=st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]))
+@example(kernel="epanechnikov", order=5, h=0.3, n=800, seed=0, lattice=False, x0=0.0)
+def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
+    # weights are exactly zero outside [lo, hi) of the sorted design and, when
+    # the Gram was not ridged, reproduce polynomials of degree <= order: the
+    # local moments sum_k W_k u_k^j are 1 for j = 0 (weights sum to one) and
+    # 0 for 1 <= j <= order
+    rng = substream(seed, "weight-invariants")
+    xs = rng.random(n)
+    if lattice:
+        xs = np.round(xs, 2)
+    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+    design = sort_design(xs)
+    fit = local_fit(cfg, design, [x0])
+    weights = _kernel_weights(cfg, design, fit, x0)
+    in_order = weights[design.order]
+    lo, hi = fit.lo[0], fit.hi[0]
+    assert np.all(in_order[:lo] == 0.0) and np.all(in_order[hi:] == 0.0)
+    if not fit.supported[0] or fit.degenerate[0]:
+        return
+    u = (xs - x0) / h
+    basis = np.vander(u, order + 1, increasing=True)
+    gram = (basis * cfg.kernel(u)[:, None]).T @ basis
+    moments = weights @ basis
+    target = np.eye(order + 1)[0]
+    assert np.abs(moments - target).max() <= WEIGHT_TOL * np.linalg.cond(gram)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rupsim import (KERNELS, BaselineConfig, CorrelatedNoiseSpec, LpeConfig, NoLocalSupport,
                     PartitionSpec, RegressionFunction, WeightLaw, bucket_of,
                     dist_var_weight_oracle, draw_perturbation, equivalent_kernel_weights,
-                    fit_predict, get_kernel, mise_mc, oracle_bandwidth,
+                    fit_predict, get_kernel, mise_ladder, mise_mc, oracle_bandwidth,
                     optimal_bandwidth_curve, pointwise_risk_mc, rate_fit, risk,
                     sample_perturbed, sine_function, substream, zero_function)
 
@@ -245,6 +247,90 @@ def test_optimal_bandwidth_curve_single_cell():
     assert curve.argmin_h == rows[0]["h_star"] == direct.argmin_h
     assert curve.mise.tobytes() == direct.mise.tobytes()
     assert curve.se.tobytes() == direct.se.tobytes()
+
+
+def _same_curve(a, b) -> bool:
+    return (a.h.tobytes() == b.h.tobytes() and a.mise.tobytes() == b.mise.tobytes()
+            and a.se.tobytes() == b.se.tobytes() and a.argmin_h == b.argmin_h
+            and a.meta == b.meta)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(20, 300), reps=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+       order=st.integers(0, 2), kernel=st.sampled_from(sorted(KERNELS)),
+       tau=st.sampled_from([0.005, 0.02, 0.3]))
+def test_mise_ladder_curves_equal_per_spec_curves(n, reps, seed, order, kernel, tau):
+    # tau = 0, tau > 0 and a partition spec in one ladder; h = 0.004 leaves
+    # grid points without support at small n, so failed h are compared too
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=n)
+    specs = [corr_spec(0.0, base), corr_spec(tau, base),
+             PartitionSpec(b_x=5, b_eps=8, weight_law=WeightLaw.exponential(), baseline=base)]
+    lpe = LpeConfig(order=order, bandwidth=0.1, kernel=get_kernel(kernel))
+    args = ([0.004, 0.15, 0.6], np.linspace(0.05, 0.95, 23), reps, seed)
+    ladder = mise_ladder(base, specs, lpe, *args)
+    assert len(ladder) == len(specs)
+    for spec, curve in zip(specs, ladder):
+        assert _same_curve(curve, mise_mc(base, spec, lpe, *args))
+
+
+def test_mise_ladder_rejects_empty_or_mixed_ladders():
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=50)
+    other = BaselineConfig(f=sine_function(), sigma2=1.0, n=50)
+    args = (LpeConfig(order=1, bandwidth=0.1), [0.2], np.linspace(0.1, 0.9, 5), 2, 0)
+    with pytest.raises(ValueError, match="empty"):
+        mise_ladder(base, [], *args)
+    with pytest.raises(ValueError, match="baseline"):
+        mise_ladder(base, [corr_spec(0.0, base), corr_spec(0.01, other)], *args)
+
+
+def test_mise_ridged_fits_counted_per_h(monkeypatch):
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=200)
+    specs = [corr_spec(0.0, base), corr_spec(0.01, base)]
+    eval_grid = np.linspace(0.05, 0.95, 31)
+    ordinary = mise_ladder(base, specs, LpeConfig(order=1, bandwidth=0.1), [0.1, 0.3],
+                           eval_grid, reps=3, seed=24)
+    assert [c.meta["ridged_fits"] for c in ordinary] == [[0, 0], [0, 0]]
+
+    def on_lattice(spec, xi, n, rng):
+        # x on a 0.05 lattice: a window of half-width 0.06 holds at most three
+        # distinct x values, too few for a cubic, so every fit at h = 0.06 is
+        # ridged, and none at h = 0.3
+        ds = sample_perturbed(spec, xi, n, rng)
+        ds.xs = np.round(ds.xs * 20.0) / 20.0
+        return ds
+
+    monkeypatch.setattr(risk, "sample_perturbed", on_lattice)
+    curves = mise_ladder(base, specs, LpeConfig(order=3, bandwidth=0.1), [0.06, 0.3],
+                         eval_grid, reps=3, seed=24)
+    assert [c.meta["ridged_fits"] for c in curves] == [[3 * 31, 0], [3 * 31, 0]]
+    assert all(c.meta["failed_h"] == [] for c in curves)
+
+
+def test_optimal_bandwidth_curve_rows_equal_per_cell_curves():
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=100)
+    lpe = LpeConfig(order=1, bandwidth=0.1)
+    args = ([0.1, 0.2, 0.4], np.linspace(0.05, 0.95, 21), 3, 16)
+    rows = optimal_bandwidth_curve(base, lpe, 10, [0.0, 0.01], [100, 150], *args)
+    assert [(r["tau"], r["n"]) for r in rows] == [(0.0, 100), (0.0, 150),
+                                                  (0.01, 100), (0.01, 150)]
+    for r in rows:
+        cell = BaselineConfig(f=base.f, sigma2=base.sigma2, n=r["n"])
+        direct = mise_mc(cell, corr_spec(r["tau"], cell), lpe, *args)
+        assert _same_curve(r["curve"], direct)
+        assert r["h_star"] == direct.argmin_h
+
+
+def test_optimal_bandwidth_curve_checks_every_tau_before_fitting(monkeypatch):
+    def no_fits(*args, **kwargs):
+        raise AssertionError("predict_grid called before the tau ladder was checked")
+
+    monkeypatch.setattr(risk, "predict_grid", no_fits)
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=100)
+    for tau_grid in ([0.0, -1.0], [0.01, float("nan")]):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            optimal_bandwidth_curve(base, LpeConfig(order=1, bandwidth=0.1), 10, tau_grid,
+                                    [2000, 4000], [0.1, 0.2], np.linspace(0.1, 0.9, 11),
+                                    reps=2, seed=0)
 
 
 def test_rate_fit_exact_line_and_errors():
