@@ -445,6 +445,21 @@ def main(argv=None) -> int:
         outdir = Path(args.out if args.out is not None else out_default)
         created = _make_outdir(outdir)
         echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir)
+        echo["seed"] = seed
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "seed": seed,
+            "threads": args.threads,
+            "config": echo,
+            "started": started,
+            "finished": datetime.now(timezone.utc).isoformat(),
+            "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
+        }
+        manifest_path = outdir / "manifest.json"
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except ConfigError as exc:
         _remove_created(created)
         print(f"config error: {exc}", file=sys.stderr)
@@ -453,22 +468,10 @@ def main(argv=None) -> int:
         _remove_created(created)
         print(f"numeric dead end: {exc}", file=sys.stderr)
         return 4
+    except BaseException:  # any other failure, an interrupt too: no half-written directory
+        _remove_created(created)
+        raise
 
-    echo["seed"] = seed
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "seed": seed,
-        "threads": args.threads,
-        "config": echo,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
-    }
-    manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for name in sorted(outputs):
         print(f"wrote {outputs[name]}")
     print(f"wrote {manifest_path}")

@@ -15,17 +15,24 @@ of x, Gram matrices, ridge and solve are shared, and only the y moments
 widen to k groups, each computed with the arithmetic of a one-response fit.
 Piecewise-polynomial kernels get their moments from
 prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
-Engel & Gasser 1994; Langrene & Warin 2019), restarted and centred on every
-cell of a lattice of width h/4 so the sums do not cancel; other kernels sum
-over each gathered window. Nothing a query computes depends on which other
-queries or designs share its batch, so a grid fit equals the scalar fits at
-its points, and a stacked fit equals the fits of its designs one by one, bit
-for bit.
+Engel & Gasser 1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and
+centred on every cell of a dyadic lattice of width w = 2^-k, w <= h/2 < 2w,
+so the sums do not cancel. The lattice depends on h only through its level:
+a SortedDesign keeps the last one built, and every bandwidth of that level
+reuses it, so a sweep over an h grid builds one lattice per level, not per
+h. Only occupied cells within reach of the queries get columns, so its
+memory is O(n) whatever h is. Other kernels sum over each gathered window.
+Nothing a query computes depends on which other queries or designs share its
+batch, or on what the design was fitted at before, so a grid fit equals the
+scalar fits at its points, a stacked fit equals the fits of its designs one
+by one, and a fit over a design that has served other bandwidths equals the
+fit over a freshly sorted one, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +43,11 @@ from .kernels import EPANECHNIKOV, Kernel
 # degenerate and ridged.
 DEGENERATE_EIG = 1e-10
 
-# Prefix sums are centred on lattice cells of width w = h / CELLS_PER_H. A
-# window of half-width h around a point of cell l lies within the cells
-# l - CELLS_PER_H - 1 .. l + CELLS_PER_H + 1 (one cell of margin for rounding).
-CELLS_PER_H = 4
-_NEAR_CELLS = np.arange(-CELLS_PER_H - 1.0, CELLS_PER_H + 2.0)[:, None]
+# Prefix sums are restarted on dyadic lattice cells of width w = 2^-level,
+# w <= h/2 < 2w. A window of half-width h < 4w around a point of cell l lies
+# within the cells l - 4 .. l + 4, and within l - 5 .. l + 5 with one cell of
+# margin for rounding. _NEAR_CELLS lists them, then l + 6, which bounds the last.
+_NEAR_CELLS = np.arange(-5.0, 7.0)[:, None]
 _HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
 _E1 = [np.eye(p)[:, :1] for p in range(7)]
 
@@ -89,11 +96,15 @@ class SortedDesign:
     (D, n) arrays, each row sorted on its own: xs[d] == original_xs[d][order[d]].
     ys may carry one more leading axis of k responses over the same design,
     (k, n) for one design or (k, D, n) for a stack; ys[j] is then sorted as xs.
+    The engine keeps the prefix lattice of the last dyadic level it fitted
+    here, so the bandwidths of one level share one build; the arrays must not
+    be changed in place once the design has been fitted.
     """
 
     xs: np.ndarray
     ys: np.ndarray | None
     order: np.ndarray
+    _lattice: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def sort_design(xs, ys=None) -> SortedDesign:
@@ -239,87 +250,160 @@ def _moments(sums: np.ndarray, pieces, p: int):
     return acc[:, 0], (acc[:p, 1:] if acc.shape[1] > 1 else None)
 
 
-def _prefix_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
-                    h: float, lo: np.ndarray, hi: np.ndarray, p: int):
+@dataclass
+class _Lattice:
+    """Restarted prefix sums of one design, or stack, on the cells of one dyadic level.
+
+    cell[d, i] = floor(xs[d, i] * 2^level) is the cell of each sorted point.
+    Every cell c of cells[0] .. cells[1] that holds points of design d owns
+    the columns begin .. begin + count of table: a zero, then the running
+    sums, point by point, of z^i (group 0) and z^i y_j (group 1 + j) for
+    i < npow, where z = x * 2^level - (c + 1/2). slot[d * n + i] is the
+    begin of point i's cell, or 0, also a zero column, outside those cells.
+    """
+
+    level: int
+    npow: int
+    cells: tuple
+    cell: np.ndarray
+    slot: np.ndarray
+    table: np.ndarray
+
+
+def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
+                   cells: tuple) -> _Lattice:
+    """The lattice of the cells cells[0] .. cells[1] of each design; O(n) memory.
+
+    Columns are taken by occupied cells alone. A cell is padded to the
+    widest cell of its block; there is one block unless that would more
+    than double the table, else one block per power of two of cell sizes.
+    """
+    count, n = xs.shape
+    t = xs * math.ldexp(1.0, level)  # exact: a power-of-two scaling
+    cell = np.floor(t)
+    groups = 1 if ys is None else 1 + len(ys)
+    slot = np.zeros(count * n, dtype=np.intp)
+    i0, i1 = _search_rows(cell, np.arange(count)[:, None], np.array([cells[0], cells[1] + 1.0]),
+                          "left").T
+    kept = i1 - i0
+    total = int(kept.sum())
+    if total == 0:
+        return _Lattice(level, npow, cells, cell, slot, np.zeros((npow, groups, 1)))
+    # the points of those cells, design by design; a run is one (design, cell)
+    head = np.cumsum(kept) - kept  # where each design's points start
+    pick = np.arange(total) + np.repeat(np.arange(0, count * n, n) + i0 - head, kept)
+    kcell = cell.ravel()[pick]
+    new = np.empty(total, dtype=bool)
+    np.not_equal(kcell[1:], kcell[:-1], out=new[1:])
+    new[head[kept > 0]] = True
+    run = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    size = np.bincount(run) + 1  # a zero column, then one per point
+    if size.size * size.max() <= 2 * size.sum():
+        blocks = [np.arange(size.size)]
+    else:  # cells with sizes in [2^(b-1), 2^b) share a block
+        key = np.frexp(size)[1]
+        blocks = [np.flatnonzero(key == b) for b in np.unique(key)]
+    begin = np.empty(size.size, dtype=np.intp)
+    spans, end = [], 0  # (first column, cells, width) of each block
+    for rows in blocks:
+        width = int(size[rows].max())
+        begin[rows] = np.arange(end, end + rows.size * width, width)
+        spans.append((end, rows.size, width))
+        end += rows.size * width
+    # powers are taken in the table's own layout; its zero and padding columns
+    # have base 0 and z = y = 0, so they hold zeros and leave each running sum as is
+    col = np.arange(1, total + 1) + (begin - start)[run]
+    base, z = np.zeros(end), np.zeros(end)
+    base[col] = 1.0
+    z[col] = t.ravel()[pick] - (kcell + 0.5)
+    y = None
+    if ys is not None:
+        y = np.zeros((len(ys), end))
+        y[:, col] = ys.reshape(len(ys), -1)[:, pick]
+    table = _powers((npow, end), base, z, y)
+    for first, rows, width in spans:
+        padded = table[:, :, first:first + rows * width].reshape(npow, groups, rows, width)
+        np.cumsum(padded, axis=-1, out=padded)
+    slot[pick] = begin[run]
+    return _Lattice(level, npow, cells, cell, slot, table)
+
+
+def _kept_lattice(design: SortedDesign, xs: np.ndarray, ys: np.ndarray | None, level: int,
+                  npow: int, need: tuple, widest: tuple) -> _Lattice:
+    """The design's lattice, rebuilt unless the kept one has this level and covers need.
+
+    A first fit builds the cells its windows need; a design fitted before is
+    likely to be fitted at more bandwidths of the level, so it gets every
+    cell the level's widest window can reach from the queries.
+    """
+    kept = design._lattice
+    if not (kept and kept[0].level == level and kept[0].npow >= npow
+            and kept[0].cells[0] <= need[0] and kept[0].cells[1] >= need[1]):
+        cells = widest if kept else need
+        kept.clear()  # the old level is freed before the new one is built
+        kept.append(_build_lattice(xs, ys, level, npow, cells))
+    return kept[0]
+
+
+def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np.ndarray | None,
+                    g: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of a piecewise-polynomial kernel from prefix sums.
 
-    Each design (row of xs) is cut into lattice cells [l w, (l + 1) w),
-    w = h/4, and each cell keeps prefix sums of z^i and z^i y,
-    z = (x - c_l)/h, centred on its own centre c_l = (l + 1/2) w and
-    restarted at its first point, so |z| <= 1/8 and no sum cancels. Padded
-    rows are keyed by (design, cell), so a row's sums depend on that cell's
-    own points alone. A window [g - h, g + h] lies within the cells
-    floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
-    difference of two prefix sums, which a Taylor shift by (c_l - g)/h turns
-    into sums of u^i. The two kernel pieces are summed over x < g and
-    x >= g separately unless they coincide. The work is O(n) per (design, h)
-    plus O(1) per query point.
+    The lattice has dyadic cells [l w, (l + 1) w), w = 2^-level with
+    w <= h/2 < 2w, so one lattice serves every h of a level: the design
+    keeps it, and a call builds one only for a new level, order or query
+    range. Each cell keeps prefix sums of z^i and z^i y in cell units,
+    z = x/w - (l + 1/2), centred on the cell's own centre and restarted at
+    its first point, so |z| <= 1/2 and no sum cancels; cell index and z are
+    exact or rounded once. Only cells that hold points and that the windows
+    can reach get columns (see _kept_lattice), so memory is O(n) whatever h
+    is, and a cell's sums depend on its own points alone. A window lies within
+    the cells floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
+    difference of two prefix sums, gathered into contiguous memory, which a
+    Taylor shift by (c_l - g)/w turns into sums of (x - g)/w; the sum over
+    cells is then scaled by (w/h)^i into sums of u^i. The two kernel pieces
+    are summed over x < g and x >= g separately unless they coincide. The
+    work is O(n) per (design, level) plus O(1) per query point and h.
     """
     split = kernel.pieces[0] != kernel.pieces[1]
     pieces = kernel.pieces if split else kernel.pieces[:1]
     npow = 2 * p - 2 + max(len(c) for c in pieces)
-
-    # only the cells that hold points and that some query's window can reach,
-    # first .. first + ncell - 1
-    w = h / CELLS_PER_H
-    qcell = np.floor(g / w)
-    cell = np.floor(xs / w)
-    first = max(qcell.min() + _NEAR_CELLS[0, 0], min(cell[:, 0]))
-    ncell = int(min(qcell.max() + _NEAR_CELLS[-1, 0], max(cell[:, -1])) - first) + 1
     count, n = xs.shape
-    design = np.arange(count)[:, None]
-    groups = 1 if ys is None else 1 + len(ys)
-    # design d's points i0[d]:i1[d] fall in those cells; they are listed design
-    # by design, and a design's index plus shift[d] is its place in the list
-    i0, i1 = _search_rows(cell, design, np.array([first, first + max(ncell, 0)]), "left").T
-    kept = i1 - i0
-    if not kept.any():  # no design point near any query: every window is empty
-        return _moments(np.zeros((npow, groups, len(pieces), count * g.size)), pieces, p)
-    shift = np.cumsum(kept) - i1
-    # padded row d * stride + t holds cell first + t - 1 of design d, whose
-    # points are start[row]:start[row + 1] of the list; rows t = 0 and
-    # t = ncell + 1 stay empty
-    stride = ncell + 2
-    if count == 1:  # the list is one slice of the design
-        pick, row_base = slice(i0[0], i1[0]), 1
-    else:
-        pick = np.arange(shift[-1] + i1[-1]) + np.repeat(np.arange(0, count * n, n) - shift, kept)
-        row_base = np.repeat(np.arange(1, count * stride, stride), kept)
-    kcell = cell.ravel()[pick]
-    row = (kcell - first).astype(np.int64) + row_base
-    start = np.searchsorted(row, np.arange(count * stride + 1))
-    col = np.arange(1, row.size + 1) - start[row]
-    # powers are taken in the padded (row, column) layout itself; padding has
-    # base 0 and z = y = 0, so it holds zeros and leaves every prefix sum as is
-    padded = (count * stride, int(col.max()) + 1)
-    base, z = np.zeros(padded), np.zeros(padded)
-    base[row, col] = 1.0
-    z[row, col] = (xs.ravel()[pick] - (kcell + 0.5) * w) / h
-    y = None
-    if ys is not None:
-        y = np.zeros((len(ys),) + padded)
-        y[:, row, col] = ys.reshape(len(ys), -1)[:, pick]
-    acc = _powers((npow,) + padded, base, z, y)
-    np.cumsum(acc, axis=-1, out=acc)
+    reached = hi > lo
+    if not reached.any():  # every window is empty
+        return _moments(np.zeros((npow, 1 if ys is None else 1 + len(ys), len(pieces),
+                                  count * g.size)), pieces, p)
+    level = 1 - math.frexp(h / 2)[1]
+    scale = math.ldexp(1.0, level)
+    qcell = np.floor(g * scale)
+    member = np.arange(count)[:, None, None]  # design index
+    need = (np.floor(xs[member[:, 0], np.minimum(lo, n - 1)][reached].min() * scale),
+            np.floor(xs[member[:, 0], hi - 1][reached].max() * scale))
+    widest = (qcell.min() + _NEAR_CELLS[0, 0], qcell.max() + _NEAR_CELLS[-2, 0])
+    lattice = _kept_lattice(design, xs, ys, level, npow, need, widest)
 
-    # from here on, fits are indexed design by design along one axis of count * m
-    near = qcell - first + _NEAR_CELLS  # (near cell, query)
-    d = ((near + (first + 0.5)) * w - g) / h
-    rows = np.minimum(np.maximum(near + 1.0, 0.0), ncell + 1.0).astype(np.int64)
-    if count > 1:
-        d = np.tile(d, count)
-        rows = (rows[:, None] + np.arange(0, count * stride, stride)[:, None]).reshape(
-            rows.shape[0], -1)
-    begin, end = start[rows], start[rows + 1]
-    edges = [lo, _search_rows(xs, design, g, "left"), hi] if split else [lo, hi]
-    at = [acc[:, :, rows, np.minimum(np.maximum((e + shift[:, None]).ravel(), begin), end)
-              - begin] for e in edges]
-    parts = np.stack([at[s + 1] - at[s] for s in range(len(pieces))], axis=2)
-    _taylor_shift(parts, d)
-    total = parts[:, :, :, 0].copy()
-    for k in range(1, parts.shape[3]):  # left to right: a fixed order for any batch
-        total += parts[:, :, :, k]
-    return _moments(total, pieces, p)
+    near = qcell + _NEAR_CELLS  # (near cell, query)
+    # a near cell outside the lattice holds no window point; clamped, it reads as empty
+    bounds = _search_rows(lattice.cell, member,
+                          np.minimum(np.maximum(near, lattice.cells[0]), lattice.cells[1] + 1),
+                          "left")  # (design, near cell, query)
+    first, size = bounds[:, :-1], bounds[:, 1:] - bounds[:, :-1]
+    # prefix column of a cell's first e - first points; an empty cell reads a zero column
+    begin = lattice.slot[np.minimum(first + member * n, count * n - 1)]
+    edges = np.stack([lo, _search_rows(xs, member[:, 0], g, "left"), hi] if split else [lo, hi])
+    at = np.take(lattice.table[:npow],
+                 begin + np.minimum(np.maximum(edges[:, :, None] - first, 0), size), axis=-1)
+    parts = at[:, :, 1:] - at[:, :, :-1]  # (power, group, side, design, near cell, query)
+    _taylor_shift(parts, near[:-1] + 0.5 - g * scale)
+    total = parts[..., 0, :].copy()
+    for k in range(1, parts.shape[-2]):  # left to right: a fixed order for any batch
+        total += parts[..., k, :]
+    # sums of ((x - g)/w)^i to sums of u^i, u = (x - g)/h
+    ratio = np.full(npow, math.ldexp(1.0, -level) / h)
+    ratio[0] = 1.0
+    total *= np.cumprod(ratio).reshape((npow,) + (1,) * (total.ndim - 1))
+    return _moments(total.reshape(total.shape[:3] + (-1,)), pieces, p)
 
 
 def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
@@ -412,8 +496,10 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     h = config.bandwidth
     kernel = config.kernel
     lo, hi = _window(kernel, xs, g, h)
-    moment_stage = _window_moments if kernel.pieces is None else _prefix_moments
-    moments, ymoments = moment_stage(kernel, xs, ys, g, h, lo, hi, p)
+    if kernel.pieces is None:
+        moments, ymoments = _window_moments(kernel, xs, ys, g, h, lo, hi, p)
+    else:
+        moments, ymoments = _prefix_moments(kernel, design, xs, ys, g, h, lo, hi, p)
     supported = hi > lo
     values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p, config.ridge)
     return LocalFit(values=None if values is None else values.reshape(responses + shape),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rupsim import load_realization
+from rupsim import cli, load_realization
 from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
 from rupsim.config import dump_config, load_yaml
 
@@ -183,6 +183,24 @@ def test_failed_run_removes_only_directories_it_created(tmp_path, capsys):
     assert main(["mise-sweep", "--config", cfg, "--out", str(kept)]) == 4
     assert sorted(p.name for p in kept.iterdir()) == ["earlier.txt"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [RuntimeError("too many failed fits"), OSError(28, "disk full")])
+def test_any_failure_removes_the_directory_the_run_created(tmp_path, monkeypatch, error):
+    def half_written(root, seed, outdir):
+        (outdir / "partial.csv").write_text("h,mise\n", encoding="utf-8")
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "sample", half_written)
+    cfg = write_cfg(tmp_path, SAMPLE_CFG)
+    with pytest.raises(type(error)):
+        main(["sample", "--config", cfg, "--out", str(tmp_path / "new" / "o")])
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    with pytest.raises(type(error)):
+        main(["sample", "--config", cfg, "--out", str(kept)])
+    assert sorted(p.name for p in kept.iterdir()) == ["partial.csv"]
 
 
 def test_bad_threads_exit_2_without_out_dir(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -410,6 +412,65 @@ def test_multi_response_fit_equals_one_response_fits(kernel, order, h, count, fl
             assert _same_bits(getattr(multi, field), getattr(alone, field)), (field, j)
     with pytest.raises(ValueError):
         sort_design(xs, ys[None])
+
+
+# bandwidths on and next to the dyadic level boundaries 2^-k, h = 1.0 among them
+LEVEL_H = sorted({0.01, 0.05, 0.3, 0.6, 1.0, 2.0 ** -7, 2.0 ** -5, 0.125, 0.25, 0.5,
+                  np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), np.nextafter(1.0, 0.0)})
+CACHED_FIT = st.tuples(st.sampled_from(sorted(KERNELS)), st.integers(0, 5),
+                       st.sampled_from(LEVEL_H), st.integers(0, len(STACK_QUERIES) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fits=st.lists(CACHED_FIT, min_size=1, max_size=6), count=st.integers(1, 3),
+       flat=st.booleans(), k=st.integers(-1, 3), n=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 16), far=st.booleans())
+@example(fits=[("epanechnikov", 1, h, 2) for h in (1.0, 0.5, 0.25, 0.125, 0.125, 0.3, 0.01)],
+         count=1, flat=True, k=3, n=300, seed=0, far=False)
+@example(fits=[("triangular", 5, 0.25, 0), ("uniform", 0, np.nextafter(0.25, 1.0), 1),
+               ("triangular", 2, 0.3, 2), ("epanechnikov", 5, 0.25, 1)],
+         count=3, flat=False, k=0, n=300, seed=1, far=True)
+def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, count, flat, k, n, seed,
+                                                             far):
+    # a design that has served other bandwidths, orders, kernels and query sets
+    # fits every h as a freshly sorted copy does, bit for bit; k = -1 means no
+    # responses and k = 0 one response without a response axis
+    rng = substream(seed, "cached-lattice")
+    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
+    if flat and count == 1:
+        xs = xs[0]
+    ys = None if k < 0 else rng.normal(size=((k,) if k else ()) + xs.shape)
+    cached = sort_design(xs, ys)
+    for kernel, order, h, queries in fits:
+        cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+        g = STACK_QUERIES[queries]
+        mine, fresh = local_fit(cfg, cached, g), local_fit(cfg, sort_design(xs, ys), g)
+        assert len(cached._lattice) <= 1
+        for field in ("values", "coef", "supported", "degenerate", "lo", "hi"):
+            if getattr(fresh, field) is None:
+                assert getattr(mine, field) is None
+            else:
+                assert _same_bits(getattr(mine, field), getattr(fresh, field)), (field, h)
+
+
+@pytest.mark.parametrize("h, skewed", [(1e-5, False), (1e-3, True)])
+def test_lattice_memory_stays_linear_in_n_at_small_h(h, skewed):
+    # columns go to occupied cells alone, padded by at most a factor of two, so
+    # neither a tiny h nor half the design on one point blows the lattice up
+    rng = substream(5, "lattice-memory")
+    xs = rng.random(4000)
+    if skewed:
+        xs[:2000] = 0.5
+    design = sort_design(xs, rng.normal(size=4000))
+    grid = np.linspace(0.05, 0.95, 101)
+    tracemalloc.start()
+    try:
+        fit = local_fit(LpeConfig(order=1, bandwidth=h), design, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.supported.any()
+    assert peak < 4e6, peak
 
 
 def test_predict_grid_reports_ridged_fits():
