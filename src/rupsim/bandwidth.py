@@ -19,6 +19,7 @@ from .local_poly import LpeConfig, predict_grid, sort_design
 from .streams import substream
 
 EVAL_WINDOW = (0.05, 0.95)  # interior window; boundary variance otherwise dominates small-h scores
+TIE_RTOL, TIE_ATOL = 1e-9, 1e-12  # argmin_prefer_larger's near-tie tolerance
 
 
 class NeedsMultipleDomains(Exception):
@@ -45,20 +46,18 @@ def effective_sample_size(n: int, tau: float) -> EffectiveSampleSize:
     return EffectiveSampleSize(n=n, tau=tau, n_eff=n / (1.0 + n * tau))
 
 
-def oracle_bandwidth(n: int, tau: float, beta: float, scale_c: float = 1.0) -> float:
-    """Rate-optimal bandwidth scale_c * (1/n + tau)^(1/(2*beta+1)).
+def oracle_bandwidth(n: int, tau: float, beta: float) -> float:
+    """Rate-optimal bandwidth (1/n + tau)^(1/(2*beta+1)).
 
     Reduces to the classical n^(-1/(2*beta+1)) at tau=0 and flattens to
     tau^(1/(2*beta+1)) once tau dominates 1/n. Only the exponent is
-    principled; scale_c is a free constant.
+    principled; the constant in front is taken as 1.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if scale_c <= 0:
-        raise ValueError("scale_c must be positive")
     if n < 1 or tau < 0:
         raise ValueError("need n >= 1 and tau >= 0")
-    return scale_c * (1.0 / n + tau) ** (1.0 / (2.0 * beta + 1.0))
+    return (1.0 / n + tau) ** (1.0 / (2.0 * beta + 1.0))
 
 
 @dataclass
@@ -68,9 +67,8 @@ class BandwidthSelection:
     diagnostics: list[tuple[float, float]]  # (h, score) rows
 
 
-def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray,
-                         rtol: float = 1e-9, atol: float = 1e-12) -> float:
-    """Value attaining the minimal score; near-ties resolve to the largest value.
+def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray) -> float:
+    """Value attaining the minimal score; near-ties (TIE_RTOL, TIE_ATOL) go to the largest value.
 
     The tolerance makes plateaus (e.g. exactly interpolated noiseless data,
     where scores differ only in rounding noise) resolve deterministically to
@@ -82,15 +80,14 @@ def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray,
     if not finite.any():
         raise NumericDeadEnd("no candidate has a finite score")
     best = scores[finite].min()
-    tied = finite & (scores <= best + atol + rtol * abs(best))
+    tied = finite & (scores <= best + TIE_ATOL + TIE_RTOL * abs(best))
     return float(values[tied].max())
 
 
 def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
-               h_grid: np.ndarray, lpe_base: LpeConfig,
-               window: tuple[float, float]) -> np.ndarray:
-    """Held-out squared prediction error per h; any unsupported point makes h +inf."""
-    keep = (test_xs >= window[0]) & (test_xs <= window[1])
+               h_grid: np.ndarray, lpe_base: LpeConfig) -> np.ndarray:
+    """Held-out squared prediction error per h in EVAL_WINDOW; an unsupported point makes h +inf."""
+    keep = (test_xs >= EVAL_WINDOW[0]) & (test_xs <= EVAL_WINDOW[1])
     scores = np.full(h_grid.size, np.inf)
     if not keep.any():
         return scores
@@ -104,14 +101,21 @@ def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
     return scores
 
 
-def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid, lpe_base: LpeConfig,
-                        window: tuple[float, float] = EVAL_WINDOW) -> BandwidthSelection:
+def _selection(h_grid: np.ndarray, per_split: np.ndarray, method: str) -> BandwidthSelection:
+    """Average the (split, h) scores over splits and pick h by argmin_prefer_larger."""
+    scores = per_split.mean(axis=0)
+    return BandwidthSelection(h_star=argmin_prefer_larger(h_grid, scores), method=method,
+                              diagnostics=list(zip(h_grid.tolist(), scores.tolist())))
+
+
+def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
+                        lpe_base: LpeConfig) -> BandwidthSelection:
     """Leave-one-realization-out bandwidth selection.
 
     Each element of `datasets` must carry a realization_id; datasets sharing
     an id form one domain. For every held-out domain an LP fit on the union
-    of the others predicts at the held-out covariates inside the evaluation
-    window, and h minimizes the domain-averaged squared prediction error.
+    of the others predicts at the held-out covariates inside EVAL_WINDOW,
+    and h minimizes the domain-averaged squared prediction error.
     """
     groups: dict[str, list[Dataset]] = {}
     for ds in datasets:
@@ -129,17 +133,13 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid, lpe_base: LpeConfig
                         ys=np.concatenate([d.ys for d in train_parts]))
         test_xs = np.concatenate([d.xs for d in groups[held]])
         test_ys = np.concatenate([d.ys for d in groups[held]])
-        per_domain[row] = _cv_scores(train, test_xs, test_ys, h_grid, lpe_base, window)
-    scores = per_domain.mean(axis=0)
-    h_star = argmin_prefer_larger(h_grid, scores)
-    return BandwidthSelection(h_star=h_star, method="domain_cv",
-                              diagnostics=list(zip(h_grid.tolist(), scores.tolist())))
+        per_domain[row] = _cv_scores(train, test_xs, test_ys, h_grid, lpe_base)
+    return _selection(h_grid, per_domain, "domain_cv")
 
 
 def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int,
-                       seed: int = 0,
-                       window: tuple[float, float] = EVAL_WINDOW) -> BandwidthSelection:
-    """k-fold random-split CV baseline.
+                       seed: int = 0) -> BandwidthSelection:
+    """k-fold random-split CV baseline, scored over EVAL_WINDOW.
 
     Random splits only see sampling variability, so under dataset-level
     perturbations this tends to pick smaller bandwidths than domain CV.
@@ -159,11 +159,8 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
         hold = fold_of == fold
         train = Dataset(xs=dataset.xs[~hold], ys=dataset.ys[~hold])
         per_fold[fold] = _cv_scores(train, dataset.xs[hold], dataset.ys[hold],
-                                    h_grid, lpe_base, window)
-    scores = per_fold.mean(axis=0)
-    h_star = argmin_prefer_larger(h_grid, scores)
-    return BandwidthSelection(h_star=h_star, method="naive_cv",
-                              diagnostics=list(zip(h_grid.tolist(), scores.tolist())))
+                                    h_grid, lpe_base)
+    return _selection(h_grid, per_fold, "naive_cv")
 
 
 def within_bucket_noise_variance(ys, bucket_ids) -> float:

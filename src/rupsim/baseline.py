@@ -14,6 +14,16 @@ import numpy as np
 
 from .kernels import SMOOTH_BUMP, Kernel
 
+# Grid step of the finite-difference Holder checks.
+HOLDER_STEP = 1e-3
+
+
+def check_unit_interval(x: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless every value of x lies in [0, 1]; NaN fails."""
+    # min and max carry a NaN through, and NaN fails both comparisons
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError(message)
+
 
 @dataclass(frozen=True)
 class RegressionFunction:
@@ -37,9 +47,7 @@ class RegressionFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # min and max carry a NaN through, and NaN fails both comparisons
-        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
-            raise ValueError("x outside the domain [0, 1]")
+        check_unit_interval(x, "x outside the domain [0, 1]")
         return self._fn(x)
 
     @property
@@ -60,25 +68,33 @@ def sine_function(beta: float = 2.0, holder_const: float | None = None) -> Regre
                               _fn=lambda x: np.sin(2.0 * math.pi * x))
 
 
-def _kernel_holder_modulus(kernel: Kernel, beta: float, step: float = 1e-3) -> float:
-    """Grid estimate of the Holder-(beta) modulus of the matching kernel derivative."""
-    degree = math.ceil(beta) - 1
-    half = kernel.support + 0.1
-    grid = np.arange(-half, half + step / 2, step)
-    vals = kernel(grid)
+def _holder_pairs(fn, lo: float, hi: float, degree: int):
+    """(|d^degree fn(x) - d^degree fn(x')|, |x - x'|) over pairs of a grid on [lo, hi].
+
+    The grid step is HOLDER_STEP; the diagonal reads (0, 1), so x == x' drops out.
+    """
+    grid = np.arange(lo, hi + HOLDER_STEP / 2, HOLDER_STEP)
+    vals = fn(grid)
     for _ in range(degree):
-        vals = np.gradient(vals, step)
-    expo = beta - degree
+        vals = np.gradient(vals, HOLDER_STEP)
     diff = np.abs(vals[:, None] - vals[None, :])
     dist = np.abs(grid[:, None] - grid[None, :])
     np.fill_diagonal(dist, 1.0)
     np.fill_diagonal(diff, 0.0)
-    return float(np.max(diff / dist ** expo))
+    return diff, dist
 
 
-def bump_function(center: float, width: float, beta: float, holder_const: float,
-                  kernel: Kernel = SMOOTH_BUMP) -> RegressionFunction:
-    """Scaled kernel bump L * width^beta * K((x - center)/width).
+def _kernel_holder_modulus(kernel: Kernel, beta: float) -> float:
+    """Grid estimate of the Holder-(beta) modulus of the matching kernel derivative."""
+    degree = math.ceil(beta) - 1
+    half = kernel.support + 0.1
+    diff, dist = _holder_pairs(kernel, -half, half, degree)
+    return float(np.max(diff / dist ** (beta - degree)))
+
+
+def bump_function(center: float, width: float, beta: float,
+                  holder_const: float) -> RegressionFunction:
+    """Scaled smooth bump L * width^beta * K((x - center)/width), K = SMOOTH_BUMP.
 
     The amplitude uses holder_const directly; the declared certificate is
     inflated by the kernel's own Holder modulus (the bump's derivative of
@@ -88,10 +104,10 @@ def bump_function(center: float, width: float, beta: float, holder_const: float,
     if width <= 0:
         raise ValueError("width must be positive")
     amp = holder_const * width ** beta
-    certificate = holder_const * _kernel_holder_modulus(kernel, beta) * 1.05
+    certificate = holder_const * _kernel_holder_modulus(SMOOTH_BUMP, beta) * 1.05
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return amp * kernel((x - center) / width)
+        return amp * SMOOTH_BUMP((x - center) / width)
 
     return RegressionFunction("bump", beta=beta, holder_const=certificate, _fn=fn)
 
@@ -109,23 +125,15 @@ def get_function(name: str) -> RegressionFunction:
         raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTION_CATALOG)}") from None
 
 
-def holder_margin(f: RegressionFunction, step: float = 1e-3) -> float:
-    """Worst slack of the finite-difference Holder inequality on a grid.
+def holder_margin(f: RegressionFunction) -> float:
+    """Worst slack of the finite-difference Holder inequality on a grid of step HOLDER_STEP.
 
     Returns max over grid pairs of |d^l f(x) - d^l f(x')| - L |x - x'|^(beta-l)
     with l = f.holder_degree; nonpositive means the certificate holds on the
     grid (up to finite-difference error).
     """
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    vals = f(grid)
-    for _ in range(f.holder_degree):
-        vals = np.gradient(vals, step)
-    expo = f.beta - f.holder_degree
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist = np.abs(grid[:, None] - grid[None, :])
-    np.fill_diagonal(dist, 1.0)  # exclude x == x' (both sides zero there)
-    np.fill_diagonal(diff, 0.0)
-    return float(np.max(diff - f.holder_const * dist ** expo))
+    diff, dist = _holder_pairs(f, 0.0, 1.0, f.holder_degree)
+    return float(np.max(diff - f.holder_const * dist ** (f.beta - f.holder_degree)))
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,7 @@ class Dataset:
         self.ys = np.asarray(self.ys, dtype=float)
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have the same length")
-        # min and max carry a NaN through, and NaN fails both comparisons
-        if self.xs.size and not (self.xs.min() >= 0.0 and self.xs.max() <= 1.0):
-            raise ValueError("xs must lie in [0, 1]")
+        check_unit_interval(self.xs, "xs must lie in [0, 1]")
         if self.bucket_ids is not None:
             self.bucket_ids = np.asarray(self.bucket_ids, dtype=np.int64)
             if self.bucket_ids.shape != self.xs.shape:

@@ -9,11 +9,12 @@ checksum-identical. Monte Carlo replicates always run one after another in
 this process; --threads is still accepted (an integer >= 1) and recorded in
 the manifest, but results never depend on it.
 
-Exit codes: 0 success, 2 config error, 3 numeric/regime warnings under
---strict, 4 numeric dead end (no bandwidth in the grid can be scored, e.g.
-none has local support at every evaluation point). A run that exits 2 or 4
-removes the output directory if it created it; a directory that existed
-before the run is left in place.
+Exit codes: 0 success, 2 config error (also a NaN or infinite number, and
+an estimate-tau input file or noise variance it cannot use), 3
+numeric/regime warnings under --strict, 4 numeric dead end (no bandwidth in
+the grid can be scored, e.g. none has local support at every evaluation
+point). A run that exits 2 or 4 removes the output directory if it
+created it; a directory that existed before the run is left in place.
 """
 
 from __future__ import annotations
@@ -30,20 +31,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import (NumericDeadEnd, effective_sample_size, estimate_tau_from_summaries,
-                        oracle_bandwidth, within_bucket_noise_variance)
+from .bandwidth import (EVAL_WINDOW, NumericDeadEnd, effective_sample_size,
+                        estimate_tau_from_summaries, oracle_bandwidth,
+                        within_bucket_noise_variance)
 from .baseline import BaselineConfig, get_function, sample_baseline
 from .config import Conf, ConfigError, load_yaml
 from .kernels import KERNELS, get_kernel
 from .klscale import correlated_noise_kl_suite
-from .local_poly import LpeConfig
+from .local_poly import MIN_BANDWIDTH, LpeConfig
 from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, WeightLaw,
                            draw_perturbation, sample_perturbed, save_realization)
 from .risk import optimal_bandwidth_curve
 from .streams import substream
 from .svgplot import line_chart
 
-DEFAULT_WINDOW = (0.05, 0.95)
 DEFAULT_GRID_POINTS = 101
 
 
@@ -105,18 +106,14 @@ def _parse_rup_spec(root: Conf, base: BaselineConfig, models=("correlated_noise"
         return CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=base), echo
     b_eps = blk.get_int("b_eps", ge=2)
     law_blk = blk.block("weight_law", required=False)
-    if law_blk is None:
+    kind = law_blk.get_str("kind", default="exp", choices=("exp", "lognormal"))
+    if kind == "exp":
         law = WeightLaw.exponential()
         echo["weight_law"] = {"kind": "exp"}
     else:
-        kind = law_blk.get_str("kind", default="exp", choices=("exp", "lognormal"))
-        if kind == "exp":
-            law = WeightLaw.exponential()
-            echo["weight_law"] = {"kind": "exp"}
-        else:
-            ratio = law_blk.get_float("var_over_mean_sq", default=1.0, gt=0.0)
-            law = WeightLaw.lognormal_with_ratio(ratio)
-            echo["weight_law"] = {"kind": "lognormal", "var_over_mean_sq": ratio}
+        ratio = law_blk.get_float("var_over_mean_sq", default=1.0, gt=0.0)
+        law = WeightLaw.lognormal_with_ratio(ratio)
+        echo["weight_law"] = {"kind": "lognormal", "var_over_mean_sq": ratio}
     echo["b_eps"] = b_eps
     if base.sigma2 <= 0:
         raise ConfigError("baseline.sigma2: partition model needs sigma2 > 0")
@@ -146,6 +143,8 @@ def _parse_h_grid(blk: Conf) -> list[float]:
             raise ConfigError("lpe.h_grid.max: must be >= min")
         if hi > 1.0:
             raise ConfigError("lpe.h_grid.max: bandwidths must lie in (0, 1]")
+        if lo < MIN_BANDWIDTH:
+            raise ConfigError(f"lpe.h_grid.min: bandwidths must be at least {MIN_BANDWIDTH:g}")
         if spacing == "log":
             grid = np.geomspace(lo, hi, count)
         else:
@@ -154,20 +153,18 @@ def _parse_h_grid(blk: Conf) -> list[float]:
     grid = blk.get_float_list("h_grid", ge=0.0)
     if min(grid) <= 0 or max(grid) > 1:
         raise ConfigError("lpe.h_grid: bandwidths must lie in (0, 1]")
+    if min(grid) < MIN_BANDWIDTH:
+        raise ConfigError(f"lpe.h_grid: bandwidths must be at least {MIN_BANDWIDTH:g}")
     return sorted(grid)
 
 
 def _parse_eval_grid(root: Conf):
     blk = root.block("eval", required=False)
-    if blk is None:
-        lo, hi = DEFAULT_WINDOW
-        points = DEFAULT_GRID_POINTS
-    else:
-        window = blk.get_float_list("window", default=list(DEFAULT_WINDOW), min_len=2)
-        if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
-            raise ConfigError("eval.window: expected [lo, hi] with 0 <= lo < hi <= 1")
-        lo, hi = window
-        points = blk.get_int("grid_points", default=DEFAULT_GRID_POINTS, ge=2)
+    window = blk.get_float_list("window", default=list(EVAL_WINDOW), min_len=2)
+    if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
+        raise ConfigError("eval.window: expected [lo, hi] with 0 <= lo < hi <= 1")
+    lo, hi = window
+    points = blk.get_int("grid_points", default=DEFAULT_GRID_POINTS, ge=2)
     echo = {"window": [lo, hi], "grid_points": points}
     return np.linspace(lo, hi, points), echo
 
@@ -242,15 +239,19 @@ def cmd_mise_sweep(root: Conf, seed: int, outdir: Path):
     return echo, {"mise_curve.csv": csv_path, "fig4.svg": svg_path}, warnings
 
 
-def _render_mise_svg(csv_path: Path, svg_path: Path) -> None:
-    data = read_csv(csv_path)
+def _render_by_tau(csv_path: Path, svg_path: Path, x: str, y: str, **chart) -> None:
+    """Chart the CSV's (x, y) columns with one series per tau, in file order."""
     groups: dict[str, list[tuple[float, float]]] = {}
-    for row in data:
-        groups.setdefault(row["tau"], []).append((float(row["h"]), float(row["mise"])))
+    for row in read_csv(csv_path):
+        groups.setdefault(row["tau"], []).append((float(row[x]), float(row[y])))
     series = [(f"tau={tau}", [p[0] for p in pts], [p[1] for p in pts])
               for tau, pts in groups.items()]
-    svg_path.write_text(line_chart(series, xlabel="bandwidth h", ylabel="MISE",
-                                   title="MISE against bandwidth"), encoding="utf-8")
+    svg_path.write_text(line_chart(series, **chart), encoding="utf-8")
+
+
+def _render_mise_svg(csv_path: Path, svg_path: Path) -> None:
+    _render_by_tau(csv_path, svg_path, "h", "mise", xlabel="bandwidth h", ylabel="MISE",
+                   title="MISE against bandwidth")
 
 
 def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
@@ -271,20 +272,12 @@ def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
 
 
 def _render_hstar_svg(csv_path: Path, svg_path: Path) -> None:
-    data = read_csv(csv_path)
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for row in data:
-        groups.setdefault(row["tau"], []).append((float(row["n"]), float(row["h_star"])))
-    series = [(f"tau={tau}", [p[0] for p in pts], [p[1] for p in pts])
-              for tau, pts in groups.items()]
-    svg_path.write_text(line_chart(series, xlabel="n", ylabel="optimal bandwidth",
-                                   title="Optimal bandwidth against sample size",
-                                   logx=True, logy=True), encoding="utf-8")
+    _render_by_tau(csv_path, svg_path, "n", "h_star", xlabel="n", ylabel="optimal bandwidth",
+                   title="Optimal bandwidth against sample size", logx=True, logy=True)
 
 
 def cmd_kl_check(root: Conf, seed: int, outdir: Path):
-    blk = root.block("baseline", required=False)
-    sigma2 = blk.get_float("sigma2", default=1.0, gt=0.0) if blk else 1.0
+    sigma2 = root.block("baseline", required=False).get_float("sigma2", default=1.0, gt=0.0)
     kl = root.block("kl")
     n_grid = kl.get_int_list("n_grid", ge=2)
     delta2 = kl.get_float("delta2", ge=0.0)
@@ -322,34 +315,59 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path):
     return echo, {"kl_scaling.csv": csv_path}, warnings
 
 
+def _noise_variance(ys, buckets, where: str) -> float:
+    """within_bucket_noise_variance; a layout that leaves no degree of freedom is a ConfigError."""
+    try:
+        return within_bucket_noise_variance(ys, buckets)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _read_realization(path: str, warnings: list[str]):
+    """(mean y, size, noise variance estimate) of one dataset.csv written by `sample`."""
+    where = f"tau_estimate.from_files: {path}"
+    try:
+        data = read_csv(Path(path))
+    except FileNotFoundError:
+        raise ConfigError(f"{where} not found") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{where} cannot be read: {exc}") from None
+    if not data:
+        raise ConfigError(f"{where} has no data rows")
+    if len(data) < 2:
+        raise ConfigError(f"{where} has one data row; the noise variance needs two")
+    if "y" not in data[0]:
+        raise ConfigError(f"{where} lacks a 'y' column")
+    try:
+        ys = np.array([float(row["y"]) for row in data])
+        buckets = (np.array([int(row["bucket_id"]) for row in data])
+                   if data[0].get("bucket_id", "") else None)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} has a non-numeric y or bucket_id: {exc}") from None
+    if not np.isfinite(ys).all():
+        raise ConfigError(f"{where} has a non-finite y")
+    if buckets is None:
+        warnings.append(f"{path}: no bucket ids; sigma2 from raw variance "
+                        "(inflated by the shift variance)")
+        return float(ys.mean()), ys.size, float(np.var(ys, ddof=1))
+    if buckets.min() < 0:
+        raise ConfigError(f"{where} has a negative bucket_id")
+    return float(ys.mean()), ys.size, _noise_variance(ys, buckets, where)
+
+
 def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
     est_blk = root.block("tau_estimate", required=False)
     warnings: list[str] = []
-    if est_blk is not None and est_blk.has("from_files"):
+    if est_blk.has("from_files"):
         paths = est_blk.get_str_list("from_files", min_len=2)
-        thetas, n_pers, sig_parts = [], [], []
-        for p in paths:
-            data = read_csv(Path(p))
-            if not data:
-                raise ConfigError(f"tau_estimate.from_files: {p} has no data rows")
-            if "y" not in data[0]:
-                raise ConfigError(f"tau_estimate.from_files: {p} lacks a 'y' column")
-            ys = np.array([float(row["y"]) for row in data])
-            thetas.append(float(ys.mean()))
-            n_pers.append(ys.size)
-            if data[0].get("bucket_id", ""):
-                buckets = np.array([int(row["bucket_id"]) for row in data])
-                sig_parts.append(within_bucket_noise_variance(ys, buckets))
-            else:
-                sig_parts.append(float(np.var(ys, ddof=1)))
-                warnings.append(f"{p}: no bucket ids; sigma2 from raw variance "
-                                "(inflated by the shift variance)")
+        thetas, n_pers, sig_parts = zip(*(_read_realization(p, warnings) for p in paths))
         if len(set(n_pers)) != 1:
             raise ConfigError("tau_estimate.from_files: realizations have unequal sizes")
         n_per = n_pers[0]
         j = len(paths)
         theta = np.array(thetas)
         sigma2_hat = float(np.mean(sig_parts))
+        source = "tau_estimate.from_files"
         echo = {"tau_estimate": {"from_files": paths}}
     else:
         base, becho = _parse_baseline(root)
@@ -366,12 +384,15 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
             xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
             ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", i))
             theta[i] = ds.ys.mean()
-            sig_parts[i] = within_bucket_noise_variance(ds.ys, ds.bucket_ids)
+            sig_parts[i] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
         n_per = base.n
         sigma2_hat = float(sig_parts.mean())
+        source = "baseline.sigma2"
+    if sigma2_hat <= 0:
+        raise ConfigError(f"{source}: the noise variance estimate is {sigma2_hat:g}; "
+                          "estimating tau needs it positive")
 
-    bw_blk = root.block("bandwidth", required=False)
-    beta = bw_blk.get_float("beta", default=2.0, gt=0.0) if bw_blk else 2.0
+    beta = root.block("bandwidth", required=False).get_float("beta", default=2.0, gt=0.0)
     echo["bandwidth"] = {"beta": beta}
     tau_hat = estimate_tau_from_summaries(theta, n_per, sigma2_hat)
     theta_var = float(np.var(theta, ddof=1))
@@ -440,8 +461,7 @@ def main(argv=None) -> int:
         cfg = load_yaml(args.config)
         root = Conf(cfg)
         seed = args.seed if args.seed is not None else root.get_int("seed", ge=0)
-        out_blk = root.block("output", required=False)
-        out_default = out_blk.get_str("dir", default="out") if out_blk else "out"
+        out_default = root.block("output", required=False).get_str("dir", default="out")
         outdir = Path(args.out if args.out is not None else out_default)
         created = _make_outdir(outdir)
         echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir)

@@ -2,12 +2,14 @@
 
 Every getter validates one field and returns a fully typed value, so a bad
 config fails before any computation starts and the error names the exact
-field ("rup.b_x: expected int >= 1, got 'ten'"). Commands materialize all
-defaults into the run manifest, so no run depends on implicit defaults.
+field ("rup.b_x: expected int, got 'ten'"). A number must be finite, so NaN
+and infinities fail too. Commands materialize all defaults into the run
+manifest, so no run depends on implicit defaults.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import yaml
@@ -32,8 +34,38 @@ def load_yaml(path) -> dict:
     return data
 
 
+# the Python types of each value kind, and how list messages name its items
+_KINDS = {"int": (int, "integer(s)"), "number": ((int, float), "number(s)"),
+          "string": (str, "string(s)")}
+
+
+def _check(path: str, val, kind: str, ge=None, gt=None, choices=None, bound_word: str = ""):
+    """One value of a kind ("int", "number" or "string"), checked and converted.
+
+    A number is returned as a float and must be finite; ge, gt and choices
+    bound the value. bound_word prefixes the noun in ">=" messages.
+    """
+    if isinstance(val, bool) or not isinstance(val, _KINDS[kind][0]):
+        raise ConfigError(f"{path}: expected {kind}, got {val!r}")
+    if choices is not None and val not in choices:
+        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {val!r}")
+    if kind == "number":
+        val = float(val)
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: expected a finite number, got {val}")
+    if ge is not None and val < ge:
+        raise ConfigError(f"{path}: expected {bound_word}>= {ge}, got {val}")
+    if gt is not None and val <= gt:
+        raise ConfigError(f"{path}: expected > {gt}, got {val}")
+    return val
+
+
 class Conf:
-    """Read-only view over a config mapping with dotted-path error messages."""
+    """Read-only view over a config mapping with dotted-path error messages.
+
+    A getter returns its default, unchecked, when the key is absent, and
+    raises ConfigError naming the field when it is required.
+    """
 
     def __init__(self, data: dict, prefix: str = ""):
         self._data = data
@@ -49,103 +81,54 @@ class Conf:
         """True when key is present and holds a mapping (a nested block)."""
         return isinstance(self._data.get(key), dict)
 
-    def block(self, key: str, required: bool = True) -> "Conf | None":
+    def block(self, key: str, required: bool = True) -> "Conf":
+        """The nested block at key; an optional block that is absent reads as empty."""
         if key not in self._data:
             if required:
                 raise ConfigError(f"{self._path(key)}: required block is missing")
-            return None
+            return Conf({}, self._path(key))
         val = self._data[key]
         if not isinstance(val, dict):
             raise ConfigError(f"{self._path(key)}: expected a mapping, got {type(val).__name__}")
         return Conf(val, self._path(key))
 
-    def _fetch(self, key: str, default):
+    def _get(self, key: str, default, kind: str, **bounds):
         if key not in self._data:
             if default is _REQUIRED:
                 raise ConfigError(f"{self._path(key)}: required field is missing")
-            return default, True
-        return self._data[key], False
+            return default
+        return _check(self._path(key), self._data[key], kind, **bounds)
+
+    def _get_list(self, key: str, default, kind: str, min_len: int, **bounds) -> list:
+        if key not in self._data:  # the default, or the missing-field error
+            return self._get(key, default, kind)
+        val = self._data[key]
+        if not isinstance(val, list) or len(val) < min_len:
+            raise ConfigError(f"{self._path(key)}: expected a list of at least "
+                              f"{min_len} {_KINDS[kind][1]}, got {val!r}")
+        return [_check(f"{self._path(key)}[{i}]", item, kind, **bounds)
+                for i, item in enumerate(val)]
 
     def get_int(self, key: str, default=_REQUIRED, ge: int | None = None) -> int:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{self._path(key)}: expected int, got {val!r}")
-        if ge is not None and val < ge:
-            raise ConfigError(f"{self._path(key)}: expected int >= {ge}, got {val}")
-        return val
+        return self._get(key, default, "int", ge=ge, bound_word="int ")
 
     def get_float(self, key: str, default=_REQUIRED, ge: float | None = None,
                   gt: float | None = None) -> float:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{self._path(key)}: expected number, got {val!r}")
-        val = float(val)
-        if ge is not None and val < ge:
-            raise ConfigError(f"{self._path(key)}: expected >= {ge}, got {val}")
-        if gt is not None and val <= gt:
-            raise ConfigError(f"{self._path(key)}: expected > {gt}, got {val}")
-        return val
+        return self._get(key, default, "number", ge=ge, gt=gt)
 
     def get_str(self, key: str, default=_REQUIRED, choices: Sequence[str] | None = None) -> str:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if not isinstance(val, str):
-            raise ConfigError(f"{self._path(key)}: expected string, got {val!r}")
-        if choices is not None and val not in choices:
-            raise ConfigError(f"{self._path(key)}: expected one of {sorted(choices)}, got {val!r}")
-        return val
+        return self._get(key, default, "string", choices=choices)
 
     def get_float_list(self, key: str, default=_REQUIRED, min_len: int = 1,
                        ge: float | None = None) -> list[float]:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if not isinstance(val, list) or len(val) < min_len:
-            raise ConfigError(f"{self._path(key)}: expected a list of at least "
-                              f"{min_len} number(s), got {val!r}")
-        out = []
-        for i, item in enumerate(val):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{self._path(key)}[{i}]: expected number, got {item!r}")
-            item = float(item)
-            if ge is not None and item < ge:
-                raise ConfigError(f"{self._path(key)}[{i}]: expected >= {ge}, got {item}")
-            out.append(item)
-        return out
+        return self._get_list(key, default, "number", min_len, ge=ge)
 
     def get_int_list(self, key: str, default=_REQUIRED, min_len: int = 1,
                      ge: int | None = None) -> list[int]:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if not isinstance(val, list) or len(val) < min_len:
-            raise ConfigError(f"{self._path(key)}: expected a list of at least "
-                              f"{min_len} integer(s), got {val!r}")
-        out = []
-        for i, item in enumerate(val):
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"{self._path(key)}[{i}]: expected int, got {item!r}")
-            if ge is not None and item < ge:
-                raise ConfigError(f"{self._path(key)}[{i}]: expected >= {ge}, got {item}")
-            out.append(item)
-        return out
+        return self._get_list(key, default, "int", min_len, ge=ge)
 
     def get_str_list(self, key: str, default=_REQUIRED, min_len: int = 1) -> list[str]:
-        val, was_default = self._fetch(key, default)
-        if was_default:
-            return val
-        if not isinstance(val, list) or len(val) < min_len:
-            raise ConfigError(f"{self._path(key)}: expected a list of at least "
-                              f"{min_len} string(s), got {val!r}")
-        for i, item in enumerate(val):
-            if not isinstance(item, str):
-                raise ConfigError(f"{self._path(key)}[{i}]: expected string, got {item!r}")
-        return list(val)
+        return self._get_list(key, default, "string", min_len)
 
 
 def dump_config(data: dict) -> str:

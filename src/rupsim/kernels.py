@@ -32,6 +32,10 @@ class Kernel:
     def __call__(self, u) -> np.ndarray:
         return self._fn(np.asarray(u, dtype=float))
 
+    def reach(self, h: float) -> float:
+        """support * h widened to cover the rounding of (x - g)/h, for x and g in [0, 1]."""
+        return self.support * h * (1.0 + 1e-12) + 1e-12
+
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)

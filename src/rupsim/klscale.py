@@ -18,11 +18,11 @@ rather than n and B_X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baseline import BaselineConfig
+from .baseline import BaselineConfig, check_unit_interval
 from .kernels import SMOOTH_BUMP, Kernel
 from .perturbation import CorrelatedNoiseSpec, bucket_of
 from .streams import map_indexed, substream
@@ -120,14 +120,12 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
     window only.
     """
     xs = np.asarray(design_xs, dtype=float)
-    # min and max carry a NaN through, and NaN fails both comparisons
-    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
-        raise ValueError("design points must lie in [0, 1]")
+    check_unit_interval(xs, "design points must lie in [0, 1]")
     buckets = bucket_of(xs, spec.b_x)
-    # df != 0 needs |x - x0| <= support * h; the margin covers the rounding of
-    # (x - x0) / h. bucket_of is nondecreasing in x, so every point in a bucket
-    # outside [first, last] lies beyond the reach and has df = 0.
-    reach = construction.kernel.support * construction.h * (1.0 + 1e-12) + 1e-12
+    # df != 0 needs |x - x0| within the kernel's reach. bucket_of is
+    # nondecreasing in x, so every point in a bucket outside [first, last]
+    # lies beyond the reach and has df = 0.
+    reach = construction.kernel.reach(construction.h)
     first, last = bucket_of(np.clip([construction.x0 - reach, construction.x0 + reach],
                                     0.0, 1.0), spec.b_x)
     near = (buckets >= first) & (buckets <= last)
@@ -156,15 +154,17 @@ class KlScalingTable:
     meta: dict
 
 
-def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
-          seed: int) -> KlScalingTable:
+def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
+          holder_const: float, x0: float, reps: int, seed: int) -> KlScalingTable:
     """Design-averaged KL and its normalized ratio across sample sizes.
 
-    bucket_rule(n) gives B_X, spec_builder(n, b_x) the noise spec, and
-    construction_rule(n, n_eff) the hypothesis pair (whose h sets the
-    normalization). In the bounded-occupancy regime (n/B_X bounded) the
-    ratio column stabilizes; if occupancy grows by more than
-    REGIME_GROWTH_LIMIT across the grid the table is flagged, not silenced.
+    For each n, bucket_rule(n) gives B_X; the noise spec is correlated noise
+    with that B_X, delta2 and base at size n, and the hypothesis pair is the
+    smooth bump at x0 with the rate-matched bandwidth
+    h = n_eff^(-1/(2beta+1)), which also sets the normalization. In the
+    bounded-occupancy regime (n/B_X bounded) the ratio column stabilizes; if
+    occupancy grows by more than REGIME_GROWTH_LIMIT across the grid the
+    table is flagged, not silenced.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -174,10 +174,11 @@ def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
     rows: list[KlScalingRow] = []
     for ni, n in enumerate(n_grid):
         b_x = int(bucket_rule(n))
-        spec = spec_builder(n, b_x)
+        spec = CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=replace(base, n=n))
         tau = spec.delta2 / b_x
         n_eff = n / (1.0 + n * tau)
-        constr = construction_rule(n, n_eff)
+        constr = TwoPointConstruction(x0=x0, h=n_eff ** (-1.0 / (2.0 * beta + 1.0)),
+                                      beta=beta, holder_const=holder_const)
 
         def one_design(r: int, n=n, spec=spec, constr=constr, ni=ni) -> float:
             xs = substream(seed, "design", ni, r).random(n)
@@ -201,20 +202,7 @@ def kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps: int,
 def correlated_noise_kl_suite(n_grid, delta2: float, base: BaselineConfig,
                               beta: float, holder_const: float, x0: float,
                               bucket_rule=None, reps: int = 400, seed: int = 0) -> KlScalingTable:
-    """Convenience wiring of kl_mc for the bucket-per-point regime.
-
-    Defaults to B_X = n and the rate-matched bandwidth h = n_eff^(-1/(2beta+1)).
-    """
-    from dataclasses import replace
-
+    """kl_mc with the bucket-per-point regime B_X = n unless bucket_rule is given."""
     if bucket_rule is None:
         bucket_rule = lambda n: n
-
-    def spec_builder(n: int, b_x: int) -> CorrelatedNoiseSpec:
-        return CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=replace(base, n=n))
-
-    def construction_rule(n: int, n_eff: float) -> TwoPointConstruction:
-        h = n_eff ** (-1.0 / (2.0 * beta + 1.0))
-        return TwoPointConstruction(x0=x0, h=h, beta=beta, holder_const=holder_const)
-
-    return kl_mc(n_grid, bucket_rule, spec_builder, construction_rule, reps, seed)
+    return kl_mc(n_grid, bucket_rule, delta2, base, beta, holder_const, x0, reps, seed)

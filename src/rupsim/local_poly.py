@@ -36,12 +36,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import Dataset
+from .baseline import Dataset, check_unit_interval
 from .kernels import EPANECHNIKOV, Kernel
 
-# Local Gram matrices with smallest eigenvalue below this are treated as
-# degenerate and ridged.
+# Local Gram matrices with smallest eigenvalue below DEGENERATE_EIG are
+# treated as degenerate and get RIDGE * trace / p added to their diagonal.
 DEGENERATE_EIG = 1e-10
+RIDGE = 1e-8
+
+# Smallest bandwidth a fit accepts. From about 2^-52 down, the lattice cell
+# index floor(x * 2^level) exceeds 2^53 and distinct cells merge; this floor
+# keeps a wide margin above that.
+MIN_BANDWIDTH = 1e-12
 
 # Prefix sums are restarted on dyadic lattice cells of width w = 2^-level,
 # w <= h/2 < 2w. A window of half-width h < 4w around a point of cell l lies
@@ -62,20 +68,19 @@ class NoLocalSupport(Exception):
 
 @dataclass(frozen=True)
 class LpeConfig:
-    """Order, bandwidth, kernel and ridge scale of a local polynomial fit."""
+    """Order, bandwidth (MIN_BANDWIDTH .. 1) and kernel of a local polynomial fit."""
 
     order: int
     bandwidth: float
     kernel: Kernel = EPANECHNIKOV
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if not 0 <= self.order <= 5:
             raise ValueError(f"order must be in 0..5, got {self.order}")
         if not 0.0 < self.bandwidth <= 1.0:
             raise ValueError(f"bandwidth must be in (0, 1], got {self.bandwidth}")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if self.bandwidth < MIN_BANDWIDTH:
+            raise ValueError(f"bandwidth must be at least {MIN_BANDWIDTH:g}, got {self.bandwidth}")
 
 
 @dataclass
@@ -182,7 +187,7 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
     uniform kernel keeps |u| == 1, the others drop it). Each kernel is
     nonincreasing in |u|, so the positive set is one contiguous range.
     """
-    reach = kernel.support * h * (1.0 + 1e-12) + 1e-12  # covers rounding for g in [0, 1]
+    reach = kernel.reach(h)
     design = np.arange(xs.shape[0])[:, None]
     lo = _search_rows(xs, design, g - reach, "left")
     hi = _search_rows(xs, design, g + reach, "right")
@@ -436,12 +441,11 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     return _moments(sums, ((1.0,),), p)
 
 
-def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray,
-           p: int, ridge: float):
+def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray, p: int):
     """Stacked local solves; returns (values, coef, degenerate).
 
     Gram[i, j] = moments[i + j]. A Gram whose smallest eigenvalue is below
-    DEGENERATE_EIG gets ridge * trace / p added to its diagonal. ymoments is
+    DEGENERATE_EIG gets RIDGE * trace / p added to its diagonal. ymoments is
     (p, k, fits), and values (k, fits) combine each response with one coef.
     """
     gram = moments.T[:, _HANKEL[p]]
@@ -453,7 +457,7 @@ def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarr
         trace = moments[0].copy()
         for j in range(1, p):
             trace += moments[2 * j]
-        gram[degenerate] += (ridge * trace[degenerate] / p)[:, None, None] * np.eye(p)
+        gram[degenerate] += (RIDGE * trace[degenerate] / p)[:, None, None] * np.eye(p)
     coef = np.linalg.solve(gram, np.broadcast_to(_E1[p], gram.shape[:2] + (1,)))[..., 0]
     if unsupported.any():
         coef[unsupported] = np.nan
@@ -476,9 +480,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     equals the fit of the design with ys[j] alone bit for bit.
     """
     g = np.asarray(queries, dtype=float).ravel()
-    # min and max carry a NaN through, and NaN fails both comparisons
-    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):
-        raise ValueError("query points outside [0, 1]")
+    check_unit_interval(g, "query points outside [0, 1]")
     p = config.order + 1
     m = g.size
     shape = design.xs.shape[:-1] + (m,)
@@ -501,7 +503,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     else:
         moments, ymoments = _prefix_moments(kernel, design, xs, ys, g, h, lo, hi, p)
     supported = hi > lo
-    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p, config.ridge)
+    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p)
     return LocalFit(values=None if values is None else values.reshape(responses + shape),
                     coef=coef.reshape(shape + (p,)), supported=supported.reshape(shape),
                     degenerate=degenerate.reshape(shape), lo=lo.reshape(shape),
@@ -538,7 +540,7 @@ def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
     """Weight vector of the LP(order) fit at x0 over the design xs.
 
     Raises NoLocalSupport when no point has positive kernel weight. When the
-    local Gram matrix is near-singular the configured ridge is added and the
+    local Gram matrix is near-singular the RIDGE term is added and the
     result is flagged degenerate (its weights need not sum to one).
     """
     xs = np.asarray(xs, dtype=float)

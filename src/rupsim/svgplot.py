@@ -12,6 +12,7 @@ from typing import Sequence
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf"]
 
+WIDTH, HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 46.0
 
 
@@ -34,9 +35,8 @@ def _fmt_tick(value: float, log: bool) -> str:
 
 def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
                xlabel: str, ylabel: str, title: str = "",
-               logx: bool = False, logy: bool = False,
-               width: int = 720, height: int = 480) -> str:
-    """Render labeled (xs, ys) series as an SVG document string.
+               logx: bool = False, logy: bool = False) -> str:
+    """Render labeled (xs, ys) series as a WIDTH x HEIGHT SVG document string.
 
     Non-finite points (and nonpositive ones on log axes) are dropped from
     display. Raises ValueError when nothing is plottable.
@@ -58,8 +58,8 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -68,11 +68,11 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+               f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
+    out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13">{_esc(title)}</text>')
 
     ax_y = _MARGIN_T + plot_h
@@ -96,7 +96,7 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
         out.append(f'<text x="{_MARGIN_L - 8:.1f}" y="{py + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{_fmt_tick(ty, logy)}</text>')
 
-    out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8:.1f}" '
+    out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 8:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12">'
                f'{_esc(xlabel)}</text>')
     out.append(f'<text x="14" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '

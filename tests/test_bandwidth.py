@@ -71,8 +71,6 @@ def test_oracle_bandwidth_monotonicity_and_flattening():
 def test_oracle_bandwidth_validation():
     with pytest.raises(ValueError):
         oracle_bandwidth(100, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        oracle_bandwidth(100, 0.1, 2.0, scale_c=0.0)
 
 
 # --------------------------------------------------------------------- argmin

@@ -384,3 +384,83 @@ def test_shipped_configs_parse(tmp_path):
                  "kl_check.yaml", "estimate_tau.yaml"):
         data = load_yaml(here / name)
         assert "seed" in data
+
+
+def _one_config_error(capsys, out):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sample", "seed: 1\nbaseline: {f: sine, sigma2: .nan, n: 5}\n",
+     "baseline.sigma2: expected a finite number, got nan"),
+    ("estimate-tau", TAU_CFG.replace("sigma2: 1.0", "sigma2: .nan").replace("0.25", ".inf"),
+     "baseline.sigma2: expected a finite number, got nan"),
+    ("estimate-tau", TAU_CFG.replace("delta2: 0.25", "delta2: .inf"),
+     "rup.delta2: expected a finite number, got inf"),
+    ("mise-sweep", MISE_CFG.replace("[0.0, 0.02]", "[0.0, -.inf]"),
+     "rup.tau_grid[1]: expected a finite number, got -inf"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text, message):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out) == f"config error: {message}"
+
+
+def _estimate_from(tmp_path, *csv_texts):
+    paths = []
+    for i, text in enumerate(csv_texts):
+        path = tmp_path / f"d{i}.csv"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return write_cfg(tmp_path, yaml.safe_dump({"seed": 1, "tau_estimate": {"from_files": paths}}))
+
+
+GOOD_CSV = "x,y,bucket_id,realization_id\n0.1,0.5,0,a\n0.2,-0.5,0,a\n0.7,1.0,1,a\n0.8,0.0,1,a\n"
+
+
+def test_estimate_tau_missing_file_exits_2(tmp_path, capsys):
+    cfg = _estimate_from(tmp_path, GOOD_CSV, None)
+    out = tmp_path / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out) == (
+        f"config error: tau_estimate.from_files: {tmp_path / 'd1.csv'} not found")
+
+
+def test_estimate_tau_non_numeric_y_exits_2(tmp_path, capsys):
+    cfg = _estimate_from(tmp_path, GOOD_CSV, GOOD_CSV.replace("-0.5", "abc"))
+    out = tmp_path / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out).startswith(
+        f"config error: tau_estimate.from_files: {tmp_path / 'd1.csv'} has a non-numeric y")
+
+
+def test_estimate_tau_zero_noise_variance_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TAU_CFG.replace("sigma2: 1.0", "sigma2: 0"))
+    out = tmp_path / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out) == (
+        "config error: baseline.sigma2: the noise variance estimate is 0; "
+        "estimating tau needs it positive")
+
+
+def test_estimate_tau_one_point_per_bucket_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TAU_CFG.replace("n: 400", "n: 1").replace("b_x: 10", "b_x: 1"))
+    out = tmp_path / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out) == (
+        "config error: baseline.n: not enough points per bucket to estimate the noise variance")
+
+
+@pytest.mark.parametrize("h_grid, code", [
+    ("[1.0e-12, 0.3]", 0), ("[9.9e-13, 0.3]", 2),
+    ("{min: 1.0e-12, max: 0.3, count: 2}", 0), ("{min: 9.9e-13, max: 0.3, count: 2}", 2)])
+def test_h_grid_bandwidth_floor(tmp_path, capsys, h_grid, code):
+    cfg = write_cfg(tmp_path, MISE_CFG.replace("h_grid: [0.3]", f"h_grid: {h_grid}"))
+    out = tmp_path / "o"
+    assert main(["mise-sweep", "--config", cfg, "--out", str(out)]) == code
+    if code == 2:
+        assert _one_config_error(capsys, out).endswith("bandwidths must be at least 1e-12")

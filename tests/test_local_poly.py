@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
                     fit_predict, get_kernel, local_fit, predict_grid, sine_function,
                     sort_design, substream)
-from rupsim.local_poly import DEGENERATE_EIG, _kernel_weights
+from rupsim.local_poly import DEGENERATE_EIG, MIN_BANDWIDTH, _kernel_weights
 
 
 def brute_force_lp(xs, ys, x0, order, h, kernel):
@@ -522,3 +522,20 @@ def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
     moments = weights @ basis
     target = np.eye(order + 1)[0]
     assert np.abs(moments - target).max() <= WEIGHT_TOL * np.linalg.cond(gram)
+
+
+def test_bandwidth_floor():
+    assert LpeConfig(order=1, bandwidth=MIN_BANDWIDTH).bandwidth == 1e-12
+    with pytest.raises(ValueError, match="at least 1e-12"):
+        LpeConfig(order=1, bandwidth=np.nextafter(MIN_BANDWIDTH, 0.0))
+    with pytest.raises(ValueError, match="at least 1e-12"):
+        LpeConfig(order=1, bandwidth=2.0 ** -40)
+    # at the floor the lattice still tells 0.3 from its neighbours: the fit at
+    # each point is its own response (ridged for the three tied points)
+    xs = np.array([0.1, 0.3, 0.3, 0.3, 0.7])
+    ys = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    for kernel in KERNELS.values():
+        for order in (0, 1):
+            fit = local_fit(LpeConfig(order=order, bandwidth=MIN_BANDWIDTH, kernel=kernel),
+                            sort_design(xs, ys), [0.1, 0.3, 0.5, 0.7])
+            assert np.allclose(fit.values, [1.0, 3.0, np.nan, 5.0], rtol=1e-7, equal_nan=True)
