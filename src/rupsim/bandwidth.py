@@ -163,27 +163,41 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
     return _selection(h_grid, per_fold, "naive_cv")
 
 
-def within_bucket_noise_variance(ys, bucket_ids) -> float:
+def within_bucket_noise_variance(ys, bucket_ids):
     """Noise variance from residuals around per-bucket outcome means.
 
     Demeaning within buckets removes the shared shift (and any
     bucket-constant part of the mean), so the estimate targets sigma2 rather
     than sigma2*(1 + delta2*...). Degrees of freedom: n minus the number of
     occupied buckets.
+
+    A (D, n) stack of datasets gives D estimates, each equal bit for bit to
+    the call on its row alone. A row's sums run over its occupied buckets
+    only, in bucket order: numpy's pairwise sum groups terms by position, so
+    a zero standing in for an empty bucket could change the last bits.
     """
     ys = np.asarray(ys, dtype=float)
     bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
     if ys.shape != bucket_ids.shape:
         raise ValueError("ys and bucket_ids must have the same length")
-    counts = np.bincount(bucket_ids)
+    if bucket_ids.size and bucket_ids.min() < 0:
+        raise ValueError("bucket ids must be nonnegative")
+    rows = np.atleast_2d(ys)
+    width = int(bucket_ids.max()) + 1 if bucket_ids.size else 1
+    # one bincount per statistic: row d's buckets are offset by d * width
+    keys = (bucket_ids.reshape(rows.shape) + width * np.arange(len(rows))[:, None]).ravel()
+    size = len(rows) * width
+    counts = np.bincount(keys, minlength=size).reshape(-1, width)
+    sums = np.bincount(keys, weights=rows.ravel(), minlength=size).reshape(-1, width)
+    sumsq = np.bincount(keys, weights=(rows ** 2).ravel(), minlength=size).reshape(-1, width)
     occupied = counts > 0
-    df = int(ys.size - occupied.sum())
-    if df < 1:
+    df = rows.shape[1] - occupied.sum(axis=1)
+    if (df < 1).any():
         raise ValueError("not enough points per bucket to estimate the noise variance")
-    sums = np.bincount(bucket_ids, weights=ys)
-    sumsq = np.bincount(bucket_ids, weights=ys ** 2)
-    ss_within = float(sumsq[occupied].sum() - (sums[occupied] ** 2 / counts[occupied]).sum())
-    return ss_within / df
+    ss_within = np.array([sq[o].sum() - (s[o] ** 2 / c[o]).sum()
+                          for sq, s, c, o in zip(sumsq, sums, counts, occupied)])
+    out = ss_within / df
+    return float(out[0]) if ys.ndim == 1 else out
 
 
 def estimate_tau_from_summaries(theta, n_per: int, sigma2_hat: float) -> float:

@@ -46,6 +46,9 @@ from .streams import substream
 from .svgplot import line_chart
 
 DEFAULT_GRID_POINTS = 101
+# estimate-tau samples its realizations in stacks of at most this many points
+# (at least one realization each), which bounds the stack's working memory.
+STACK_POINTS = 2 ** 13
 
 
 # ---------------------------------------------------------------- file output
@@ -380,11 +383,15 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
                             "f; the estimate assumes centered outcomes")
         theta = np.empty(j)
         sig_parts = np.empty(j)
-        for i in range(j):
-            xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
-            ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", i))
-            theta[i] = ds.ys.mean()
-            sig_parts[i] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
+        stack = max(1, STACK_POINTS // base.n)
+        for first in range(0, j, stack):
+            last = min(first + stack, j)
+            xis = [draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
+                   for i in range(first, last)]
+            ds = sample_perturbed(spec, xis, base.n,
+                                  [substream(seed, "data", i) for i in range(first, last)])
+            theta[first:last] = ds.ys.mean(axis=1)
+            sig_parts[first:last] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
         n_per = base.n
         sigma2_hat = float(sig_parts.mean())
         source = "baseline.sigma2"
@@ -460,11 +467,16 @@ def main(argv=None) -> int:
             raise ConfigError("--threads: must be at least 1")
         cfg = load_yaml(args.config)
         root = Conf(cfg)
-        seed = args.seed if args.seed is not None else root.get_int("seed", ge=0)
+        if args.seed is None:
+            seed = root.get_int("seed", ge=0)
+        else:  # the config's seed is overridden, but it must still be valid
+            root.get_int("seed", default=None, ge=0)
+            seed = args.seed
         out_default = root.block("output", required=False).get_str("dir", default="out")
         outdir = Path(args.out if args.out is not None else out_default)
         created = _make_outdir(outdir)
         echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir)
+        warnings += [f"config key {path} was never read" for path in root.unread()]
         echo["seed"] = seed
         manifest = {
             "command": args.command,

@@ -121,13 +121,17 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
     """
     xs = np.asarray(design_xs, dtype=float)
     check_unit_interval(xs, "design points must lie in [0, 1]")
-    buckets = bucket_of(xs, spec.b_x)
     # df != 0 needs |x - x0| within the kernel's reach. bucket_of is
     # nondecreasing in x, so every point in a bucket outside [first, last]
     # lies beyond the reach and has df = 0.
     reach = construction.kernel.reach(construction.h)
     first, last = bucket_of(np.clip([construction.x0 - reach, construction.x0 + reach],
                                     0.0, 1.0), spec.b_x)
+    # A point of bucket first..last has x within [first, last + 1] / b_x; a
+    # margin of one bucket width covers the rounding of x * b_x, so the exact
+    # bucket test below sees every such point, in design order.
+    xs = xs[(xs >= (first - 1) / spec.b_x) & (xs < (last + 2) / spec.b_x)]
+    buckets = bucket_of(xs, spec.b_x)
     near = (buckets >= first) & (buckets <= last)
     df = construction.bump(xs[near])
     cov = BlockCovariance(bucket_ids=buckets[near] - first,

@@ -162,7 +162,9 @@ def _search_rows(table: np.ndarray, rows, q, side: str = "right") -> np.ndarray:
     keys r + i*table[r] form one sorted array, and a search for r + i*v
     lands after the r * n keys of the earlier rows plus the entries of row r
     that the search in that row alone would pass. Keys and queries are filled
-    part by part, so no complex arithmetic rounds them.
+    part by part, so no complex arithmetic rounds them. It serves only the
+    engine's window and lattice-cell searches; the partition sampler's bin
+    lookup bisects its rows instead (`perturbation._bisect_rows`).
     """
     count, n = table.shape
     shape = np.broadcast(rows, q).shape

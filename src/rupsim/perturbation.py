@@ -8,12 +8,18 @@ each X bucket. Both keep the covariate marginal fixed, are mean-zero across
 realizations, and carry a strength tau = delta2 * rho_bar where rho_bar is
 the average within-bucket correlation 1/B_X.
 
-Sampling cost. The Gaussian quantile comes from `scipy.special.ndtri`, so
-importing the package does not load `scipy.stats`. The truncated-normal bin
-means depend only on (sigma2, B_eps) and are computed once per pair; the
-cached array is read-only. A partition draw finds every point's noise bin in
-one binary search over the (bucket, cumulative row weight) pairs, which gives
-the same bins as a per-bucket search over each row.
+Sampling cost. `sample_perturbed` draws a stack of D datasets in one call,
+one generator per row, so its fixed cost of a few dozen numpy calls is paid
+once per stack rather than once per dataset. The partition model finds each
+point's noise bin by inversion (Devroye 1986, Non-Uniform Random Variate
+Generation, III.2): a bisection over the point's (realization, bucket) row of
+cumulative weights that takes the same ceil(log2 B_eps) halving steps for
+every point, one gathered row entry per point per step (Khuong & Morin 2017,
+"Array layouts for comparison-based searching"). Its cost per point grows
+with log B_eps alone, not with the stack's size or B_X. The Gaussian quantile
+comes from `scipy.special.ndtri`, so importing the package does not load
+`scipy.stats`. The truncated-normal bin means depend only on (sigma2, B_eps)
+and are computed once per pair; the cached array is read-only.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .baseline import BaselineConfig, Dataset, get_function
-from .local_poly import _search_rows
 
 _MAX_REDRAWS = 100
 _TINY = np.finfo(float).tiny
@@ -199,43 +204,106 @@ def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
         eps_bin_means=_cached_bin_means(spec.baseline.sigma2, spec.b_eps))
 
 
-def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int,
-                     rng: np.random.Generator, xs: np.ndarray | None = None) -> Dataset:
-    """Draw n iid pairs from the perturbed law P_xi.
+def _bisect_rows(table: np.ndarray, rows, u) -> np.ndarray:
+    """searchsorted(table[r], v, side="right") for each pair (r, v) of rows and u.
+
+    table is (R, m) with nondecreasing rows; rows holds integer row indices of
+    u's shape. A branch-free bisection keeps, per point, the start of a window
+    of its row known to hold the answer: each of the ceil(log2 m) steps halves
+    every window at once with one gathered entry per point, and the last entry
+    left decides. The steps depend on m alone, so every point takes the same.
+    """
+    m = table.shape[1]
+    flat = table.ravel()
+    start = np.broadcast_to(rows, np.shape(u)) * m
+    pos = start.copy()
+    width = m
+    while width > 1:
+        half = width // 2
+        pos += half * (flat[pos + half] <= u)
+        width -= half
+    pos += flat[pos] <= u
+    return pos - start
+
+
+def _stacked_rows(xis, row_table, buckets: np.ndarray, b_x: int):
+    """(table, rows): the realizations' per-bucket tables and each point's row.
+
+    row_table(xi) gives a realization's (B_X, ...) table. A stack that shares
+    one realization uses its table alone; otherwise the tables are stacked and
+    row d's points index the d-th block.
+    """
+    if all(x is xis[0] for x in xis):
+        return row_table(xis[0]), buckets
+    table = np.concatenate([row_table(x) for x in xis])
+    return table, buckets + b_x * np.arange(len(xis))[:, None]
+
+
+def sample_perturbed(spec: PerturbationSpec, xi, n: int, rng,
+                     xs: np.ndarray | None = None) -> Dataset:
+    """Draw n iid pairs from the perturbed law P_xi, or a stack of such datasets.
 
     X stays uniform (forced via xs for tests); the noise law is shifted
     (correlated noise) or bin-tilted (partition) according to xi.
+
+    rng is one Generator, or a sequence of D generators that draws a stack:
+    xs, ys and bucket_ids then have shape (D, n), xi is one realization for
+    every row or a sequence of D, and forced xs has shape (n,) or (D, n). Row
+    d equals the one-generator call with rng[d] and xi[d] bit for bit, since
+    each generator draws what that call draws, in the same order: the x
+    uniforms unless xs is forced, then the partition model's bin and in-bin
+    uniforms or the correlated model's noise. The stack's realization_id is
+    the one its rows share, None when they differ.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if xi.spec is not spec and xi.spec != spec:
+    stacked = not isinstance(rng, np.random.Generator)
+    rngs = list(rng) if stacked else [rng]
+    xis = [xi] * len(rngs) if isinstance(xi, PerturbationRealization) else list(xi)
+    if not rngs or len(xis) != len(rngs):
+        raise ValueError("need one or more generators and one realization per generator")
+    if any(x.spec is not spec and x.spec != spec for x in xis):
         raise ValueError("realization was drawn from a different spec")
-    if xs is None:
-        xs = rng.random(n)
+    depth = len(rngs)
+    fresh = xs is None
+    if fresh:
+        xs = np.empty((depth, n))
     else:
         xs = np.asarray(xs, dtype=float)
-        if xs.size != n:
+        if xs.shape not in ((n,), (depth, n)):
             raise ValueError("forced xs must have length n")
+        xs = np.array(np.broadcast_to(xs, (depth, n)))
     base = spec.baseline
+    partition = isinstance(spec, PartitionSpec)
+    draws = np.empty((2 if partition else 1, depth, n))
+    for d, g in enumerate(rngs):
+        if fresh:
+            g.random(out=xs[d])
+        if partition:
+            g.random(out=draws[0, d])
+            g.random(out=draws[1, d])
+        else:
+            draws[0, d] = g.normal(0.0, math.sqrt(base.sigma2), n)
     buckets = bucket_of(xs, spec.b_x)
 
-    if isinstance(spec, CorrelatedNoiseSpec):
-        eps = rng.normal(0.0, math.sqrt(base.sigma2), n)
-        ys = base.f(xs) + xi.bucket_shifts[buckets] + eps
-        return Dataset(xs=xs, ys=ys, bucket_ids=buckets,
-                       realization_id=xi.realization_id)
-
-    # Partition: pick a noise bin from the tilted row law, then sample the
-    # Gaussian restricted to that bin by inverse CDF on its probability slice.
-    b_eps = spec.b_eps
-    row_cum = np.cumsum(xi.normalized_weights / b_eps, axis=1)
-    bins = _search_rows(row_cum, buckets, rng.random(n))
-    np.clip(bins, 0, b_eps - 1, out=bins)
-    u_pos = rng.random(n)
-    slice_prob = np.clip((bins + u_pos) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)
-    eps = math.sqrt(base.sigma2) * ndtri(slice_prob)
-    ys = base.f(xs) + eps
-    return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=xi.realization_id)
+    if partition:
+        # Pick a noise bin from the tilted row law, then sample the Gaussian
+        # restricted to that bin by inverse CDF on its probability slice.
+        b_eps = spec.b_eps
+        table, rows = _stacked_rows(
+            xis, lambda x: np.cumsum(x.normalized_weights / b_eps, axis=1), buckets, spec.b_x)
+        bins = _bisect_rows(table, rows, draws[0])
+        np.clip(bins, 0, b_eps - 1, out=bins)
+        slice_prob = np.clip((bins + draws[1]) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)
+        ys = base.f(xs) + math.sqrt(base.sigma2) * ndtri(slice_prob)
+    else:
+        shifts, rows = _stacked_rows(xis, lambda x: x.bucket_shifts[None], buckets, spec.b_x)
+        ys = base.f(xs) + shifts.ravel()[rows] + draws[0]
+    ids = {x.realization_id for x in xis}
+    realization_id = ids.pop() if len(ids) == 1 else None
+    if not stacked:
+        xs, ys, buckets = xs[0], ys[0], buckets[0]
+    return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=realization_id)
 
 
 def delta_at(xi: PerturbationRealization, x) -> np.ndarray:

@@ -97,7 +97,8 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     Outer loop draws perturbation realizations, inner loop draws datasets
     conditional on each realization; every replicate has a pre-assigned
     stream, so the report depends on the seed alone. The datasets of
-    one realization are fitted in one stacked engine call. Aborts if more
+    one realization are drawn in one stacked sampler call and fitted in one
+    stacked engine call. Aborts if more
     than 1% of fits lack local support. diagnostics["ridged_fits"] counts
     the supported fits whose local Gram matrix was ridged.
     """
@@ -107,9 +108,9 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
 
     def one_realization(i: int):
         xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
-        sets = [sample_perturbed(spec, xi, base.n, substream(seed, "data", i, j))
-                for j in range(reps_data)]
-        fit = local_fit(lpe, sort_design([ds.xs for ds in sets], [ds.ys for ds in sets]), [x0])
+        stack = sample_perturbed(spec, xi, base.n,
+                                 [substream(seed, "data", i, j) for j in range(reps_data)])
+        fit = local_fit(lpe, sort_design(stack.xs, stack.ys), [x0])
         return fit.values[:, 0], int((fit.degenerate & fit.supported).sum())
 
     rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi)))

@@ -234,3 +234,23 @@ def test_within_bucket_noise_variance_removes_shift():
     naive = float(np.var(ds.ys, ddof=1))
     assert abs(est - 2.0) <= 0.15
     assert naive > est  # the raw variance is inflated by the shifts
+
+
+def test_stacked_within_bucket_noise_variance_equals_row_calls():
+    rng = substream(12, "stack")
+    for trial in range(300):
+        depth, b_x = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        n = b_x + int(rng.integers(1, 200))
+        ys = rng.normal(size=(depth, n)) * 10.0 ** rng.uniform(-3, 3)
+        ids = rng.integers(0, b_x, size=(depth, n))
+        if trial % 2:  # empty buckets, in the middle of a row and at its end
+            ids[0][ids[0] == b_x // 2] = 0
+            ids[-1][ids[-1] == b_x - 1] = 0
+        rows = [within_bucket_noise_variance(y, b) for y, b in zip(ys, ids)]
+        stacked = within_bucket_noise_variance(ys, ids)
+        assert stacked.shape == (depth,)
+        assert np.array_equal(stacked, rows)
+    with pytest.raises(ValueError, match="not enough points"):
+        within_bucket_noise_variance(np.zeros((2, 3)), np.array([[0, 0, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        within_bucket_noise_variance(np.zeros((2, 3)), np.array([[0, 0, 1], [0, -1, 1]]))

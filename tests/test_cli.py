@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
-from rupsim import cli, load_realization
+from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec, WeightLaw, cli,
+                    draw_perturbation, estimate_tau_from_summaries, load_realization,
+                    sample_perturbed, substream, within_bucket_noise_variance, zero_function)
 from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
 from rupsim.config import dump_config, load_yaml
 
@@ -340,6 +342,42 @@ def test_estimate_tau_simulated(tmp_path):
     assert abs(n_eff * (1.0 + n_per * tau_hat) - n_per) <= 1e-12 * n_per
     assert float(row["h_star"]) > 0
     assert int(row["j"]) == 40
+
+
+def _per_realization_tau_report(spec, n, j, seed):
+    """tau_report.csv's numbers from one sample_perturbed call per realization."""
+    theta, sig = np.empty(j), np.empty(j)
+    for i in range(j):
+        xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
+        ds = sample_perturbed(spec, xi, n, substream(seed, "data", i))
+        theta[i] = ds.ys.mean()
+        sig[i] = within_bucket_noise_variance(ds.ys, ds.bucket_ids)
+    sigma2_hat = float(sig.mean())
+    return {"sigma2_hat": sigma2_hat, "theta_var": float(np.var(theta, ddof=1)),
+            "tau_hat": estimate_tau_from_summaries(theta, n, sigma2_hat)}
+
+
+@pytest.mark.parametrize("model", ["partition", "correlated_noise"])
+def test_estimate_tau_stacks_equal_per_realization_results(tmp_path, model):
+    n = 2000
+    stack = cli.STACK_POINTS // n
+    assert stack >= 2
+    base = BaselineConfig(f=zero_function(), sigma2=1.0, n=n)
+    if model == "partition":
+        rup = "{model: partition, b_x: 10, b_eps: 50}"
+        spec = PartitionSpec(b_x=10, b_eps=50, weight_law=WeightLaw.exponential(), baseline=base)
+    else:
+        rup = "{model: correlated_noise, b_x: 10, delta2: 0.25}"
+        spec = CorrelatedNoiseSpec(b_x=10, delta2=0.25, baseline=base)
+    for j in (stack - 1, stack, 2 * stack + 1):
+        cfg = write_cfg(tmp_path, f"seed: 61\nbaseline: {{f: zero, sigma2: 1.0, n: {n}}}\n"
+                                  f"rup: {rup}\nmc: {{j: {j}}}\n")
+        out = tmp_path / f"o{j}"
+        assert main(["estimate-tau", "--config", cfg, "--out", str(out), "--strict"]) == 0
+        row = read_rows(out / "tau_report.csv")[0]
+        assert int(row["j"]) == j
+        expected = _per_realization_tau_report(spec, n, j, 61)
+        assert {k: float(row[k]) for k in expected} == expected
 
 
 def test_estimate_tau_from_files(tmp_path):

@@ -30,6 +30,9 @@ GETTER_MESSAGES = [
     ("get_float", {"ge": 0.0}, math.nan, "blk.k: expected a finite number, got nan"),
     ("get_float", {}, math.inf, "blk.k: expected a finite number, got inf"),
     ("get_float", {"gt": 0.0}, -math.inf, "blk.k: expected a finite number, got -inf"),
+    ("get_float", {"gt": 0.0}, "1e-17", "blk.k: expected number, got '1e-17' (YAML 1.1 "
+     "reads a number without a dot as a string; write 1.0e-17)"),
+    ("get_float", {}, "nan", "blk.k: expected number, got 'nan'"),
     ("get_str", {}, MISSING, "blk.k: required field is missing"),
     ("get_str", {"choices": ("b", "a")}, 3, "blk.k: expected string, got 3"),
     ("get_str", {"choices": ("b", "a")}, "c", "blk.k: expected one of ['a', 'b'], got 'c'"),
@@ -41,6 +44,8 @@ GETTER_MESSAGES = [
     ("get_float_list", {"ge": 0.0}, [1.0, "x"], "blk.k[1]: expected number, got 'x'"),
     ("get_float_list", {"ge": 0.0}, [-2], "blk.k[0]: expected >= 0.0, got -2.0"),
     ("get_float_list", {}, [0.5, math.nan], "blk.k[1]: expected a finite number, got nan"),
+    ("get_float_list", {}, [0.5, "2.5E3"], "blk.k[1]: expected number, got '2.5E3' (YAML 1.1 "
+     "reads a number without a dot as a string; write 2.5E+3)"),
     ("get_int_list", {"ge": 1}, MISSING, "blk.k: required field is missing"),
     ("get_int_list", {"ge": 1}, [], "blk.k: expected a list of at least 1 integer(s), got []"),
     ("get_int_list", {"ge": 1}, [1, 2.0], "blk.k[1]: expected int, got 2.0"),
@@ -87,6 +92,51 @@ def test_block_messages_and_empty_optional_block():
     assert empty.get_float("x", default=1.5) == 1.5
     with pytest.raises(ConfigError, match=r"^c\.x: required field is missing$"):
         empty.get_float("x")
+
+
+@pytest.mark.parametrize("text", ["1e-17", "5E3", "-2e+4", "1.5e3", ".5e3", "+12e0"])
+def test_suggested_spelling_is_read_by_yaml_as_the_same_float(text):
+    assert isinstance(yaml.safe_load(f"k: {text}")["k"], str)
+    with pytest.raises(ConfigError) as info:
+        Conf({"k": text}).get_float("k")
+    suggested = str(info.value).rsplit("write ", 1)[1].rstrip(")")
+    assert yaml.safe_load(f"k: {suggested}")["k"] == float(text)
+
+
+def test_unread_lists_keys_no_getter_read_in_file_order():
+    root = Conf({"seed": 1, "rup": {"model": "x", "detla2": 9.0, "w": {"kind": "exp"}},
+                 "extra": {"a": 1}, "lpe": {"order": 1}})
+    root.get_int("seed")
+    rup = root.block("rup")
+    rup.get_str("model")
+    rup.block("w", required=False)
+    root.block("absent", required=False).get_int("k", default=0)
+    assert root.unread() == ["rup.detla2", "rup.w.kind", "extra", "lpe"]
+    root.block("lpe").get_int("order")
+    rup.block("w").get_str("kind")
+    assert root.unread() == ["rup.detla2", "extra"]
+
+
+def test_misspelled_key_warns_and_strict_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("seed: 1\nbaseline: {f: sine, sigma2: 1.0, n: 5}\n"
+                   "rup: {model: correlated_noise, b_x: 4, delta2: 0.25, detla2: 9.0}\n"
+                   "eval: {grid_pionts: 5}\n", encoding="utf-8")
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: config key rup.detla2 was never read",
+                   "warning: config key eval was never read"]
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "b"), "--strict"]) == 3
+
+
+def test_seed_override_reads_the_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("seed: 1\nbaseline: {f: sine, sigma2: 1.0, n: 5}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--out", str(out), "--seed", "4", "--strict"]) == 0
+    cfg.write_text("seed: -1\nbaseline: {f: sine, sigma2: 1.0, n: 5}\n", encoding="utf-8")
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "p"), "--seed", "4"]) == 2
+    assert capsys.readouterr().err.strip() == "config error: seed: expected int >= 0, got -1"
 
 
 # ------------------------------------------------------------- config fuzzer
@@ -168,3 +218,16 @@ def test_mutated_configs_end_in_a_documented_exit(case, mutation):
             assert lines[0].startswith("config error: " if code == 2 else "numeric dead end: ")
         else:
             assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(_configs(Path("."))))
+def test_valid_configs_read_every_key(name, tmp_path):
+    for csv_name in ("a.csv", "b.csv"):
+        (tmp_path / csv_name).write_text(DATASET, encoding="utf-8")
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(_configs(tmp_path)[name]), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([name.split()[0], "--config", str(tmp_path / "run.yaml"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "never read" not in err.getvalue()

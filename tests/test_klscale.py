@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from rupsim import (EPANECHNIKOV, SMOOTH_BUMP, TRIANGULAR, UNIFORM, BaselineConfig,
@@ -46,6 +48,21 @@ def test_precision_against_dense_inverse_on_random_blocks():
         # round trip through the forward operator
         assert np.abs(block_covariance_apply(cov, fast) - v).max() <= 1e-10
         assert np.abs(dense @ fast - v).max() <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(st.sampled_from([0, 1, 3, 4, 9, 30]), min_size=1, max_size=40),
+       sigma2=st.floats(0.05, 20.0), delta2=st.just(0.0) | st.floats(0.0, 50.0),
+       seed=st.integers(0, 2 ** 32))
+def test_precision_equals_dense_inverse_on_random_layouts(ids, sigma2, delta2, seed):
+    # bucket ids with gaps (2, 5-8, 10-29 never occur) and delta2 = 0 included
+    cov = BlockCovariance(bucket_ids=np.array(ids), sigma2=sigma2, delta2=delta2)
+    inverse = np.linalg.inv(cov.dense())
+    v = substream(seed, "v").normal(size=len(ids))
+    fast = block_precision_apply(cov, v)
+    assert np.allclose(fast, inverse @ v, rtol=1e-9, atol=1e-12 * np.abs(inverse).max())
+    columns = np.column_stack([block_precision_apply(cov, e) for e in np.eye(len(ids))])
+    assert np.allclose(columns, inverse, rtol=1e-9, atol=1e-12 * np.abs(inverse).max())
 
 
 def test_conditional_kl_zero_when_bump_misses_design():

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -6,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import rupsim
 from rupsim.local_poly import _search_rows as _noise_bins
+from rupsim.perturbation import _bisect_rows
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, WeightLaw, bucket_of, delta_at,
@@ -349,6 +351,28 @@ def test_one_call_bin_lookup_equals_per_row_search(case):
     assert np.array_equal(_noise_bins(row_cum, buckets, u), _per_row_bins(row_cum, buckets, u))
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=bin_lookups())
+@example(case=(np.array([[0.5, 1.0]]), np.array([0, 0, 0, 0]), np.array([0.0, 0.5, 0.75, 1.0])))
+@example(case=(np.array([[0.25, 0.25, np.nextafter(1.0, 0.0)], [0.0, 0.5, np.nextafter(1.0, 2.0)]]),
+               np.array([0, 0, 0, 1, 1, 1, 1]),
+               np.array([0.25, np.nextafter(1.0, 0.0), 0.999, 0.0, 0.5, np.nextafter(1.0, 0.0),
+                         np.nextafter(0.5, 0.0)])))
+def test_bisection_bin_lookup_equals_per_row_search(case):
+    row_cum, buckets, u = case
+    assert np.array_equal(_bisect_rows(row_cum, buckets, u), _per_row_bins(row_cum, buckets, u))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 50, 1000])
+def test_bisection_counts_entries_at_or_below_every_query(m):
+    # rows with long runs of ties, and queries at, between and beyond the entries
+    rng = substream(19, "ties", m)
+    table = np.sort(rng.integers(0, 4, size=(3, m)), axis=1) / 4.0
+    u = np.repeat(np.arange(-1, 6) / 4.0, 3) - np.tile([np.finfo(float).eps, 0.0, -0.0], 7)
+    rows = np.arange(u.size) % 3
+    assert np.array_equal(_bisect_rows(table, rows, u), _per_row_bins(table, rows, u))
+
+
 def _seed_partition_sample(spec, xi, n, rng, xs=None):
     """The partition branch of sample_perturbed before the one-call bin lookup:
     one searchsorted per occupied bucket and scipy.stats for the quantile."""
@@ -417,3 +441,114 @@ def test_spec_validation():
     xi = draw_perturbation(spec, substream(16, "v"))
     with pytest.raises(ValueError):
         sample_perturbed(spec, xi, 0, substream(16, "d"))
+
+
+def _stack_case(model, b_x, b_eps):
+    base = BaselineConfig(f=sine_function(), sigma2=0.7, n=100)
+    if model == "partition":
+        return PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=WeightLaw.exponential(),
+                             baseline=base)
+    return CorrelatedNoiseSpec(b_x=b_x, delta2=0.3, baseline=base)
+
+
+@pytest.mark.parametrize("b_x", [1, 3, 10, 50, 2000])
+@pytest.mark.parametrize("model, b_eps", [("partition", 2), ("partition", 7), ("partition", 50),
+                                          ("partition", 1000), ("correlated_noise", None)])
+def test_stacked_rows_equal_one_generator_calls(model, b_x, b_eps):
+    spec = _stack_case(model, b_x, b_eps)
+    xis = [draw_perturbation(spec, substream(20, "xi", b_x, d), realization_id=f"xi{d}")
+           for d in range(3)]
+    forced = np.concatenate(([0.0, 1.0], np.arange(b_x + 1)[:40] / b_x,
+                             substream(20, "xs").random(30)))
+    for n, xs in ((1, None), (257, None), (forced.size, forced),
+                  (forced.size, np.stack([forced, forced[::-1], np.sort(forced)]))):
+        for shared in (True, False):
+            stack = sample_perturbed(spec, xis[0] if shared else xis, n,
+                                     [substream(20, "d", d) for d in range(3)], xs=xs)
+            assert stack.xs.shape == stack.ys.shape == stack.bucket_ids.shape == (3, n)
+            assert stack.realization_id == ("xi0" if shared else None)
+            for d in range(3):
+                row_xs = None if xs is None else np.broadcast_to(xs, (3, n))[d]
+                one = sample_perturbed(spec, xis[0 if shared else d], n, substream(20, "d", d),
+                                       xs=row_xs)
+                assert np.array_equal(stack.xs[d], one.xs)
+                assert np.array_equal(stack.ys[d], one.ys)
+                assert np.array_equal(stack.bucket_ids[d], one.bucket_ids)
+
+
+def test_generators_draw_what_the_one_call_draws():
+    # partition: x, bin and in-bin uniforms as one random((3, n)) block, or
+    # random((2, n)) with forced x; correlated noise: random(n), then normal(0, s, n)
+    spec = _stack_case("partition", 4, 5)
+    xi = draw_perturbation(spec, substream(21, "xi"))
+    n = 9
+    for xs, rows in ((None, 3), (np.linspace(0.0, 1.0, n), 2)):
+        rng = substream(21, "d")
+        sample_perturbed(spec, xi, n, rng, xs=xs)
+        ref = substream(21, "d")
+        ref.random((rows, n))
+        assert rng.random() == ref.random()
+    spec = _stack_case("correlated_noise", 4, None)
+    xi = draw_perturbation(spec, substream(21, "xi"))
+    rng = substream(21, "d")
+    ds = sample_perturbed(spec, xi, n, rng)
+    ref = substream(21, "d")
+    assert np.array_equal(ds.xs, ref.random(n))
+    assert np.array_equal(ds.ys, spec.baseline.f(ds.xs) + delta_at(xi, ds.xs)
+                          + ref.normal(0.0, math.sqrt(spec.baseline.sigma2), n))
+    assert rng.random() == ref.random()
+
+
+def test_stack_validation():
+    spec = _stack_case("partition", 4, 5)
+    xi = draw_perturbation(spec, substream(22, "xi"))
+    other = draw_perturbation(_stack_case("partition", 4, 6), substream(22, "xi"))
+    rngs = [substream(22, "d", d) for d in range(2)]
+    with pytest.raises(ValueError, match="one realization per generator"):
+        sample_perturbed(spec, [xi], 5, rngs)
+    with pytest.raises(ValueError, match="one realization per generator"):
+        sample_perturbed(spec, xi, 5, [])
+    with pytest.raises(ValueError, match="different spec"):
+        sample_perturbed(spec, [xi, other], 5, rngs)
+    with pytest.raises(ValueError, match="forced xs"):
+        sample_perturbed(spec, xi, 5, rngs, xs=np.full((3, 5), 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(b_x=st.integers(1, 5000), k=st.integers(0, 5000))
+def test_bucket_of_at_edges_and_right_end(b_x, k):
+    assume(k <= b_x)
+    edge = k / b_x
+    below, above = np.nextafter(edge, -1.0), np.nextafter(edge, 2.0)
+    xs = np.array([x for x in (below, edge, above) if 0.0 <= x <= 1.0])
+    ids = bucket_of(xs, b_x)
+    assert np.all((ids >= 0) & (ids < b_x)) and np.all(np.diff(ids) >= 0)
+    # the edge lands in bucket k, or in k - 1 when k / b_x rounds below the edge
+    assert bucket_of(edge, b_x) in (min(k, b_x - 1), k - 1)
+    assert bucket_of(1.0, b_x) == b_x - 1 and bucket_of(0.0, b_x) == 0
+    if k < b_x:
+        assert bucket_of((k + 0.5) / b_x, b_x) == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["partition", "correlated_noise"]), b_x=st.integers(1, 40),
+       b_eps=st.integers(2, 60), ratio=st.sampled_from([None, 0.3, 2.5]),
+       delta2=st.sampled_from([0.0, 1e-300, 0.37, 4.0]), seed=st.integers(0, 2 ** 32))
+def test_replay_json_round_trip_rebuilds_arrays_and_samples(model, b_x, b_eps, ratio,
+                                                           delta2, seed):
+    base = BaselineConfig(f=sine_function(beta=1.5), sigma2=0.8, n=64)
+    if model == "partition":
+        law = WeightLaw.exponential() if ratio is None else WeightLaw.lognormal_with_ratio(ratio)
+        spec = PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=law, baseline=base)
+    else:
+        spec = CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=base)
+    xi = draw_perturbation(spec, substream(seed, "xi"), realization_id="xi00007")
+    doc = realization_to_json(xi)
+    back = realization_from_json(json.loads(json.dumps(doc)))
+    assert realization_to_json(back) == doc
+    for name in ("partition_weights", "row_normalizers", "eps_bin_means", "bucket_shifts"):
+        a, b = getattr(xi, name), getattr(back, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    ds = sample_perturbed(spec, xi, 64, substream(seed, "data"))
+    replayed = sample_perturbed(back.spec, back, 64, substream(seed, "data"))
+    assert np.array_equal(ds.xs, replayed.xs) and np.array_equal(ds.ys, replayed.ys)
