@@ -15,7 +15,8 @@ from rupsim.config import Conf, ConfigError
 
 MISSING = object()
 
-# (getter, keyword arguments, value at blk.k, exact message)
+# (getter, keyword arguments, value at blk.k, exact message); append new rows at the
+# end, since each test id carries its row's index
 GETTER_MESSAGES = [
     ("get_int", {"ge": 1}, MISSING, "blk.k: required field is missing"),
     ("get_int", {"ge": 1}, "ten", "blk.k: expected int, got 'ten'"),
@@ -30,9 +31,6 @@ GETTER_MESSAGES = [
     ("get_float", {"ge": 0.0}, math.nan, "blk.k: expected a finite number, got nan"),
     ("get_float", {}, math.inf, "blk.k: expected a finite number, got inf"),
     ("get_float", {"gt": 0.0}, -math.inf, "blk.k: expected a finite number, got -inf"),
-    ("get_float", {"gt": 0.0}, "1e-17", "blk.k: expected number, got '1e-17' (YAML 1.1 "
-     "reads a number without a dot as a string; write 1.0e-17)"),
-    ("get_float", {}, "nan", "blk.k: expected number, got 'nan'"),
     ("get_str", {}, MISSING, "blk.k: required field is missing"),
     ("get_str", {"choices": ("b", "a")}, 3, "blk.k: expected string, got 3"),
     ("get_str", {"choices": ("b", "a")}, "c", "blk.k: expected one of ['a', 'b'], got 'c'"),
@@ -44,8 +42,6 @@ GETTER_MESSAGES = [
     ("get_float_list", {"ge": 0.0}, [1.0, "x"], "blk.k[1]: expected number, got 'x'"),
     ("get_float_list", {"ge": 0.0}, [-2], "blk.k[0]: expected >= 0.0, got -2.0"),
     ("get_float_list", {}, [0.5, math.nan], "blk.k[1]: expected a finite number, got nan"),
-    ("get_float_list", {}, [0.5, "2.5E3"], "blk.k[1]: expected number, got '2.5E3' (YAML 1.1 "
-     "reads a number without a dot as a string; write 2.5E+3)"),
     ("get_int_list", {"ge": 1}, MISSING, "blk.k: required field is missing"),
     ("get_int_list", {"ge": 1}, [], "blk.k: expected a list of at least 1 integer(s), got []"),
     ("get_int_list", {"ge": 1}, [1, 2.0], "blk.k[1]: expected int, got 2.0"),
@@ -57,6 +53,11 @@ GETTER_MESSAGES = [
      "blk.k: expected a list of at least 2 string(s), got ['a']"),
     ("get_str_list", {}, "a", "blk.k: expected a list of at least 1 string(s), got 'a'"),
     ("get_str_list", {}, ["a", 1], "blk.k[1]: expected string, got 1"),
+    ("get_float", {"gt": 0.0}, "1e-17", "blk.k: expected number, got '1e-17' (YAML 1.1 "
+     "reads a number without a dot as a string; write 1.0e-17)"),
+    ("get_float", {}, "nan", "blk.k: expected number, got 'nan'"),
+    ("get_float_list", {}, [0.5, "2.5E3"], "blk.k[1]: expected number, got '2.5E3' (YAML 1.1 "
+     "reads a number without a dot as a string; write 2.5E+3)"),
 ]
 
 
