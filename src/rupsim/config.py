@@ -177,8 +177,3 @@ class Conf:
 
     def get_str_list(self, key: str, default=_REQUIRED, min_len: int = 1) -> list[str]:
         return self._get_list(key, default, "string", min_len)
-
-
-def dump_config(data: dict) -> str:
-    """Canonical serialization; parse -> dump -> parse is idempotent."""
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)

@@ -77,10 +77,6 @@ class BlockCovariance:
         object.__setattr__(self, "bucket_ids", ids)
         object.__setattr__(self, "_n_buckets", int(ids.max()) + 1 if ids.size else 0)
 
-    @property
-    def bucket_counts(self) -> np.ndarray:
-        return np.bincount(self.bucket_ids, minlength=self._n_buckets)
-
     def dense(self) -> np.ndarray:
         """Materialized covariance; oracle-test use only (O(n^2) memory)."""
         same = self.bucket_ids[:, None] == self.bucket_ids[None, :]

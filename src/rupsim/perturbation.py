@@ -17,9 +17,13 @@ cumulative weights that takes the same ceil(log2 B_eps) halving steps for
 every point, one gathered row entry per point per step (Khuong & Morin 2017,
 "Array layouts for comparison-based searching"). Its cost per point grows
 with log B_eps alone, not with the stack's size or B_X. The Gaussian quantile
-comes from `scipy.special.ndtri`, so importing the package does not load
-`scipy.stats`. The truncated-normal bin means depend only on (sigma2, B_eps)
-and are computed once per pair; the cached array is read-only.
+is `_ndtri`, a numpy port of Cephes ndtri (Moshier 1989, Methods and Programs
+for Mathematical Functions), the routine behind `scipy.special.ndtri`, so the
+package needs no scipy at run time. It gives scipy's bits for
+exp(-2) < p <= 1 - exp(-2) and agrees within 8 ulp in the tails, where
+numpy's vectorised log may round differently from libm's. The
+truncated-normal bin means depend only on (sigma2, B_eps) and are computed
+once per pair; the cached array is read-only.
 """
 
 from __future__ import annotations
@@ -31,12 +35,108 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .baseline import BaselineConfig, Dataset, get_function
 
 _MAX_REDRAWS = 100
 _TINY = np.finfo(float).tiny
+
+# Cephes ndtri (Moshier 1989), as scipy.special.ndtri evaluates it. The
+# central rational approximation in (p - 1/2)^2 covers exp(-2) < p <= 1 - exp(-2);
+# the tails are rational in z = 1/x, x = sqrt(-2 log y), y = min(p, 1 - p),
+# with (P1, Q1) for x < 8 and (P2, Q2) beyond. Each Q starts with the leading
+# 1 that Cephes' p1evl implies; 1 * x is exact, so _polevl gives p1evl's bits.
+_S2PI = 2.50662827463100050242
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# Points per pass: the buffers stay in cache, and an estimate-tau stack of
+# at most 2**13 points is one pass.
+_NDTRI_CHUNK = 8192
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """Cephes polevl: Horner's rule from the leading coefficient, into out."""
+    np.multiply(x, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= x
+    out += coef[-1]
+    return out
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile of p in [0, 1]: -inf at 0, +inf at 1.
+
+    A port of Cephes ndtri with its branches, coefficients and operation
+    order. Central inputs give scipy.special.ndtri's bits. In the tails a
+    one-ulp difference in log(y) can move x = sqrt(-2 log y) by one ulp of
+    x, up to two ulp of the result, before the later roundings; the tests
+    allow 8 ulp against scipy.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    out = np.empty_like(flat)
+    width = min(flat.size, _NDTRI_CHUNK)
+    y, y2, den = np.empty((3, width))
+    for lo in range(0, flat.size, _NDTRI_CHUNK):
+        pc = flat[lo:lo + _NDTRI_CHUNK]
+        oc = out[lo:lo + _NDTRI_CHUNK]
+        m = pc.size
+        # the central branch on the whole chunk; the tails overwrite their points
+        np.subtract(pc, 0.5, out=y[:m])
+        np.multiply(y[:m], y[:m], out=y2[:m])
+        _polevl(y2[:m], _NDTRI_P0, oc)
+        oc *= y2[:m]
+        oc /= _polevl(y2[:m], _NDTRI_Q0, den[:m])
+        oc *= y[:m]
+        oc += y[:m]
+        oc *= _S2PI
+        tail = np.flatnonzero((pc <= _EXP_M2) | (pc > 1.0 - _EXP_M2))
+        if tail.size:
+            oc[tail] = _ndtri_tail(pc.take(tail))
+    return out.reshape(p.shape)
+
+
+def _ndtri_tail(p: np.ndarray) -> np.ndarray:
+    """_ndtri for p <= exp(-2) or p > 1 - exp(-2)."""
+    y = np.minimum(p, 1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 gives inf below
+        x = np.sqrt(-2.0 * np.log(y))
+        x0 = x - np.log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _NDTRI_P1, np.empty_like(z)) / _polevl(z, _NDTRI_Q1, np.empty_like(z))
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _NDTRI_P2, np.empty_like(zf)) / _polevl(
+            zf, _NDTRI_Q2, np.empty_like(zf))
+    x0 -= x1
+    x0[y == 0.0] = np.inf
+    return np.copysign(x0, p - 0.5, out=x0)
 
 
 def bucket_of(xs, b_x: int) -> np.ndarray:
@@ -167,7 +267,7 @@ def _cached_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
     """gaussian_bin_means, computed once per (sigma2, b_eps) and read-only."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    edges = ndtri(np.arange(b_eps + 1) / b_eps)
+    edges = _ndtri(np.arange(b_eps + 1) / b_eps)
     pdf = np.exp(-0.5 * edges ** 2) / math.sqrt(2.0 * math.pi)
     pdf[0] = 0.0
     pdf[-1] = 0.0
@@ -295,7 +395,7 @@ def sample_perturbed(spec: PerturbationSpec, xi, n: int, rng,
         bins = _bisect_rows(table, rows, draws[0])
         np.clip(bins, 0, b_eps - 1, out=bins)
         slice_prob = np.clip((bins + draws[1]) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)
-        ys = base.f(xs) + math.sqrt(base.sigma2) * ndtri(slice_prob)
+        ys = base.f(xs) + math.sqrt(base.sigma2) * _ndtri(slice_prob)
     else:
         shifts, rows = _stacked_rows(xis, lambda x: x.bucket_shifts[None], buckets, spec.b_x)
         ys = base.f(xs) + shifts.ravel()[rows] + draws[0]

@@ -13,6 +13,9 @@ import zlib
 from typing import Callable, TypeVar
 
 import numpy as np
+# numpy loads numpy.random lazily, on first use; importing it here keeps that
+# cost in the package's start-up rather than in the first draw of a run.
+from numpy.random import SeedSequence, default_rng
 
 T = TypeVar("T")
 
@@ -35,7 +38,7 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     key = tuple(_key(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return default_rng(SeedSequence(seed, spawn_key=key))
 
 
 def map_indexed(fn: Callable[[int], T], count: int) -> list[T]:

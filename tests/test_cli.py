@@ -1,5 +1,9 @@
 import csv
 import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec, WeightLa
                     draw_perturbation, estimate_tau_from_summaries, load_realization,
                     sample_perturbed, substream, within_bucket_noise_variance, zero_function)
 from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
-from rupsim.config import dump_config, load_yaml
+from rupsim.config import load_yaml
 
 SAMPLE_CFG = """
 seed: 7
@@ -407,6 +411,11 @@ def test_manifest_checksums_match_files(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def dump_config(data: dict) -> str:
+    """Canonical serialization; parse -> dump -> parse is idempotent."""
+    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+
+
 def test_config_round_trip_idempotent(tmp_path):
     cfg_path = write_cfg(tmp_path, MISE_CFG)
     first = load_yaml(cfg_path)
@@ -502,3 +511,29 @@ def test_h_grid_bandwidth_floor(tmp_path, capsys, h_grid, code):
     assert main(["mise-sweep", "--config", cfg, "--out", str(out)]) == code
     if code == 2:
         assert _one_config_error(capsys, out).endswith("bandwidths must be at least 1e-12")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_run_keeps_freed_heap_instead_of_faulting_it_back_in():
+    # a fresh interpreter, so no earlier import has moved glibc's dynamic thresholds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import resource
+import numpy as np
+from rupsim.cli import _keep_freed_heap
+_keep_freed_heap()
+def churn():  # three 320 KB temporaries alive at once, then freed
+    return len([np.ones(40_000) for _ in range(3)])
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # trimmed and faulted back in after every round, they take about 12k faults
+    assert int(proc.stdout) < 1000

@@ -199,6 +199,6 @@ def test_block_covariance_validation():
     with pytest.raises(ValueError):
         BlockCovariance(bucket_ids=np.array([0, 1]), sigma2=1.0, delta2=-0.1)
     cov = BlockCovariance(bucket_ids=np.array([0, 0, 2]), sigma2=1.0, delta2=0.1)
-    assert np.array_equal(cov.bucket_counts, [2, 0, 1])
+    assert np.array_equal(np.bincount(cov.bucket_ids, minlength=3), [2, 0, 1])
     with pytest.raises(ValueError):
         block_precision_apply(cov, np.ones(4))

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import rupsim
 from rupsim.local_poly import _search_rows as _noise_bins
-from rupsim.perturbation import _bisect_rows
+from rupsim.perturbation import _bisect_rows, _ndtri
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, WeightLaw, bucket_of, delta_at,
@@ -409,6 +409,59 @@ def test_partition_sampling_is_bit_identical_to_per_bucket_loop(b_x):
                 assert np.array_equal(ds.xs, ref_xs)
                 assert np.array_equal(ds.ys, ref_ys)
                 assert np.array_equal(ds.bucket_ids, ref_buckets)
+
+
+_NDTRI_TAIL_ULP = 8
+
+
+def _assert_ndtri_matches_scipy(p):
+    """scipy's bits for exp(-2) < p <= 1 - exp(-2); elsewhere within _NDTRI_TAIL_ULP ulp."""
+    p = np.asarray(p, dtype=float)
+    got, want = _ndtri(p), special.ndtri(p)
+    assert got.shape == p.shape
+    central = (p > math.exp(-2.0)) & (p <= 1.0 - math.exp(-2.0))
+    assert np.array_equal(got[central], want[central])
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite]) / np.spacing(np.abs(want[finite]))
+    assert err.max(initial=0.0) <= _NDTRI_TAIL_ULP
+
+
+def test_ndtri_port_matches_scipy_on_bin_edges_uniforms_and_tails():
+    _assert_ndtri_matches_scipy(np.concatenate([np.arange(b + 1) / b for b in range(1, 2001)]))
+    u = substream(20, "ndtri").random(1_000_000)
+    _assert_ndtri_matches_scipy(np.clip(u, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg))
+    lower = np.logspace(-300.0, math.log10(math.exp(-2.0)), 20_000)
+    upper = 1.0 - np.logspace(-53.0 * math.log10(2.0), math.log10(math.exp(-2.0)), 20_000)
+    _assert_ndtri_matches_scipy(np.concatenate([lower, upper, [1.0 - 2.0 ** -53]]))
+    assert np.array_equal(_ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
+
+
+def test_ndtri_port_keeps_shape_and_is_elementwise_across_chunks():
+    # central and tail points alternate, so every chunk edge meets both branches
+    p = np.where(np.arange(8193) % 2, 0.5, 1e-3) + substream(21, "ndtri").random(8193) * 1e-3
+    one_by_one = np.array([_ndtri(p[i:i + 1])[0] for i in range(p.size)])
+    for size in (1, 8191, 8192, 8193):
+        assert np.array_equal(_ndtri(p[:size]), one_by_one[:size])
+    stack = p[:8190].reshape(3, 2730)
+    assert np.array_equal(_ndtri(stack), one_by_one[:8190].reshape(3, 2730))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.floats(np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg),
+                  min_size=1, max_size=20))
+def test_ndtri_port_matches_scipy_on_any_probability(p):
+    _assert_ndtri_matches_scipy(p)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(rupsim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rupsim, rupsim.cli; "
+            "sys.exit(' '.join(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_does_not_load_scipy_stats():
