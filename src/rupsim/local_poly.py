@@ -16,7 +16,7 @@ widen to k groups, each computed with the arithmetic of a one-response fit.
 Piecewise-polynomial kernels get their moments from
 prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
 Engel & Gasser 1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and
-centred on every cell of a dyadic lattice of width w = 2^-k, w <= h/2 < 2w,
+centred on every cell of a dyadic lattice of width w = 2^-k, w/2 <= h < w,
 so the sums do not cancel. The lattice depends on h only through its level:
 a SortedDesign keeps the last one built, and every bandwidth of that level
 reuses it, so a sweep over an h grid builds one lattice per level, not per
@@ -44,16 +44,17 @@ from .kernels import EPANECHNIKOV, Kernel
 DEGENERATE_EIG = 1e-10
 RIDGE = 1e-8
 
-# Smallest bandwidth a fit accepts. From about 2^-52 down, the lattice cell
-# index floor(x * 2^level) exceeds 2^53 and distinct cells merge; this floor
-# keeps a wide margin above that.
+# Smallest bandwidth a fit accepts. The lattice level of h is -frexp(h)[1]
+# (h = 1 gets level -1, w = 2); below h = 2^-53 the level reaches 53, the cell
+# index floor(x * 2^level) of x near 1 reaches 2^53 and distinct cells merge.
+# This floor, at level 39 (cell ids below 2^39), keeps a wide margin.
 MIN_BANDWIDTH = 1e-12
 
 # Prefix sums are restarted on dyadic lattice cells of width w = 2^-level,
-# w <= h/2 < 2w. A window of half-width h < 4w around a point of cell l lies
-# within the cells l - 4 .. l + 4, and within l - 5 .. l + 5 with one cell of
-# margin for rounding. _NEAR_CELLS lists them, then l + 6, which bounds the last.
-_NEAR_CELLS = np.arange(-5.0, 7.0)[:, None]
+# w/2 <= h < w. A window of half-width h < w around a point of cell l lies
+# within the cells l - 1 .. l + 1, and within l - 2 .. l + 2 with one cell of
+# margin for rounding. _NEAR_CELLS lists them, then l + 3, which bounds the last.
+_NEAR_CELLS = np.arange(-2.0, 4.0)[:, None]
 _HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
 _E1 = [np.eye(p)[:, :1] for p in range(7)]
 
@@ -358,7 +359,7 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     """Window moments of a piecewise-polynomial kernel from prefix sums.
 
     The lattice has dyadic cells [l w, (l + 1) w), w = 2^-level with
-    w <= h/2 < 2w, so one lattice serves every h of a level: the design
+    w/2 <= h < w, so one lattice serves every h of a level: the design
     keeps it, and a call builds one only for a new level, order or query
     range. Each cell keeps prefix sums of z^i and z^i y in cell units,
     z = x/w - (l + 1/2), centred on the cell's own centre and restarted at
@@ -366,7 +367,7 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     exact or rounded once. Only cells that hold points and that the windows
     can reach get columns (see _kept_lattice), so memory is O(n) whatever h
     is, and a cell's sums depend on its own points alone. A window lies within
-    the cells floor(g/w) - 5 .. floor(g/w) + 5; its part in each of them is a
+    the cells floor(g/w) - 2 .. floor(g/w) + 2; its part in each of them is a
     difference of two prefix sums, gathered into contiguous memory, which a
     Taylor shift by (c_l - g)/w turns into sums of (x - g)/w; the sum over
     cells is then scaled by (w/h)^i into sums of u^i. The two kernel pieces
@@ -381,7 +382,7 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     if not reached.any():  # every window is empty
         return _moments(np.zeros((npow, 1 if ys is None else 1 + len(ys), len(pieces),
                                   count * g.size)), pieces, p)
-    level = 1 - math.frexp(h / 2)[1]
+    level = -math.frexp(h)[1]
     scale = math.ldexp(1.0, level)
     qcell = np.floor(g * scale)
     member = np.arange(count)[:, None, None]  # design index

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
                     fit_predict, get_kernel, local_fit, predict_grid, sine_function,
                     sort_design, substream)
-from rupsim.local_poly import DEGENERATE_EIG, MIN_BANDWIDTH, _kernel_weights
+from rupsim.local_poly import (_NEAR_CELLS, DEGENERATE_EIG, MIN_BANDWIDTH, _kernel_weights,
+                               _prefix_moments, _window, _window_moments)
 
 
 def brute_force_lp(xs, ys, x0, order, h, kernel):
@@ -539,3 +541,51 @@ def test_bandwidth_floor():
             fit = local_fit(LpeConfig(order=order, bandwidth=MIN_BANDWIDTH, kernel=kernel),
                             sort_design(xs, ys), [0.1, 0.3, 0.5, 0.7])
             assert np.allclose(fit.values, [1.0, 3.0, np.nan, 5.0], rtol=1e-7, equal_nan=True)
+
+
+@pytest.mark.parametrize("kernel", [k for k in KERNELS.values() if k.pieces],
+                         ids=[name for name, k in KERNELS.items() if k.pieces])
+def test_windows_lie_in_the_near_cells(kernel):
+    """Every window point lies in a near cell the prefix path reads.
+
+    The lattice has cells of width w = 2^-level, w/2 <= h < w; a query in
+    cell l reads the cells l + _NEAR_CELLS[:-1]. Bandwidths sit on both ends
+    of that range (h = 2^-k and the float just below), and queries and design
+    points sit on cell edges j w and one ulp to either side of them, so the
+    windows reach as far as rounding lets them. The prefix-path moments must
+    also equal the gathered-window sums within the tolerance of
+    test_engine_matches_lstsq_oracle, on the scale of the points of the cells
+    a window touches, which any point left out of a near cell would break.
+    """
+    rng = substream(6, "near-cells")
+    edges = np.arange(1025) / 1024  # every cell edge of the lattices below, w >= 2^-8
+    xs = np.clip(np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                                 rng.random(500)]), 0.0, 1.0)
+    ys = rng.normal(size=xs.size)
+    design = sort_design(xs, ys)
+    xs2, ys3 = design.xs[None], design.ys[None, None]  # the engine's (D, n) and (k, D, n)
+    ymax = max(1.0, np.abs(ys).max())
+    for k in range(9):
+        for h in (2.0 ** -k, np.nextafter(2.0 ** -k, 0.0)):
+            w = 2.0 ** math.frexp(h)[1]
+            assert w / 2 <= h < w
+            cell_edges = w * np.arange(int(1.0 / w) + 1)
+            g = np.unique(np.clip(np.concatenate([cell_edges, np.nextafter(cell_edges, -1.0),
+                                                  np.nextafter(cell_edges, 2.0)]), 0.0, 1.0))
+            lo, hi = _window(kernel, xs2, g, h)
+            reached = (hi > lo)[0]
+            for order in range(6):
+                p = order + 1
+                moments, ymoments = _prefix_moments(kernel, design, xs2, ys3, g, h, lo, hi, p)
+                lattice = design._lattice[0]
+                assert math.ldexp(1.0, -lattice.level) == w, (h, lattice.level)
+                cell = lattice.cell[0]
+                first, last = cell[np.minimum(lo[0], xs.size - 1)], cell[hi[0] - 1]
+                home = np.floor(g * math.ldexp(1.0, lattice.level))
+                assert np.all(first[reached] >= home[reached] + _NEAR_CELLS[0, 0]), (h, order)
+                assert np.all(last[reached] <= home[reached] + _NEAR_CELLS[-2, 0]), (h, order)
+                gathered, ygathered = _window_moments(kernel, xs2, ys3, g, h, lo, hi, p)
+                points = np.searchsorted(cell, last, "right") - np.searchsorted(cell, first, "left")
+                scale = np.where(reached, points, 0) * ymax * (1e-10 if order <= 3 else 1e-8)
+                assert np.all(np.abs(moments - gathered) <= scale), (h, order)
+                assert np.all(np.abs(ymoments - ygathered) <= scale), (h, order)
