@@ -3,14 +3,18 @@
 Subcommands: sample, mise-sweep, bandwidth-vs-n, kl-check, estimate-tau.
 Each run reads one YAML config, derives every random stream from the
 mandatory seed, writes CSV artifacts plus SVG charts rendered purely from
-those CSVs, and records a manifest with the fully defaulted config echo and
-per-output checksums. Reruns with the same config and seed are
+those CSVs, and records a manifest with the config echo and per-output
+checksums. The echo is the record the config getters kept: every value the
+command read, defaults included, with the seed the run used; fed back as a
+config, it reruns the run. Reruns with the same config and seed are
 checksum-identical. Monte Carlo replicates always run one after another in
 this process; --threads is still accepted (an integer >= 1) and recorded in
 the manifest, but results never depend on it.
 
-Exit codes: 0 success, 2 config error (also a NaN or infinite number, and
-an estimate-tau input file or noise variance it cannot use), 3
+Exit codes: 0 success, 2 config error (also a NaN or infinite number, an
+estimate-tau input file or noise variance it cannot use, a --config path
+that is a directory or a file that is not UTF-8, and an output directory
+that cannot be created, such as a path naming a file or a file's child), 3
 numeric/regime warnings under --strict, 4 numeric dead end (no bandwidth in
 the grid can be scored, e.g. none has local support at every evaluation
 point). A run that exits 2 or 4 removes the output directory if it
@@ -106,43 +110,32 @@ def _sha256(path: Path) -> str:
 
 # ------------------------------------------------------------- config parsing
 
-def _parse_baseline(root: Conf, need: str = "n"):
+def _parse_baseline(root: Conf, need: str = "n") -> tuple[BaselineConfig, list[int]]:
+    """The baseline at the first n, and the n list: one baseline.n, or baseline.n_grid."""
     blk = root.block("baseline")
     fname = blk.get_str("f", default="sine", choices=sorted(("zero", "sine")))
     sigma2 = blk.get_float("sigma2", ge=0.0)
-    echo = {"f": fname, "sigma2": sigma2}
-    if need == "n":
-        n = blk.get_int("n", ge=1)
-        echo["n"] = n
-        return BaselineConfig(f=get_function(fname), sigma2=sigma2, n=n), echo
-    n_grid = blk.get_int_list("n_grid", ge=1)
-    echo["n_grid"] = n_grid
-    return BaselineConfig(f=get_function(fname), sigma2=sigma2, n=n_grid[0]), n_grid, echo
+    n_grid = [blk.get_int("n", ge=1)] if need == "n" else blk.get_int_list("n_grid", ge=1)
+    return BaselineConfig(f=get_function(fname), sigma2=sigma2, n=n_grid[0]), n_grid
 
 
 def _parse_rup_spec(root: Conf, base: BaselineConfig, models=("correlated_noise", "partition")):
     blk = root.block("rup")
     model = blk.get_str("model", choices=models)
     b_x = blk.get_int("b_x", ge=1)
-    echo = {"model": model, "b_x": b_x}
     if model == "correlated_noise":
-        delta2 = blk.get_float("delta2", ge=0.0)
-        echo["delta2"] = delta2
-        return CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=base), echo
+        return CorrelatedNoiseSpec(b_x=b_x, delta2=blk.get_float("delta2", ge=0.0), baseline=base)
     b_eps = blk.get_int("b_eps", ge=2)
     law_blk = blk.block("weight_law", required=False)
     kind = law_blk.get_str("kind", default="exp", choices=("exp", "lognormal"))
     if kind == "exp":
         law = WeightLaw.exponential()
-        echo["weight_law"] = {"kind": "exp"}
     else:
-        ratio = law_blk.get_float("var_over_mean_sq", default=1.0, gt=0.0)
-        law = WeightLaw.lognormal_with_ratio(ratio)
-        echo["weight_law"] = {"kind": "lognormal", "var_over_mean_sq": ratio}
-    echo["b_eps"] = b_eps
+        law = WeightLaw.lognormal_with_ratio(
+            law_blk.get_float("var_over_mean_sq", default=1.0, gt=0.0))
     if base.sigma2 <= 0:
         raise ConfigError("baseline.sigma2: partition model needs sigma2 > 0")
-    return PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=law, baseline=base), echo
+    return PartitionSpec(b_x=b_x, b_eps=b_eps, weight_law=law, baseline=base)
 
 
 def _parse_lpe(root: Conf):
@@ -152,9 +145,7 @@ def _parse_lpe(root: Conf):
         raise ConfigError("lpe.order: must be at most 5")
     kname = blk.get_str("kernel", default="epanechnikov", choices=sorted(KERNELS))
     h_grid = _parse_h_grid(blk)
-    echo = {"order": order, "kernel": kname, "h_grid": h_grid}
-    cfg = LpeConfig(order=order, bandwidth=h_grid[0], kernel=get_kernel(kname))
-    return cfg, h_grid, echo
+    return LpeConfig(order=order, bandwidth=h_grid[0], kernel=get_kernel(kname)), h_grid
 
 
 def _parse_h_grid(blk: Conf) -> list[float]:
@@ -188,21 +179,17 @@ def _parse_eval_grid(root: Conf):
     window = blk.get_float_list("window", default=list(EVAL_WINDOW), min_len=2)
     if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
         raise ConfigError("eval.window: expected [lo, hi] with 0 <= lo < hi <= 1")
-    lo, hi = window
     points = blk.get_int("grid_points", default=DEFAULT_GRID_POINTS, ge=2)
-    echo = {"window": [lo, hi], "grid_points": points}
-    return np.linspace(lo, hi, points), echo
+    return np.linspace(window[0], window[1], points)
 
 
 # ----------------------------------------------------------------- subcommands
 
 def cmd_sample(root: Conf, seed: int, outdir: Path):
-    base, becho = _parse_baseline(root)
-    echo = {"baseline": becho}
+    base, _ = _parse_baseline(root)
     outputs = {}
     if root.has("rup"):
-        spec, recho = _parse_rup_spec(root, base)
-        echo["rup"] = recho
+        spec = _parse_rup_spec(root, base)
         xi = draw_perturbation(spec, substream(seed, "xi", 0), realization_id="xi00000")
         ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", 0))
         real_path = outdir / "realization.json"
@@ -219,36 +206,29 @@ def cmd_sample(root: Conf, seed: int, outdir: Path):
     write_csv(csv_path, ["x", "y", "bucket_id", "realization_id"], rows)
     outputs["dataset.csv"] = csv_path
     print(f"sampled {len(ds)} points -> {csv_path}")
-    return echo, outputs, []
+    return outputs, []
 
 
 def _parse_sweep(root: Conf, need: str):
-    """Arguments of optimal_bandwidth_curve, less the seed, and the config echo.
+    """Arguments of optimal_bandwidth_curve, less the seed.
 
     Both sweeps read the same rup, lpe, eval and mc blocks; need="n" reads a
     single baseline.n (mise-sweep), need="n_grid" a list (bandwidth-vs-n).
     """
-    if need == "n":
-        base, becho = _parse_baseline(root)
-        n_grid = [base.n]
-    else:
-        base, n_grid, becho = _parse_baseline(root, need="n_grid")
+    base, n_grid = _parse_baseline(root, need)
     blk = root.block("rup")
-    model = blk.get_str("model", default="correlated_noise", choices=("correlated_noise",))
+    blk.get_str("model", default="correlated_noise", choices=("correlated_noise",))
     b_x = blk.get_int("b_x", ge=1)
     tau_grid = blk.get_float_list("tau_grid", ge=0.0)
-    lpe_base, h_grid, lecho = _parse_lpe(root)
-    eval_grid, eecho = _parse_eval_grid(root)
+    lpe_base, h_grid = _parse_lpe(root)
+    eval_grid = _parse_eval_grid(root)
     reps = root.block("mc").get_int("reps", default=100, ge=2)
-    echo = {"baseline": becho, "rup": {"model": model, "b_x": b_x, "tau_grid": tau_grid},
-            "lpe": lecho, "eval": eecho, "mc": {"reps": reps}}
-    args = {"base": base, "lpe_base": lpe_base, "b_x": b_x, "tau_grid": tau_grid,
+    return {"base": base, "lpe_base": lpe_base, "b_x": b_x, "tau_grid": tau_grid,
             "n_grid": n_grid, "h_grid": h_grid, "eval_grid": eval_grid, "reps": reps}
-    return args, echo
 
 
 def cmd_mise_sweep(root: Conf, seed: int, outdir: Path):
-    args, echo = _parse_sweep(root, need="n")
+    args = _parse_sweep(root, need="n")
     warnings: list[str] = []
     rows = []
     for cell in optimal_bandwidth_curve(**args, seed=seed):
@@ -261,7 +241,7 @@ def cmd_mise_sweep(root: Conf, seed: int, outdir: Path):
     write_csv(csv_path, ["h", "tau", "mise", "se"], rows)
     svg_path = outdir / "fig4.svg"
     _render_mise_svg(csv_path, svg_path)
-    return echo, {"mise_curve.csv": csv_path, "fig4.svg": svg_path}, warnings
+    return {"mise_curve.csv": csv_path, "fig4.svg": svg_path}, warnings
 
 
 def _render_by_tau(csv_path: Path, svg_path: Path, x: str, y: str, **chart) -> None:
@@ -280,8 +260,7 @@ def _render_mise_svg(csv_path: Path, svg_path: Path) -> None:
 
 
 def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
-    args, echo = _parse_sweep(root, need="n_grid")
-    table = optimal_bandwidth_curve(**args, seed=seed)
+    table = optimal_bandwidth_curve(**_parse_sweep(root, need="n_grid"), seed=seed)
     rows = [(r["n"], r["tau"], r["h_star"]) for r in table]
     csv_path = outdir / "hstar_vs_n.csv"
     write_csv(csv_path, ["n", "tau", "h_star"], rows)
@@ -293,7 +272,7 @@ def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
         for h in r["curve"].meta["failed_h"]:
             warnings.append(f"n={r['n']}, tau={r['tau']:g}: h={h:g} invalid "
                             "(no local support on the grid)")
-    return echo, {"hstar_vs_n.csv": csv_path, "fig5.svg": svg_path}, warnings
+    return {"hstar_vs_n.csv": csv_path, "fig5.svg": svg_path}, warnings
 
 
 def _render_hstar_svg(csv_path: Path, svg_path: Path) -> None:
@@ -314,16 +293,10 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path):
     reps = kl.get_int("reps", default=400, ge=2)
     rule_name = kl.get_str("bucket_rule", default="per_point",
                            choices=("per_point", "fixed"))
+    bucket_rule = None
     if rule_name == "fixed":
         b_x = kl.get_int("b_x", ge=1)
         bucket_rule = lambda n: b_x
-    else:
-        b_x = None
-        bucket_rule = None
-    echo = {"baseline": {"sigma2": sigma2},
-            "kl": {"n_grid": n_grid, "delta2": delta2, "beta": beta,
-                   "holder_const": holder_const, "x0": x0, "reps": reps,
-                   "bucket_rule": rule_name, "b_x": b_x}}
     base = BaselineConfig(f=get_function("zero"), sigma2=sigma2, n=n_grid[0])
     table = correlated_noise_kl_suite(n_grid, delta2, base, beta, holder_const, x0,
                                       bucket_rule=bucket_rule, reps=reps, seed=seed)
@@ -337,7 +310,7 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path):
                         "regime, the ratio column need not stabilize")
     for r in table.rows:
         print(f"n={r.n}: n_eff={r.n_eff:.4g} kl={r.kl_mean:.6g} ratio={r.ratio:.6g}")
-    return echo, {"kl_scaling.csv": csv_path}, warnings
+    return {"kl_scaling.csv": csv_path}, warnings
 
 
 def _noise_variance(ys, buckets, where: str) -> float:
@@ -393,13 +366,10 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
         theta = np.array(thetas)
         sigma2_hat = float(np.mean(sig_parts))
         source = "tau_estimate.from_files"
-        echo = {"tau_estimate": {"from_files": paths}}
     else:
-        base, becho = _parse_baseline(root)
-        spec, recho = _parse_rup_spec(root, base)
-        mc = root.block("mc")
-        j = mc.get_int("j", default=500, ge=2)
-        echo = {"baseline": becho, "rup": recho, "mc": {"j": j}}
+        base, _ = _parse_baseline(root)
+        spec = _parse_rup_spec(root, base)
+        j = root.block("mc").get_int("j", default=500, ge=2)
         if base.f.name != "zero":
             warnings.append("baseline.f is not 'zero': outcome means also vary with "
                             "f; the estimate assumes centered outcomes")
@@ -422,7 +392,6 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
                           "estimating tau needs it positive")
 
     beta = root.block("bandwidth", required=False).get_float("beta", default=2.0, gt=0.0)
-    echo["bandwidth"] = {"beta": beta}
     tau_hat = estimate_tau_from_summaries(theta, n_per, sigma2_hat)
     theta_var = float(np.var(theta, ddof=1))
     n_eff = effective_sample_size(n_per, tau_hat).n_eff
@@ -434,17 +403,25 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
               [(j, n_per, sigma2_hat, theta_var, sigma2_hat / n_per, tau_hat, n_eff, h_star)])
     print(f"tau_hat={tau_hat:.6g} (theta_var={theta_var:.6g}, "
           f"sampling={sigma2_hat / n_per:.6g}), n_eff={n_eff:.6g}, h_star={h_star:.6g}")
-    return echo, {"tau_report.csv": csv_path}, warnings
+    return {"tau_report.csv": csv_path}, warnings
 
 
 def _make_outdir(outdir: Path) -> Path | None:
     """Create outdir and its missing parents; return the topmost one created.
 
-    None means outdir existed before this run, so a failed run leaves it.
+    None means outdir existed before this run, so a failed run leaves it. A
+    path that cannot be a directory (a file, or a file's child) is a
+    ConfigError, and whatever part of it was created is removed.
     """
     missing = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
-    return missing[-1] if missing else None
+    created = missing[-1] if missing else None
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _remove_created(created)
+        raise ConfigError(f"cannot create output directory {outdir}: "
+                          f"{exc.strerror or exc}") from None
+    return created
 
 
 def _remove_created(created: Path | None) -> None:
@@ -498,15 +475,14 @@ def main(argv=None) -> int:
         out_default = root.block("output", required=False).get_str("dir", default="out")
         outdir = Path(args.out if args.out is not None else out_default)
         created = _make_outdir(outdir)
-        echo, outputs, warnings = COMMANDS[args.command](root, seed, outdir)
+        outputs, warnings = COMMANDS[args.command](root, seed, outdir)
         warnings += [f"config key {path} was never read" for path in root.unread()]
-        echo["seed"] = seed
         manifest = {
             "command": args.command,
             "version": __version__,
             "seed": seed,
             "threads": args.threads,
-            "config": echo,
+            "config": {**root.record, "seed": seed},
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},

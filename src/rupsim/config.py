@@ -3,10 +3,10 @@
 Every getter validates one field and returns a fully typed value, so a bad
 config fails before any computation starts and the error names the exact
 field ("rup.b_x: expected int, got 'ten'"). A number must be finite, so NaN
-and infinities fail too. Commands materialize all defaults into the run
-manifest, so no run depends on implicit defaults. A view records the dotted
-path of every key its getters read, so the keys a command never read, such as
-a misspelled field, can be named afterwards.
+and infinities fail too. A view records every value its getters return,
+defaults included, nested as in the file. That one record is the run
+manifest's config echo, so no run depends on implicit defaults, and the keys
+it lacks, such as a misspelled field, are the keys a command never read.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ def load_yaml(path) -> dict:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
@@ -87,15 +91,16 @@ class Conf:
     """Read-only view over a config mapping with dotted-path error messages.
 
     A getter returns its default, unchecked, when the key is absent, and
-    raises ConfigError naming the field when it is required. A view and the
-    blocks taken from it share one record of the paths read; `unread` lists
-    the keys no getter or `block` call has read.
+    raises ConfigError naming the field when it is required. `record` holds
+    what the getters returned, defaults included; a view and the blocks taken
+    from it share it, each block as a nested mapping. `unread` lists the keys
+    it lacks.
     """
 
-    def __init__(self, data: dict, prefix: str = "", read: set[str] | None = None):
+    def __init__(self, data: dict, prefix: str = "", record: dict | None = None):
         self._data = data
         self._prefix = prefix
-        self._read = set() if read is None else read
+        self.record = {} if record is None else record
 
     def _path(self, key: str) -> str:
         return f"{self._prefix}.{key}" if self._prefix else str(key)
@@ -108,15 +113,15 @@ class Conf:
         """
         out: list[str] = []
 
-        def walk(data: dict, prefix: str) -> None:
+        def walk(data: dict, record: dict, prefix: str) -> None:
             for key, val in data.items():
                 path = f"{prefix}.{key}" if prefix else str(key)
-                if path not in self._read:
+                if key not in record:
                     out.append(path)
                 elif isinstance(val, dict):
-                    walk(val, path)
+                    walk(val, record[key], path)
 
-        walk(self._data, self._prefix)
+        walk(self._data, self.record, self._prefix)
         return out
 
     def has(self, key: str) -> bool:
@@ -128,34 +133,34 @@ class Conf:
 
     def block(self, key: str, required: bool = True) -> "Conf":
         """The nested block at key; an optional block that is absent reads as empty."""
-        if key not in self._data:
-            if required:
-                raise ConfigError(f"{self._path(key)}: required block is missing")
-            return Conf({}, self._path(key), self._read)
-        self._read.add(self._path(key))
-        val = self._data[key]
+        val = self._data.get(key, {})
+        if key not in self._data and required:
+            raise ConfigError(f"{self._path(key)}: required block is missing")
         if not isinstance(val, dict):
             raise ConfigError(f"{self._path(key)}: expected a mapping, got {type(val).__name__}")
-        return Conf(val, self._path(key), self._read)
+        return Conf(val, self._path(key), self.record.setdefault(key, {}))
+
+    def _keep(self, key: str, val):
+        """Record val under key, a list as a copy, and return it."""
+        self.record[key] = list(val) if isinstance(val, list) else val
+        return val
 
     def _get(self, key: str, default, kind: str, **bounds):
         if key not in self._data:
             if default is _REQUIRED:
                 raise ConfigError(f"{self._path(key)}: required field is missing")
-            return default
-        self._read.add(self._path(key))
-        return _check(self._path(key), self._data[key], kind, **bounds)
+            return self._keep(key, default)
+        return self._keep(key, _check(self._path(key), self._data[key], kind, **bounds))
 
     def _get_list(self, key: str, default, kind: str, min_len: int, **bounds) -> list:
         if key not in self._data:  # the default, or the missing-field error
             return self._get(key, default, kind)
-        self._read.add(self._path(key))
         val = self._data[key]
         if not isinstance(val, list) or len(val) < min_len:
             raise ConfigError(f"{self._path(key)}: expected a list of at least "
                               f"{min_len} {_KINDS[kind][1]}, got {val!r}")
-        return [_check(f"{self._path(key)}[{i}]", item, kind, **bounds)
-                for i, item in enumerate(val)]
+        return self._keep(key, [_check(f"{self._path(key)}[{i}]", item, kind, **bounds)
+                                for i, item in enumerate(val)])
 
     def get_int(self, key: str, default=_REQUIRED, ge: int | None = None) -> int:
         return self._get(key, default, "int", ge=ge, bound_word="int ")

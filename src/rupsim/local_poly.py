@@ -51,10 +51,16 @@ RIDGE = 1e-8
 MIN_BANDWIDTH = 1e-12
 
 # Prefix sums are restarted on dyadic lattice cells of width w = 2^-level,
-# w/2 <= h < w. A window of half-width h < w around a point of cell l lies
-# within the cells l - 1 .. l + 1, and within l - 2 .. l + 2 with one cell of
-# margin for rounding. _NEAR_CELLS lists them, then l + 3, which bounds the last.
-_NEAR_CELLS = np.arange(-2.0, 4.0)[:, None]
+# w/2 <= h < w. The window of a query g in cell l lies within the cells
+# l - 1 .. l + 1, rounding included: a window point has a positive kernel
+# value, so its u = fl(fl(x - g)/h) has |u| <= 1 (every piecewise kernel is
+# zero for |u| > 1). Were |x - g| >= w, then |fl(x - g)| >= w, as w is a power
+# of two and rounding is monotone, and with h <= w (1 - 2^-53), the largest
+# float below w, the quotient would be at least 1/(1 - 2^-53) > 1 + 2^-53, past
+# the midpoint of 1 and its successor, so |u| > 1. Hence |x - g| < w, and
+# x lies in ((l - 1) w, (l + 2) w). Cell ids floor(x 2^level) are exact.
+# _NEAR_CELLS lists l - 1 .. l + 1, then l + 2, which bounds the last.
+_NEAR_CELLS = np.arange(-1.0, 3.0)[:, None]
 _HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
 _E1 = [np.eye(p)[:, :1] for p in range(7)]
 
@@ -367,12 +373,13 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     exact or rounded once. Only cells that hold points and that the windows
     can reach get columns (see _kept_lattice), so memory is O(n) whatever h
     is, and a cell's sums depend on its own points alone. A window lies within
-    the cells floor(g/w) - 2 .. floor(g/w) + 2; its part in each of them is a
-    difference of two prefix sums, gathered into contiguous memory, which a
-    Taylor shift by (c_l - g)/w turns into sums of (x - g)/w; the sum over
-    cells is then scaled by (w/h)^i into sums of u^i. The two kernel pieces
-    are summed over x < g and x >= g separately unless they coincide. The
-    work is O(n) per (design, level) plus O(1) per query point and h.
+    the cells floor(g/w) - 1 .. floor(g/w) + 1 (see _NEAR_CELLS); its part in
+    each of them is a difference of two prefix sums, gathered into contiguous
+    memory, which a Taylor shift by (c_l - g)/w turns into sums of (x - g)/w;
+    the sum over cells is then scaled by (w/h)^i into sums of u^i. The two
+    kernel pieces are summed over x < g and x >= g separately unless they
+    coincide. The work is O(n) per (design, level) plus O(1) per query point
+    and h.
     """
     split = kernel.pieces[0] != kernel.pieces[1]
     pieces = kernel.pieces if split else kernel.pieces[:1]

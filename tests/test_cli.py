@@ -147,6 +147,27 @@ rup: {model: correlated_noise, b_x: ten, delta2: 0.1}
     assert main(["sample", "--config", missing]) == 2
 
 
+@pytest.mark.parametrize("config, out, message", [
+    ("run.yaml", "afile", "cannot create output directory {tmp}/afile: "),
+    ("run.yaml", "afile/sub", "cannot create output directory {tmp}/afile/sub: "),
+    ("adir", "o", "config file {tmp}/adir cannot be read: "),
+    ("latin1.yaml", "o", "config file {tmp}/latin1.yaml is not UTF-8: 'utf-8' codec "),
+], ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory", "config-not-utf-8"])
+def test_unusable_config_or_out_path_exits_2(tmp_path, capsys, config, out, message):
+    # afile is a regular file, adir a directory, latin1.yaml holds a byte that is not UTF-8
+    write_cfg(tmp_path, SAMPLE_CFG)
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.yaml").write_bytes("# caf\xe9\n".encode("latin-1") + SAMPLE_CFG.encode())
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["sample", "--config", str(tmp_path / config),
+                 "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message.format(tmp=tmp_path)}")
+    assert sorted(tmp_path.rglob("*")) == before  # nothing created, nothing removed
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "x"
+
+
 def test_negative_seed_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SAMPLE_CFG)
     out = tmp_path / "o"
@@ -409,6 +430,40 @@ def test_manifest_checksums_match_files(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+ECHO_CASES = {
+    "sample": PARTITION_SAMPLE_CFG.replace("{kind: exp}", "{kind: lognormal}"),
+    "mise-sweep": MISE_CFG.replace("h_grid: [0.3]", "h_grid: {min: 0.2, max: 0.4, count: 2}")
+                          .replace("eval: {window: [0.05, 0.95], grid_points: 21}\n", ""),
+    "bandwidth-vs-n": """
+seed: 43
+baseline: {sigma2: 0.5, n_grid: [120, 240]}
+rup: {b_x: 5, tau_grid: [0.0, 0.01]}
+lpe: {h_grid: [0.15, 0.3]}
+eval: {grid_points: 21}
+mc: {reps: 2}
+""",
+    "kl-check": "seed: 34\nkl: {n_grid: [100, 200], delta2: 1.0, reps: 10}\n",
+    "estimate-tau": TAU_CFG.replace("bandwidth: {beta: 2.0}\n", ""),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHO_CASES))
+def test_manifest_config_echo_reruns_the_run(tmp_path, command):
+    # the echo holds every value the run read, defaults included, and the seed it used
+    cfg = write_cfg(tmp_path, ECHO_CASES[command])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--config", cfg, "--out", str(first), "--seed", "5", "--strict"]) == 0
+    echo = json.loads((first / "manifest.json").read_text())["config"]
+    assert echo["seed"] == 5
+    echo_cfg = write_cfg(tmp_path, yaml.safe_dump(echo), "echo.yaml")
+    assert main([command, "--config", echo_cfg, "--out", str(again), "--strict"]) == 0
+    assert json.loads((again / "manifest.json").read_text())["config"] == echo
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def dump_config(data: dict) -> str:

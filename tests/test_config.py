@@ -118,6 +118,24 @@ def test_unread_lists_keys_no_getter_read_in_file_order():
     assert root.unread() == ["rup.detla2", "extra"]
 
 
+def test_record_holds_what_the_getters_returned_defaults_included():
+    root = Conf({"seed": 3, "rup": {"b_x": 4, "w": {"kind": "exp"}}, "grid": [1, 2]})
+    root.get_int("seed")
+    rup = root.block("rup")
+    rup.get_int("b_x")
+    rup.get_float("delta2", default=0.5)
+    rup.block("w").get_str("kind")
+    grid = root.get_float_list("grid")
+    root.block("opt", required=False).get_int("k", default=7)
+    root.block("peeked", required=False)
+    assert root.record == {"seed": 3, "rup": {"b_x": 4, "delta2": 0.5, "w": {"kind": "exp"}},
+                           "grid": [1.0, 2.0], "opt": {"k": 7}, "peeked": {}}
+    assert all(isinstance(h, float) for h in root.record["grid"])
+    grid.append(3.0)  # the record keeps its own copy of a list
+    assert root.record["grid"] == [1.0, 2.0]
+    assert root.unread() == []
+
+
 def test_misspelled_key_warns_and_strict_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("seed: 1\nbaseline: {f: sine, sigma2: 1.0, n: 5}\n"
