@@ -31,13 +31,15 @@ class RegressionFunction:
 
     The certificate asserts that the derivative of order ceil(beta)-1 (the
     largest integer strictly below beta) is (beta - that order)-Holder with
-    constant L.
+    constant L. Equality follows what defines the function: its name,
+    certificate and params (a bump's centre and width), not the closure.
     """
 
     name: str
     beta: float
     holder_const: float
-    _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    params: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -109,7 +111,8 @@ def bump_function(center: float, width: float, beta: float,
     def fn(x: np.ndarray) -> np.ndarray:
         return amp * SMOOTH_BUMP((x - center) / width)
 
-    return RegressionFunction("bump", beta=beta, holder_const=certificate, _fn=fn)
+    return RegressionFunction("bump", beta=beta, holder_const=certificate, _fn=fn,
+                              params=(center, width))
 
 
 FUNCTION_CATALOG: dict[str, Callable[[], RegressionFunction]] = {

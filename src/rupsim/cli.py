@@ -17,8 +17,10 @@ that is a directory or a file that is not UTF-8, and an output directory
 that cannot be created, such as a path naming a file or a file's child), 3
 numeric/regime warnings under --strict, 4 numeric dead end (no bandwidth in
 the grid can be scored, e.g. none has local support at every evaluation
-point). A run that exits 2 or 4 removes the output directory if it
-created it; a directory that existed before the run is left in place.
+point). A run that does not succeed leaves the output directory as it was:
+files are staged in a hidden .rupsim-* directory and renamed into place, the
+manifest last, once the command finishes (exit 0 or 3). A rerun replaces its
+own files and no others; a run killed by SIGKILL may leave a .rupsim-* behind.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import csv
 import ctypes
 import hashlib
 import json
-import shutil
+import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -205,7 +208,7 @@ def cmd_sample(root: Conf, seed: int, outdir: Path):
     csv_path = outdir / "dataset.csv"
     write_csv(csv_path, ["x", "y", "bucket_id", "realization_id"], rows)
     outputs["dataset.csv"] = csv_path
-    print(f"sampled {len(ds)} points -> {csv_path}")
+    print(f"sampled {len(ds)} points")
     return outputs, []
 
 
@@ -406,28 +409,32 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
     return {"tau_report.csv": csv_path}, warnings
 
 
-def _make_outdir(outdir: Path) -> Path | None:
-    """Create outdir and its missing parents; return the topmost one created.
+def _staging_dir(outdir: Path) -> tempfile.TemporaryDirectory:
+    """A hidden directory to stage a run's files in, removed on every exit.
 
-    None means outdir existed before this run, so a failed run leaves it. A
-    path that cannot be a directory (a file, or a file's child) is a
-    ConfigError, and whatever part of it was created is removed.
+    It lies in outdir's nearest existing ancestor (outdir itself if it exists),
+    so each rename into outdir stays on one file system. A path that cannot be
+    a directory (a file, a file's child or a dangling link) is a ConfigError.
     """
-    missing = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    created = missing[-1] if missing else None
+    parent = next(d for d in (outdir, *outdir.parents) if os.path.lexists(d))
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        return tempfile.TemporaryDirectory(prefix=".rupsim-", dir=parent)
     except OSError as exc:
-        _remove_created(created)
         raise ConfigError(f"cannot create output directory {outdir}: "
                           f"{exc.strerror or exc}") from None
-    return created
 
 
-def _remove_created(created: Path | None) -> None:
-    """Delete a directory this run created, with whatever it wrote there."""
-    if created is not None:
-        shutil.rmtree(created, ignore_errors=True)
+def _publish(stage: Path, names: list[str], outdir: Path) -> None:
+    """Rename the staged files into outdir, the manifest last.
+
+    The old manifest goes first, so a failure part way leaves no manifest
+    that vouches for files it did not write.
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    for name in [*sorted(names), "manifest.json"]:
+        os.replace(stage / name, outdir / name)
+        print(f"wrote {outdir / name}")
 
 
 COMMANDS = {
@@ -459,7 +466,6 @@ def main(argv=None) -> int:
 
     _keep_freed_heap()
     started = datetime.now(timezone.utc).isoformat()
-    created = None
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be nonnegative, got {args.seed}")
@@ -474,38 +480,31 @@ def main(argv=None) -> int:
             seed = args.seed
         out_default = root.block("output", required=False).get_str("dir", default="out")
         outdir = Path(args.out if args.out is not None else out_default)
-        created = _make_outdir(outdir)
-        outputs, warnings = COMMANDS[args.command](root, seed, outdir)
-        warnings += [f"config key {path} was never read" for path in root.unread()]
-        manifest = {
-            "command": args.command,
-            "version": __version__,
-            "seed": seed,
-            "threads": args.threads,
-            "config": {**root.record, "seed": seed},
-            "started": started,
-            "finished": datetime.now(timezone.utc).isoformat(),
-            "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
-        }
-        manifest_path = outdir / "manifest.json"
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _staging_dir(outdir) as stage:
+            stage = Path(stage)
+            outputs, warnings = COMMANDS[args.command](root, seed, stage)
+            warnings += [f"config key {path} was never read" for path in root.unread()]
+            manifest = {
+                "command": args.command,
+                "version": __version__,
+                "seed": seed,
+                "threads": args.threads,
+                "config": {**root.record, "seed": seed},
+                "started": started,
+                "finished": datetime.now(timezone.utc).isoformat(),
+                "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
+            }
+            with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            _publish(stage, list(outputs), outdir)
     except ConfigError as exc:
-        _remove_created(created)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericDeadEnd as exc:
-        _remove_created(created)
         print(f"numeric dead end: {exc}", file=sys.stderr)
         return 4
-    except BaseException:  # any other failure, an interrupt too: no half-written directory
-        _remove_created(created)
-        raise
 
-    for name in sorted(outputs):
-        print(f"wrote {outputs[name]}")
-    print(f"wrote {manifest_path}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if warnings and args.strict:

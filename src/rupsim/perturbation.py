@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .baseline import BaselineConfig, Dataset, get_function
+from .baseline import FUNCTION_CATALOG, BaselineConfig, Dataset, get_function
 
 _MAX_REDRAWS = 100
 _TINY = np.finfo(float).tiny
@@ -457,9 +457,16 @@ def delta_variance_mc(spec: PerturbationSpec, reps: int, rng: np.random.Generato
 
 
 def realization_to_json(xi: PerturbationRealization) -> dict:
-    """JSON-serializable replay document for a realization."""
+    """JSON-serializable replay document for a realization.
+
+    A target function the catalog cannot rebuild, such as a bump, is a
+    ValueError: its document could not be read back.
+    """
     spec = xi.spec
     base = spec.baseline
+    if base.f.name not in FUNCTION_CATALOG:
+        raise ValueError(f"function {base.f.name!r} is not in the function catalog "
+                         f"{sorted(FUNCTION_CATALOG)}, so a replay document cannot rebuild it")
     doc: dict = {
         "variant": xi.variant,
         "realization_id": xi.realization_id,
@@ -513,8 +520,9 @@ def realization_from_json(doc: dict) -> PerturbationRealization:
 
 
 def save_realization(xi: PerturbationRealization, path) -> None:
+    doc = realization_to_json(xi)  # before opening, so a refused document leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(realization_to_json(xi), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -94,6 +94,17 @@ def test_holder_certificates_hold_on_grid():
     assert holder_margin(bump2) <= 1e-6
 
 
+def test_equality_follows_name_certificate_and_params():
+    assert sine_function() == sine_function()  # two closures, one function
+    assert sine_function() != sine_function(beta=3.0)
+    assert zero_function() != sine_function()
+    bump = bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
+    assert bump == bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
+    assert bump != bump_function(center=0.4, width=0.2, beta=2.0, holder_const=1.0)
+    assert bump != bump_function(center=0.5, width=0.3, beta=2.0, holder_const=1.0)
+    assert len({sine_function(), sine_function(), bump}) == 2
+
+
 def test_catalog_lookup():
     assert get_function("zero").name == "zero"
     assert get_function("sine").name == "sine"

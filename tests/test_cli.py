@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import platform
 import subprocess
@@ -12,8 +13,9 @@ import yaml
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec, WeightLaw, cli,
                     draw_perturbation, estimate_tau_from_summaries, load_realization,
                     sample_perturbed, substream, within_bucket_noise_variance, zero_function)
+from rupsim.bandwidth import NumericDeadEnd
 from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
-from rupsim.config import load_yaml
+from rupsim.config import ConfigError, load_yaml
 
 SAMPLE_CFG = """
 seed: 7
@@ -152,11 +154,15 @@ rup: {model: correlated_noise, b_x: ten, delta2: 0.1}
     ("run.yaml", "afile/sub", "cannot create output directory {tmp}/afile/sub: "),
     ("adir", "o", "config file {tmp}/adir cannot be read: "),
     ("latin1.yaml", "o", "config file {tmp}/latin1.yaml is not UTF-8: 'utf-8' codec "),
-], ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory", "config-not-utf-8"])
+    ("run.yaml", "alink", "cannot create output directory {tmp}/alink: "),
+], ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory", "config-not-utf-8",
+        "out-is-a-dangling-link"])
 def test_unusable_config_or_out_path_exits_2(tmp_path, capsys, config, out, message):
-    # afile is a regular file, adir a directory, latin1.yaml holds a byte that is not UTF-8
+    # afile is a regular file, adir a directory, latin1.yaml holds a byte that is not
+    # UTF-8, alink a symbolic link to a path that does not exist
     write_cfg(tmp_path, SAMPLE_CFG)
     (tmp_path / "afile").write_text("x", encoding="utf-8")
+    (tmp_path / "alink").symlink_to(tmp_path / "nowhere")
     (tmp_path / "adir").mkdir()
     (tmp_path / "latin1.yaml").write_bytes("# caf\xe9\n".encode("latin-1") + SAMPLE_CFG.encode())
     before = sorted(tmp_path.rglob("*"))
@@ -227,7 +233,62 @@ def test_any_failure_removes_the_directory_the_run_created(tmp_path, monkeypatch
     kept.mkdir()
     with pytest.raises(type(error)):
         main(["sample", "--config", cfg, "--out", str(kept)])
-    assert sorted(p.name for p in kept.iterdir()) == ["partial.csv"]
+    assert sorted(p.name for p in kept.iterdir()) == []
+
+
+def tree(root):
+    """Every path under root, mapped to its bytes (None for a directory)."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("rup.b_x: bad"), 2), (NumericDeadEnd("no bandwidth in the grid"), 4),
+    (RuntimeError("too many failed fits"), None), (OSError(28, "disk full"), None),
+    (KeyboardInterrupt(), None),
+], ids=["config-error", "numeric-dead-end", "runtime-error", "os-error", "keyboard-interrupt"])
+def test_failed_rerun_leaves_an_existing_out_byte_identical(tmp_path, monkeypatch, capsys,
+                                                            error, code):
+    # a seed-9 rerun that fails after the command wrote its files, over a seed-3 run
+    cfg = write_cfg(tmp_path, SAMPLE_CFG)
+    kept = tmp_path / "kept"
+    assert main(["sample", "--config", cfg, "--out", str(kept), "--seed", "3"]) == 0
+    before = tree(tmp_path)
+    sample = cli.COMMANDS["sample"]
+
+    def wrote_then_failed(root, seed, outdir):
+        sample(root, seed, outdir)
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "sample", wrote_then_failed)
+    argv = ["sample", "--config", cfg, "--out", str(kept), "--seed", "9"]
+    if code is None:
+        with pytest.raises(type(error)):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert tree(tmp_path) == before  # byte-identical, no new path
+    assert not list(tmp_path.rglob(".rupsim-*"))
+    capsys.readouterr()
+
+
+def test_successful_rerun_replaces_its_own_files_and_keeps_others(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SAMPLE_CFG)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    first = (out / "dataset.csv").read_bytes()
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
+    names = ["dataset.csv", "realization.json", "manifest.json"]
+    assert capsys.readouterr().out.splitlines()[-3:] == [f"wrote {out / n}" for n in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "notes.txt"])
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+    assert (out / "dataset.csv").read_bytes() != first
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 9
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_bad_threads_exit_2_without_out_dir(tmp_path, capsys):
@@ -423,7 +484,6 @@ def test_estimate_tau_from_files(tmp_path):
 
 
 def test_manifest_checksums_match_files(tmp_path):
-    import hashlib
     cfg = write_cfg(tmp_path, MISE_CFG)
     out = tmp_path / "o"
     assert main(["mise-sweep", "--config", cfg, "--out", str(out)]) == 0

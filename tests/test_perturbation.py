@@ -18,9 +18,10 @@ from rupsim.perturbation import _bisect_rows, _ndtri
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, WeightLaw, bucket_of, delta_at,
                     delta_variance_mc, draw_perturbation, gaussian_bin_means,
-                    kl_to_baseline_partition, perturbation_strength,
-                    realization_from_json, realization_to_json, sample_perturbed,
-                    sine_function, substream, zero_function)
+                    bump_function, kl_to_baseline_partition, load_realization,
+                    perturbation_strength, realization_from_json, realization_to_json,
+                    sample_perturbed, save_realization, sine_function, substream,
+                    zero_function)
 
 BASE = BaselineConfig(f=zero_function(), sigma2=1.0, n=1000)
 
@@ -291,6 +292,36 @@ def test_replay_document_without_function_parameters_uses_catalog_defaults():
     del doc["spec"]["baseline"]["beta"], doc["spec"]["baseline"]["holder_const"]
     f = realization_from_json(doc).spec.baseline.f
     assert (f.beta, f.holder_const) == (sine_function().beta, sine_function().holder_const)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: PartitionSpec(b_x=3, b_eps=6, weight_law=WeightLaw.lognormal_with_ratio(0.7),
+                          baseline=BaselineConfig(f=sine_function(), sigma2=0.5, n=40)),
+    lambda: CorrelatedNoiseSpec(b_x=6, delta2=0.4,
+                                baseline=BaselineConfig(f=sine_function(), sigma2=0.5, n=40)),
+], ids=["partition", "correlated_noise"])
+def test_reloaded_realization_samples_with_a_freshly_built_equal_spec(tmp_path, make_spec):
+    # each make_spec() call builds a new sine closure; equal specs must still match
+    xi = draw_perturbation(make_spec(), substream(21, "xi"))
+    save_realization(xi, tmp_path / "xi.json")
+    spec = make_spec()
+    back = load_realization(tmp_path / "xi.json")
+    assert back.spec == spec
+    drawn = sample_perturbed(spec, xi, 40, substream(21, "data"))
+    replayed = sample_perturbed(spec, back, 40, substream(21, "data"))
+    for field in ("xs", "ys", "bucket_ids"):
+        assert getattr(replayed, field).tobytes() == getattr(drawn, field).tobytes()
+
+
+def test_replay_document_refuses_a_function_the_catalog_cannot_rebuild(tmp_path):
+    bump = bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
+    spec = CorrelatedNoiseSpec(b_x=4, delta2=0.4, baseline=BaselineConfig(f=bump, sigma2=0.5, n=9))
+    xi = draw_perturbation(spec, substream(14, "bump"))
+    with pytest.raises(ValueError, match="function 'bump' is not in the function catalog"):
+        realization_to_json(xi)
+    with pytest.raises(ValueError, match="'bump'"):
+        save_realization(xi, tmp_path / "xi.json")
+    assert not (tmp_path / "xi.json").exists()
 
 
 def test_bin_means_cache_is_read_only_and_public_copy_is_fresh():
