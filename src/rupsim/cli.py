@@ -122,9 +122,9 @@ def _parse_baseline(root: Conf, need: str = "n") -> tuple[BaselineConfig, list[i
     return BaselineConfig(f=get_function(fname), sigma2=sigma2, n=n_grid[0]), n_grid
 
 
-def _parse_rup_spec(root: Conf, base: BaselineConfig, models=("correlated_noise", "partition")):
+def _parse_rup_spec(root: Conf, base: BaselineConfig):
     blk = root.block("rup")
-    model = blk.get_str("model", choices=models)
+    model = blk.get_str("model", choices=("correlated_noise", "partition"))
     b_x = blk.get_int("b_x", ge=1)
     if model == "correlated_noise":
         return CorrelatedNoiseSpec(b_x=b_x, delta2=blk.get_float("delta2", ge=0.0), baseline=base)
@@ -424,14 +424,36 @@ def _staging_dir(outdir: Path) -> tempfile.TemporaryDirectory:
                           f"{exc.strerror or exc}") from None
 
 
+def _replaced_outputs(outdir: Path) -> list[str]:
+    """The outputs the manifest in outdir lists, [] if it cannot be read.
+
+    Only plain file names count (one path component, not . or ..), so a
+    manifest cannot point outside outdir.
+    """
+    try:
+        listed = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return []
+    if not isinstance(listed, dict):
+        return []
+    return [name for name in listed if isinstance(name, str)
+            and name not in ("", ".", "..") and Path(name).name == name]
+
+
 def _publish(stage: Path, names: list[str], outdir: Path) -> None:
     """Rename the staged files into outdir, the manifest last.
 
     The old manifest goes first, so a failure part way leaves no manifest
-    that vouches for files it did not write.
+    that vouches for files it did not write. The files it listed that this
+    run does not write go with it, so outdir holds one run's outputs.
     """
     outdir.mkdir(parents=True, exist_ok=True)
+    stale = [name for name in _replaced_outputs(outdir) if name not in (*names, "manifest.json")]
     (outdir / "manifest.json").unlink(missing_ok=True)
+    for name in stale:
+        if (outdir / name).is_file() or (outdir / name).is_symlink():
+            (outdir / name).unlink()
+            print(f"removed {outdir / name}")
     for name in [*sorted(names), "manifest.json"]:
         os.replace(stage / name, outdir / name)
         print(f"wrote {outdir / name}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
@@ -220,11 +220,6 @@ class CorrelatedNoiseSpec:
         if self.delta2 < 0:
             raise ValueError("delta2 must be nonnegative")
 
-    @property
-    def corr_length(self) -> float:
-        """Bucket width: shifts at points farther apart are uncorrelated."""
-        return 1.0 / self.b_x
-
 
 PerturbationSpec = Union[PartitionSpec, CorrelatedNoiseSpec]
 
@@ -242,19 +237,34 @@ class PerturbationStrength:
 
 @dataclass
 class PerturbationRealization:
-    """One drawn perturbation, enough to replay conditional sampling."""
+    """One drawn perturbation, its spec and its draw: enough to replay sampling.
 
-    variant: str  # "partition" | "correlated_noise"
+    The draw is partition_weights (B_X, B_eps) or bucket_shifts (B_X,), as the
+    spec's model has it; one that does not fit the spec is a ValueError.
+    """
+
     spec: PerturbationSpec
     realization_id: str | None = None
-    partition_weights: np.ndarray | None = None  # raw (B_X, B_eps)
-    row_normalizers: np.ndarray | None = None    # per-row mean weight
-    eps_bin_means: np.ndarray | None = None      # E[eps | eps in bin j]
-    bucket_shifts: np.ndarray | None = None      # (B_X,)
+    partition_weights: np.ndarray | None = None
+    bucket_shifts: np.ndarray | None = None
+    variant: str = field(init=False)  # "partition" | "correlated_noise"
+    normalized_weights: np.ndarray | None = field(init=False, default=None)  # w / row mean
+    eps_bin_means: np.ndarray | None = field(init=False, default=None)  # E[eps | bin j], read-only
 
-    @property
-    def normalized_weights(self) -> np.ndarray:
-        return self.partition_weights / self.row_normalizers[:, None]
+    def __post_init__(self):
+        spec = self.spec
+        partition = isinstance(spec, PartitionSpec)
+        self.variant = "partition" if partition else "correlated_noise"
+        name = "partition_weights" if partition else "bucket_shifts"
+        shape = (spec.b_x, spec.b_eps) if partition else (spec.b_x,)
+        draw = np.asarray(getattr(self, name), dtype=float)
+        if draw.shape != shape or not np.isfinite(draw).all() or (partition and draw.min() <= 0):
+            raise ValueError(f"{name} must have shape {shape} with every entry finite"
+                             f"{' and > 0' if partition else ''}; got shape {draw.shape}")
+        setattr(self, name, draw)
+        if partition:
+            self.normalized_weights = draw / draw.mean(axis=1)[:, None]
+            self.eps_bin_means = _cached_bin_means(spec.baseline.sigma2, spec.b_eps)
 
 
 def gaussian_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
@@ -283,9 +293,7 @@ def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
     if isinstance(spec, CorrelatedNoiseSpec):
         scale = math.sqrt(spec.delta2 * spec.baseline.sigma2)
         shifts = rng.normal(0.0, scale, spec.b_x)
-        return PerturbationRealization(variant="correlated_noise", spec=spec,
-                                       realization_id=realization_id,
-                                       bucket_shifts=shifts)
+        return PerturbationRealization(spec, realization_id, bucket_shifts=shifts)
     weights = spec.weight_law.sample(rng, (spec.b_x, spec.b_eps))
     bad = weights <= 0.0
     redraws = 0
@@ -297,11 +305,7 @@ def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
                 f"({int(bad.sum())} stuck cells); check the weight law")
         weights[bad] = spec.weight_law.sample(rng, int(bad.sum()))
         bad = weights <= 0.0
-    return PerturbationRealization(
-        variant="partition", spec=spec, realization_id=realization_id,
-        partition_weights=weights,
-        row_normalizers=weights.mean(axis=1),
-        eps_bin_means=_cached_bin_means(spec.baseline.sigma2, spec.b_eps))
+    return PerturbationRealization(spec, realization_id, partition_weights=weights)
 
 
 def _bisect_rows(table: np.ndarray, rows, u) -> np.ndarray:
@@ -502,21 +506,16 @@ def realization_from_json(doc: dict) -> PerturbationRealization:
     f = replace(f, beta=float(bdoc.get("beta", f.beta)),
                 holder_const=float(bdoc.get("holder_const", f.holder_const)))
     base = BaselineConfig(f=f, sigma2=float(bdoc["sigma2"]), n=int(bdoc["n"]))
+    rid = doc.get("realization_id")
     if doc["variant"] == "partition":
         law = WeightLaw(kind=sp["weight_law"]["kind"],
                         log_mean=float(sp["weight_law"]["log_mean"]),
                         log_sd=float(sp["weight_law"]["log_sd"]))
         spec = PartitionSpec(b_x=int(sp["b_x"]), b_eps=int(sp["b_eps"]),
                              weight_law=law, baseline=base)
-        weights = np.asarray(doc["partition_weights"], dtype=float)
-        return PerturbationRealization(
-            variant="partition", spec=spec, realization_id=doc.get("realization_id"),
-            partition_weights=weights, row_normalizers=weights.mean(axis=1),
-            eps_bin_means=_cached_bin_means(base.sigma2, spec.b_eps))
+        return PerturbationRealization(spec, rid, partition_weights=doc["partition_weights"])
     spec = CorrelatedNoiseSpec(b_x=int(sp["b_x"]), delta2=float(sp["delta2"]), baseline=base)
-    return PerturbationRealization(
-        variant="correlated_noise", spec=spec, realization_id=doc.get("realization_id"),
-        bucket_shifts=np.asarray(doc["bucket_shifts"], dtype=float))
+    return PerturbationRealization(spec, rid, bucket_shifts=doc["bucket_shifts"])
 
 
 def save_realization(xi: PerturbationRealization, path) -> None:

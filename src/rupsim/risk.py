@@ -69,6 +69,12 @@ class RiskReport:
                                  self.diagnostics["dist_var_raw"])
 
 
+def _check_baseline(base: BaselineConfig, spec: PerturbationSpec) -> None:
+    """A ValueError unless the spec perturbs base: the data follow spec.baseline."""
+    if spec.baseline != base:
+        raise ValueError(f"base {base} differs from spec.baseline {spec.baseline}")
+
+
 def _risk_components(mu, v, v_over_b, t, f0):
     grand = mu.mean()
     bias2 = (grand - f0) ** 2
@@ -100,10 +106,12 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     one realization are drawn in one stacked sampler call and fitted in one
     stacked engine call. Aborts if more
     than 1% of fits lack local support. diagnostics["ridged_fits"] counts
-    the supported fits whose local Gram matrix was ridged.
+    the supported fits whose local Gram matrix was ridged. spec.baseline
+    must be base.
     """
     if reps_xi < 2 or reps_data < 2:
         raise ValueError("need reps_xi >= 2 and reps_data >= 2")
+    _check_baseline(base, spec)
     f0 = float(base.f(x0))
 
     def one_realization(i: int):
@@ -153,10 +161,11 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     over weight pairs collapse to per-bucket squares). Returns (value, se).
     Designs are fitted in stacks of at most CHUNK_ELEMENTS / 8 points, which
     bounds the working memory. Raises NoLocalSupport when a design has no
-    point with positive kernel weight at x0.
+    point with positive kernel weight at x0. spec.baseline must be base.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    _check_baseline(base, spec)
     acc = np.empty(reps)
     chunk = max(1, CHUNK_ELEMENTS // (8 * base.n))
     for first in range(0, reps, chunk):
@@ -209,7 +218,7 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
                 reps: int, seed: int) -> list[MiseCurve]:
     """MISE curves of several perturbation specs under one seed, one per spec.
 
-    The specs share one baseline. Replicate r of every spec draws its
+    Each spec's baseline must be base. Replicate r of every spec draws its
     realization and dataset from the same xi and data substreams, so all
     specs see the same design (x is the data stream's first draw) and only
     their responses differ; each (replicate, h) is one engine call that fits
@@ -224,8 +233,8 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
         raise ValueError("reps must be at least 2")
     if not specs:
         raise ValueError("the spec ladder is empty")
-    if any(spec.baseline != specs[0].baseline for spec in specs):
-        raise ValueError("every spec of a ladder must share one baseline")
+    for spec in specs:
+        _check_baseline(base, spec)
     h_grid = np.sort(np.asarray(h_grid, dtype=float))
     eval_grid = np.asarray(eval_grid, dtype=float)
     if h_grid.size == 0 or eval_grid.size == 0:

@@ -8,6 +8,7 @@ static figure needs: axes, ticks, series with markers, a legend.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf"]
@@ -26,6 +27,16 @@ def _finite_points(xs, ys, logx, logy):
         pts.append((math.log10(x) if logx else float(x),
                     math.log10(y) if logy else float(y)))
     return pts
+
+
+def _widen(v: float) -> tuple[float, float]:
+    """(lo, hi) around a flat value v: v -+ 0.5, or -+ one ulp where that is wider.
+
+    From |v| = 2^52 on, v + 0.5 rounds back to v and one ulp is at least 1; the
+    ends are clipped to the largest finite float.
+    """
+    half = max(0.5, math.ulp(v))
+    return max(v - half, -sys.float_info.max), min(v + half, sys.float_info.max)
 
 
 def _fmt_tick(value: float, log: bool) -> str:
@@ -50,9 +61,9 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     y_lo = min(p[1] for p in all_pts)
     y_hi = max(p[1] for p in all_pts)
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = _widen(x_lo)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = _widen(y_lo)
     pad_x = 0.04 * (x_hi - x_lo)
     pad_y = 0.06 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x

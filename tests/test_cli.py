@@ -291,6 +291,43 @@ def test_successful_rerun_replaces_its_own_files_and_keeps_others(tmp_path, caps
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_rerun_removes_the_files_the_replaced_manifest_listed(tmp_path, capsys):
+    out = tmp_path / "o"
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "sample.yaml"
+    assert main(["sample", "--config", str(shipped), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    no_rup = write_cfg(tmp_path, "seed: 3\nbaseline: {f: zero, sigma2: 1.0, n: 4}\n")
+    capsys.readouterr()
+    assert main(["sample", "--config", no_rup, "--out", str(out)]) == 0
+    assert f"removed {out / 'realization.json'}" in capsys.readouterr().out.splitlines()
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "manifest.json", "notes.txt"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["dataset.csv"]
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("manifest", [
+    {"outputs": {name: "0" * 64 for name in (
+        "../outside.txt", "/tmp/outside.txt", "sub/inner.txt", "sub", ".", "..", "")}},
+    {"outputs": ["kept.txt"]}, ["kept.txt"], "not json {",
+], ids=["names-outside-or-below-out", "outputs-not-a-mapping", "not-a-mapping", "not-json"])
+def test_rerun_removes_no_path_a_crafted_or_unreadable_manifest_names(tmp_path, capsys,
+                                                                       manifest):
+    out = tmp_path / "o"
+    (out / "sub").mkdir(parents=True)
+    (out / "sub" / "inner.txt").write_text("inner", encoding="utf-8")
+    (out / "kept.txt").write_text("kept", encoding="utf-8")
+    (tmp_path / "outside.txt").write_text("outside", encoding="utf-8")
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    before = {p: b for p, b in tree(tmp_path).items() if p.name != "manifest.json"}
+    assert main(["sample", "--config", write_cfg(tmp_path, SAMPLE_CFG), "--out", str(out)]) == 0
+    after = tree(tmp_path)
+    assert all(after[p] == b for p, b in before.items())
+    assert "removed" not in capsys.readouterr().out
+
+
 def test_bad_threads_exit_2_without_out_dir(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SAMPLE_CFG)
     out = tmp_path / "o"

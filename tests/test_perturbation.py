@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,10 +34,7 @@ def make_partition_xi(weights, sigma2=1.0, law=None, n=1000):
     spec = PartitionSpec(b_x=b_x, b_eps=b_eps,
                          weight_law=law or WeightLaw.exponential(),
                          baseline=BaselineConfig(f=zero_function(), sigma2=sigma2, n=n))
-    return spec, PerturbationRealization(
-        variant="partition", spec=spec, realization_id="forced",
-        partition_weights=weights, row_normalizers=weights.mean(axis=1),
-        eps_bin_means=gaussian_bin_means(sigma2, b_eps))
+    return spec, PerturbationRealization(spec, "forced", partition_weights=weights)
 
 
 def make_corr_xi(shifts, delta2=1.0, sigma2=1.0, n=1000, f=None):
@@ -44,8 +42,7 @@ def make_corr_xi(shifts, delta2=1.0, sigma2=1.0, n=1000, f=None):
     spec = CorrelatedNoiseSpec(b_x=shifts.size, delta2=delta2,
                                baseline=BaselineConfig(f=f or zero_function(),
                                                        sigma2=sigma2, n=n))
-    return spec, PerturbationRealization(variant="correlated_noise", spec=spec,
-                                         realization_id="forced", bucket_shifts=shifts)
+    return spec, PerturbationRealization(spec, "forced", bucket_shifts=shifts)
 
 
 def test_bucket_map():
@@ -630,9 +627,46 @@ def test_replay_json_round_trip_rebuilds_arrays_and_samples(model, b_x, b_eps, r
     doc = realization_to_json(xi)
     back = realization_from_json(json.loads(json.dumps(doc)))
     assert realization_to_json(back) == doc
-    for name in ("partition_weights", "row_normalizers", "eps_bin_means", "bucket_shifts"):
+    for name in ("partition_weights", "normalized_weights", "eps_bin_means", "bucket_shifts"):
         a, b = getattr(xi, name), getattr(back, name)
         assert (a is None and b is None) or np.array_equal(a, b)
     ds = sample_perturbed(spec, xi, 64, substream(seed, "data"))
     replayed = sample_perturbed(back.spec, back, 64, substream(seed, "data"))
     assert np.array_equal(ds.xs, replayed.xs) and np.array_equal(ds.ys, replayed.ys)
+
+
+_SHIFTS4 = CorrelatedNoiseSpec(b_x=4, delta2=0.5, baseline=BASE)
+_CELLS34 = PartitionSpec(b_x=3, b_eps=4, weight_law=WeightLaw.exponential(), baseline=BASE)
+
+
+@pytest.mark.parametrize("spec, name, edit", [
+    (_SHIFTS4, "bucket_shifts", lambda d: d + d[:2]),
+    (_SHIFTS4, "bucket_shifts", lambda d: d[:2]),
+    (_SHIFTS4, "bucket_shifts", lambda d: [math.nan] + d[1:]),
+    (_CELLS34, "partition_weights", lambda d: d + d[:1]),
+    (_CELLS34, "partition_weights", lambda d: [row[:3] for row in d]),
+    (_CELLS34, "partition_weights", lambda d: [[-d[0][0]] + d[0][1:]] + d[1:]),
+], ids=["6-shifts-for-4-buckets", "2-shifts-for-4-buckets", "nan-shift",
+        "4-weight-rows-for-3-buckets", "3-weight-columns-for-4-bins", "negative-weight"])
+def test_replay_document_whose_draw_does_not_fit_its_spec_is_refused(spec, name, edit):
+    xi = draw_perturbation(spec, substream(23, "xi"), realization_id="xi00000")
+    doc = realization_to_json(xi)
+    doc[name] = edit(doc[name])
+    shape = re.escape(f"{name} must have shape {np.shape(getattr(xi, name))}")
+    with pytest.raises(ValueError, match=shape):
+        realization_from_json(json.loads(json.dumps(doc)))
+    with pytest.raises(ValueError, match=shape):
+        PerturbationRealization(spec, "xi00000", **{name: np.asarray(doc[name])})
+
+
+def test_realization_derives_variant_weights_and_bin_means_from_its_draw():
+    spec, xi = make_partition_xi([[1.5, 0.5], [2.0, 6.0]], sigma2=2.0)
+    assert xi.variant == "partition" and xi.bucket_shifts is None
+    assert np.array_equal(xi.normalized_weights, [[1.5, 0.5], [0.5, 1.5]])
+    assert xi.eps_bin_means is draw_perturbation(spec, substream(1, "xi")).eps_bin_means
+    assert np.array_equal(xi.eps_bin_means, gaussian_bin_means(2.0, 2))
+    _, corr = make_corr_xi([0.25, -0.5])
+    assert corr.variant == "correlated_noise"
+    assert corr.normalized_weights is None and corr.eps_bin_means is None
+    with pytest.raises(ValueError, match=re.escape("bucket_shifts must have shape (2,)")):
+        PerturbationRealization(corr.spec, partition_weights=np.ones((2, 2)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,34 @@ def test_mise_ladder_rejects_empty_or_mixed_ladders():
         mise_ladder(base, [], *args)
     with pytest.raises(ValueError, match="baseline"):
         mise_ladder(base, [corr_spec(0.0, base), corr_spec(0.01, other)], *args)
+
+
+_SINE = BaselineConfig(f=sine_function(), sigma2=0.5, n=50)
+_ZERO = BaselineConfig(f=zero_function(), sigma2=0.5, n=50)
+_BOTH_BASELINES = f"base {_SINE!r} differs from spec.baseline {_ZERO!r}"
+
+
+def test_pointwise_risk_refuses_a_spec_around_another_baseline():
+    # the data would follow the zero function while bias2 is taken against the sine
+    with pytest.raises(ValueError, match=re.escape(_BOTH_BASELINES)):
+        pointwise_risk_mc(_SINE, corr_spec(0.01, _ZERO), LpeConfig(order=1, bandwidth=0.2),
+                          x0=0.3, reps_xi=2, reps_data=2, seed=0)
+    with pytest.raises(ValueError, match=re.escape(_BOTH_BASELINES)):
+        mise_mc(_SINE, corr_spec(0.01, _ZERO), LpeConfig(order=1, bandwidth=0.2), [0.2],
+                np.linspace(0.1, 0.9, 5), 2, 0)
+
+
+def test_weight_oracle_refuses_a_spec_around_another_baseline():
+    other_sigma2 = BaselineConfig(f=sine_function(), sigma2=2.0, n=50)
+    with pytest.raises(ValueError, match="differs from spec.baseline"):
+        dist_var_weight_oracle(_SINE, corr_spec(0.01, other_sigma2),
+                               LpeConfig(order=1, bandwidth=0.2), 0.5, 2, 0)
+
+
+def test_mise_ladder_refuses_specs_that_agree_with_each_other_but_not_with_base():
+    with pytest.raises(ValueError, match=re.escape(_BOTH_BASELINES)):
+        mise_ladder(_SINE, [corr_spec(0.0, _ZERO), corr_spec(0.01, _ZERO)],
+                    LpeConfig(order=1, bandwidth=0.1), [0.2], np.linspace(0.1, 0.9, 5), 2, 0)
 
 
 def test_mise_ridged_fits_counted_per_h(monkeypatch):
