@@ -18,8 +18,8 @@ from .baseline import (BaselineConfig, Dataset, RegressionFunction, bump_functio
 from .kernels import (EPANECHNIKOV, KERNELS, SMOOTH_BUMP, TRIANGULAR, UNIFORM,
                       Kernel, get_kernel)
 from .klscale import (BlockCovariance, KlScalingTable, TwoPointConstruction,
-                      block_covariance_apply, block_precision_apply, conditional_kl,
-                      correlated_noise_kl_suite, kl_mc, two_point_separation)
+                      block_precision_apply, conditional_kl, correlated_noise_kl_suite,
+                      kl_mc, two_point_separation)
 from .local_poly import (LocalFit, LpeConfig, NoLocalSupport, SortedDesign, WeightVector,
                          equivalent_kernel_weights, fit_predict, local_fit, predict_grid,
                          sort_design)
@@ -31,6 +31,6 @@ from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, PerturbationReali
                            realization_to_json, sample_perturbed, save_realization)
 from .risk import (MiseCurve, RiskReport, dist_var_weight_oracle, mise_ladder, mise_mc,
                    optimal_bandwidth_curve, pointwise_risk_mc, rate_fit)
-from .streams import map_indexed, substream
+from .streams import map_indexed, substream, substreams
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ from .local_poly import MIN_BANDWIDTH, LpeConfig
 from .perturbation import (CorrelatedNoiseSpec, PartitionSpec, WeightLaw,
                            draw_perturbation, sample_perturbed, save_realization)
 from .risk import optimal_bandwidth_curve
-from .streams import substream
+from .streams import substream, substreams
 from .svgplot import line_chart
 
 DEFAULT_GRID_POINTS = 101
@@ -378,13 +378,13 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
                             "f; the estimate assumes centered outcomes")
         theta = np.empty(j)
         sig_parts = np.empty(j)
+        xi_rngs, data_rngs = substreams(seed, "xi", count=j), substreams(seed, "data", count=j)
         stack = max(1, STACK_POINTS // base.n)
         for first in range(0, j, stack):
             last = min(first + stack, j)
-            xis = [draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
+            xis = [draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
                    for i in range(first, last)]
-            ds = sample_perturbed(spec, xis, base.n,
-                                  [substream(seed, "data", i) for i in range(first, last)])
+            ds = sample_perturbed(spec, xis, base.n, [data_rngs[i] for i in range(first, last)])
             theta[first:last] = ds.ys.mean(axis=1)
             sig_parts[first:last] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
         n_per = base.n

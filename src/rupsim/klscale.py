@@ -12,7 +12,10 @@ The mean difference vanishes outside the bump's support window, and buckets
 are independent blocks, so only the buckets that meet the window enter the
 quadratic form. conditional_kl works on those buckets alone (with every
 design point they hold), which makes its cost follow the window's occupancy
-rather than n and B_X.
+rather than n and B_X. It scores a stack of equal-size designs in one call,
+each design's buckets keyed apart, so the fixed cost of its numpy calls is
+paid once per stack; kl_mc draws each n's designs from one substreams batch
+and scores them in stacks of at most STACK_POINTS points.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ import numpy as np
 from .baseline import BaselineConfig, check_unit_interval
 from .kernels import SMOOTH_BUMP, Kernel
 from .perturbation import CorrelatedNoiseSpec, bucket_of
-from .streams import map_indexed, substream
+from .streams import substreams
 
 # n/B_X growing by more than this factor across the grid flags the run as
 # outside the bounded-occupancy regime.
 REGIME_GROWTH_LIMIT = 1.5
+# kl_mc scores its designs in stacks of at most this many points (at least
+# one design each), which bounds the stack's working memory.
+STACK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -98,15 +104,8 @@ def block_precision_apply(cov: BlockCovariance, v) -> np.ndarray:
     return (v - shrink[cov.bucket_ids] * sums[cov.bucket_ids]) / cov.sigma2
 
 
-def block_covariance_apply(cov: BlockCovariance, v) -> np.ndarray:
-    """Apply the covariance itself to v blockwise (round-trip checks)."""
-    v = np.asarray(v, dtype=float)
-    sums = np.bincount(cov.bucket_ids, weights=v, minlength=cov._n_buckets)
-    return cov.sigma2 * (v + cov.delta2 * sums[cov.bucket_ids])
-
-
 def conditional_kl(design_xs, construction: TwoPointConstruction,
-                   spec: CorrelatedNoiseSpec) -> float:
+                   spec: CorrelatedNoiseSpec) -> float | np.ndarray:
     """KL between the two hypotheses' outcome laws, conditional on the design.
 
     Equal covariances leave only the mean-shift quadratic form
@@ -114,9 +113,18 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
     Buckets outside the bump's window hold df = 0 and, being independent
     blocks, add nothing, so the form is taken over the buckets that meet the
     window only.
+
+    design_xs is one design (n,), giving a float, or a stack (D, n) of
+    designs, giving a (D,) array whose entry d equals the one-design call on
+    row d bit for bit: the filters, the bump and the precision are
+    elementwise or per bucket, with row d's buckets keyed d * (buckets in the
+    window) apart, and each row keeps its own dot product.
     """
     xs = np.asarray(design_xs, dtype=float)
+    if xs.ndim not in (1, 2):
+        raise ValueError("design_xs must be one design (n,) or a stack (D, n)")
     check_unit_interval(xs, "design points must lie in [0, 1]")
+    stack = xs[None] if xs.ndim == 1 else xs
     # df != 0 needs |x - x0| within the kernel's reach. bucket_of is
     # nondecreasing in x, so every point in a bucket outside [first, last]
     # lies beyond the reach and has df = 0.
@@ -125,14 +133,21 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
                                     0.0, 1.0), spec.b_x)
     # A point of bucket first..last has x within [first, last + 1] / b_x; a
     # margin of one bucket width covers the rounding of x * b_x, so the exact
-    # bucket test below sees every such point, in design order.
-    xs = xs[(xs >= (first - 1) / spec.b_x) & (xs < (last + 2) / spec.b_x)]
-    buckets = bucket_of(xs, spec.b_x)
+    # bucket test below sees every such point, row by row in design order.
+    flat = stack.ravel()
+    kept = np.flatnonzero((flat >= (first - 1) / spec.b_x) & (flat < (last + 2) / spec.b_x))
+    x, rows = flat[kept], kept // stack.shape[1]
+    buckets = bucket_of(x, spec.b_x)
     near = (buckets >= first) & (buckets <= last)
-    df = construction.bump(xs[near])
-    cov = BlockCovariance(bucket_ids=buckets[near] - first,
+    rows, buckets = rows[near], buckets[near]
+    df = construction.bump(x[near])
+    cov = BlockCovariance(bucket_ids=buckets - first + rows * (last - first + 1),
                           sigma2=spec.baseline.sigma2, delta2=spec.delta2)
-    return float(0.5 * df @ block_precision_apply(cov, df))
+    v = block_precision_apply(cov, df)
+    half = 0.5 * df
+    ends = np.searchsorted(rows, np.arange(len(stack) + 1)).tolist()
+    kl = np.array([half[s:e] @ v[s:e] for s, e in zip(ends[:-1], ends[1:])], dtype=float)
+    return kl if xs.ndim == 2 else float(kl[0])
 
 
 @dataclass
@@ -179,12 +194,14 @@ def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
         n_eff = n / (1.0 + n * tau)
         constr = TwoPointConstruction(x0=x0, h=n_eff ** (-1.0 / (2.0 * beta + 1.0)),
                                       beta=beta, holder_const=holder_const)
-
-        def one_design(r: int, n=n, spec=spec, constr=constr, ni=ni) -> float:
-            xs = substream(seed, "design", ni, r).random(n)
-            return conditional_kl(xs, constr, spec)
-
-        kls = np.array(map_indexed(one_design, reps))
+        rngs = substreams(seed, "design", ni, count=reps)
+        kls = np.empty(reps)
+        designs = np.empty((min(max(1, STACK_POINTS // n), reps), n))
+        for start in range(0, reps, len(designs)):
+            stack = designs[:min(len(designs), reps - start)]
+            for r, row in enumerate(stack, start):
+                rngs[r].random(out=row)
+            kls[start:start + len(stack)] = conditional_kl(stack, constr, spec)
         kl_mean = float(kls.mean())
         kl_se = float(kls.std(ddof=1) / math.sqrt(reps))
         norm = n_eff * constr.h ** (2.0 * constr.beta + 1.0)

@@ -257,10 +257,14 @@ class PerturbationRealization:
         self.variant = "partition" if partition else "correlated_noise"
         name = "partition_weights" if partition else "bucket_shifts"
         shape = (spec.b_x, spec.b_eps) if partition else (spec.b_x,)
-        draw = np.asarray(getattr(self, name), dtype=float)
+        rule = f"{name} must have shape {shape} with every entry finite" + (
+            " and > 0" if partition else "")
+        try:
+            draw = np.asarray(getattr(self, name), dtype=float)
+        except ValueError:  # a ragged nested list has no shape
+            raise ValueError(f"{rule}; got a ragged list") from None
         if draw.shape != shape or not np.isfinite(draw).all() or (partition and draw.min() <= 0):
-            raise ValueError(f"{name} must have shape {shape} with every entry finite"
-                             f"{' and > 0' if partition else ''}; got shape {draw.shape}")
+            raise ValueError(f"{rule}; got shape {draw.shape}")
         setattr(self, name, draw)
         if partition:
             self.normalized_weights = draw / draw.mean(axis=1)[:, None]
@@ -507,6 +511,9 @@ def realization_from_json(doc: dict) -> PerturbationRealization:
                 holder_const=float(bdoc.get("holder_const", f.holder_const)))
     base = BaselineConfig(f=f, sigma2=float(bdoc["sigma2"]), n=int(bdoc["n"]))
     rid = doc.get("realization_id")
+    if doc["variant"] not in ("partition", "correlated_noise"):
+        raise ValueError(f"variant must be 'partition' or 'correlated_noise', "
+                         f"got {doc['variant']!r}")
     if doc["variant"] == "partition":
         law = WeightLaw(kind=sp["weight_law"]["kind"],
                         log_mean=float(sp["weight_law"]["log_mean"]),

@@ -33,7 +33,7 @@ from .local_poly import (CHUNK_ELEMENTS, LpeConfig, NoLocalSupport, _kernel_weig
                          predict_grid, sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
-from .streams import map_indexed, substream
+from .streams import map_indexed, substream, substreams
 
 # Abort when more than this fraction of fits lack local support.
 MAX_FAIL_FRACTION = 0.01
@@ -168,9 +168,10 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     _check_baseline(base, spec)
     acc = np.empty(reps)
     chunk = max(1, CHUNK_ELEMENTS // (8 * base.n))
+    rngs = substreams(seed, "oracle-design", count=reps)
     for first in range(0, reps, chunk):
         draws = np.arange(first, min(first + chunk, reps))
-        xs = np.array([substream(seed, "oracle-design", r).random(base.n) for r in draws])
+        xs = np.array([rngs[r].random(base.n) for r in draws])
         design = sort_design(xs)
         fit = local_fit(lpe, design, [x0])
         if not fit.supported.all():

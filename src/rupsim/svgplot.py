@@ -39,6 +39,20 @@ def _widen(v: float) -> tuple[float, float]:
     return max(v - half, -sys.float_info.max), min(v + half, sys.float_info.max)
 
 
+# Spans and tick offsets are taken on values scaled by this power of two: a
+# span then stays below max/8 and a tick offset (span * i, i <= 5) finite for
+# any finite data. Scaling by a power of two is exact above the subnormal
+# range, so each coordinate keeps the bits of the unscaled formula wherever
+# that formula is finite.
+_SCALE = 2.0 ** -4
+
+
+def _padded(lo: float, hi: float, frac: float) -> tuple[float, float]:
+    """(lo, hi) widened by frac of their span at each end, clipped to finite floats."""
+    pad = frac * (hi * _SCALE - lo * _SCALE) / _SCALE
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
 def _fmt_tick(value: float, log: bool) -> str:
     v = 10.0 ** value if log else value
     return format(v, ".3g")
@@ -64,19 +78,19 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
         x_lo, x_hi = _widen(x_lo)
     if y_hi == y_lo:
         y_lo, y_hi = _widen(y_lo)
-    pad_x = 0.04 * (x_hi - x_lo)
-    pad_y = 0.06 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    x_lo, x_hi = _padded(x_lo, x_hi, 0.04)
+    y_lo, y_hi = _padded(y_lo, y_hi, 0.06)
+    x_lo_s, x_span = x_lo * _SCALE, x_hi * _SCALE - x_lo * _SCALE
+    y_lo_s, y_span = y_lo * _SCALE, y_hi * _SCALE - y_lo * _SCALE
 
     plot_w = WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x * _SCALE - x_lo_s) / x_span * plot_w
 
     def sy(y: float) -> float:
-        return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + plot_h - (y * _SCALE - y_lo_s) / y_span * plot_h
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -94,13 +108,13 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 
     n_ticks = 5
     for i in range(n_ticks + 1):
-        tx = x_lo + (x_hi - x_lo) * i / n_ticks
+        tx = (x_lo_s + x_span * i / n_ticks) / _SCALE
         px = sx(tx)
         out.append(f'<line x1="{px:.2f}" y1="{ax_y:.1f}" x2="{px:.2f}" '
                    f'y2="{ax_y + 5:.1f}" stroke="#000000" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{ax_y + 18:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{_fmt_tick(tx, logx)}</text>')
-        ty = y_lo + (y_hi - y_lo) * i / n_ticks
+        ty = (y_lo_s + y_span * i / n_ticks) / _SCALE
         py = sy(ty)
         out.append(f'<line x1="{_MARGIN_L - 5:.1f}" y1="{py:.2f}" x2="{_MARGIN_L:.1f}" '
                    f'y2="{py:.2f}" stroke="#000000" stroke-width="1"/>')

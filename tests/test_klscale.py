@@ -6,13 +6,21 @@ from scipy import integrate
 
 from rupsim import (EPANECHNIKOV, SMOOTH_BUMP, TRIANGULAR, UNIFORM, BaselineConfig,
                     BlockCovariance, CorrelatedNoiseSpec, Kernel, TwoPointConstruction,
-                    block_covariance_apply, block_precision_apply, bucket_of, conditional_kl,
-                    correlated_noise_kl_suite, substream, two_point_separation,
+                    block_precision_apply, bucket_of, conditional_kl,
+                    correlated_noise_kl_suite, kl_mc, substream, two_point_separation,
                     zero_function)
+from rupsim.klscale import STACK_POINTS
 
 
 def base(n=100, sigma2=1.0):
     return BaselineConfig(f=zero_function(), sigma2=sigma2, n=n)
+
+
+def block_covariance_apply(cov: BlockCovariance, v) -> np.ndarray:
+    """Apply the covariance itself to v blockwise (round-trip checks)."""
+    v = np.asarray(v, dtype=float)
+    sums = np.bincount(cov.bucket_ids, weights=v, minlength=int(cov.bucket_ids.max()) + 1)
+    return cov.sigma2 * (v + cov.delta2 * sums[cov.bucket_ids])
 
 
 def test_precision_identity_blocks_at_zero_delta():
@@ -126,6 +134,54 @@ def test_windowed_kl_matches_dense_solve_over_full_design(kernel):
             kl = conditional_kl(xs, constr, spec)
             assert dense > 0.0
             assert abs(kl - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("b_x", [1, 7, "per_point"])
+def test_stacked_conditional_kl_equals_one_design_calls(x0, b_x):
+    rng = substream(11, "stacked-kl", x0, str(b_x))
+    n = 90
+    b_x = n if b_x == "per_point" else b_x
+    stack = rng.random((12, n))
+    # no point within 0.5 of x0, the widest reach below
+    stack[3] = np.abs((1.0 if x0 < 0.5 else 0.0) - 0.1 * stack[3])
+    stack[4] = x0  # every point at the peak, in one bucket
+    stack[5, :4] = [0.0, 1.0, 0.0, 1.0]
+    for kernel, h in ((SMOOTH_BUMP, 0.2), (EPANECHNIKOV, 0.05), (UNIFORM, 0.5)):
+        constr = TwoPointConstruction(x0=x0, h=h, beta=1.0, holder_const=1.5, kernel=kernel)
+        for delta2 in (0.0, 0.8):
+            spec = CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=base(n, sigma2=1.3))
+            kls = conditional_kl(stack, constr, spec)
+            assert kls.shape == (12,) and kls.dtype == float
+            one = np.array([conditional_kl(row, constr, spec) for row in stack])
+            assert np.array_equal(kls, one)
+            assert kls[3] == 0.0 and kls[4] > 0.0
+            assert np.array_equal(conditional_kl(stack[5:6], constr, spec), one[5:6])
+    assert conditional_kl(np.empty((0, n)), constr, spec).shape == (0,)
+    assert np.array_equal(conditional_kl(np.empty((3, 0)), constr, spec), np.zeros(3))
+
+
+def test_conditional_kl_rejects_a_stack_outside_the_unit_interval_or_of_wrong_rank():
+    spec = CorrelatedNoiseSpec(b_x=10, delta2=0.5, baseline=base())
+    constr = TwoPointConstruction(x0=0.5, h=0.1, beta=1.0, holder_const=1.0)
+    with pytest.raises(ValueError, match=r"design points must lie in \[0, 1\]"):
+        conditional_kl(np.array([[0.5, 0.2], [0.5, np.nan]]), constr, spec)
+    with pytest.raises(ValueError, match=r"one design \(n,\) or a stack \(D, n\)"):
+        conditional_kl(np.full((2, 2, 2), 0.5), constr, spec)
+
+
+@pytest.mark.parametrize("bucket_rule", [lambda n: n, lambda n: 10], ids=["per-point", "fixed"])
+def test_kl_mc_equals_a_per_design_substream_loop(bucket_rule):
+    # n_grid spans stacks of many designs, of one design, and a final short stack
+    n_grid, reps, seed = [150, 1000, STACK_POINTS + 5], 23, 17
+    table = kl_mc(n_grid, bucket_rule, 0.9, base(), 1.0, 1.0, 0.45, reps, seed)
+    for ni, (n, row) in enumerate(zip(n_grid, table.rows)):
+        spec = CorrelatedNoiseSpec(b_x=bucket_rule(n), delta2=0.9, baseline=base(n))
+        constr = TwoPointConstruction(x0=0.45, h=row.h, beta=1.0, holder_const=1.0)
+        kls = np.array([conditional_kl(substream(seed, "design", ni, r).random(n), constr, spec)
+                        for r in range(reps)])
+        assert row.kl_mean == kls.mean()
+        assert row.kl_se == kls.std(ddof=1) / np.sqrt(reps)
 
 
 def test_conditional_kl_decreasing_in_delta2_shared_bucket():

@@ -646,17 +646,27 @@ _CELLS34 = PartitionSpec(b_x=3, b_eps=4, weight_law=WeightLaw.exponential(), bas
     (_CELLS34, "partition_weights", lambda d: d + d[:1]),
     (_CELLS34, "partition_weights", lambda d: [row[:3] for row in d]),
     (_CELLS34, "partition_weights", lambda d: [[-d[0][0]] + d[0][1:]] + d[1:]),
+    (_SHIFTS4, "bucket_shifts", lambda d: [d[:2]] + d[2:]),
+    (_CELLS34, "partition_weights", lambda d: [d[0][:3]] + d[1:]),
+    (_SHIFTS4, "variant", lambda d: "bogus"),
+    (_CELLS34, "variant", lambda d: "bogus"),
 ], ids=["6-shifts-for-4-buckets", "2-shifts-for-4-buckets", "nan-shift",
-        "4-weight-rows-for-3-buckets", "3-weight-columns-for-4-bins", "negative-weight"])
+        "4-weight-rows-for-3-buckets", "3-weight-columns-for-4-bins", "negative-weight",
+        "ragged-shifts", "ragged-weight-rows", "unknown-variant-with-delta2",
+        "unknown-variant-without-delta2"])
 def test_replay_document_whose_draw_does_not_fit_its_spec_is_refused(spec, name, edit):
     xi = draw_perturbation(spec, substream(23, "xi"), realization_id="xi00000")
     doc = realization_to_json(xi)
     doc[name] = edit(doc[name])
+    if name == "variant":
+        with pytest.raises(ValueError, match="variant must be 'partition' or 'correlated_noise'"):
+            realization_from_json(json.loads(json.dumps(doc)))
+        return
     shape = re.escape(f"{name} must have shape {np.shape(getattr(xi, name))}")
     with pytest.raises(ValueError, match=shape):
         realization_from_json(json.loads(json.dumps(doc)))
     with pytest.raises(ValueError, match=shape):
-        PerturbationRealization(spec, "xi00000", **{name: np.asarray(doc[name])})
+        PerturbationRealization(spec, "xi00000", **{name: doc[name]})
 
 
 def test_realization_derives_variant_weights_and_bin_means_from_its_draw():

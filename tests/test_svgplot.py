@@ -21,6 +21,23 @@ def test_flat_range_at_any_finite_magnitude_renders(v):
     assert "nan" not in svg and "inf" not in svg
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([1.0, 2.0, 1.7e308], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [-1.7e308, 0.0, 1.7e308]),
+    ([-sys.float_info.max, sys.float_info.max], [-sys.float_info.max, sys.float_info.max]),
+], ids=["x-to-1.7e308", "y-across-the-float-range", "both-at-the-float-limits"])
+def test_a_range_near_the_float_limits_keeps_every_coordinate_finite(xs, ys):
+    svg = line_chart([("wide", xs, ys)], xlabel="x", ylabel="y")
+    coords = [float(v) for v in re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)]
+    coords += [float(v) for points in re.findall(r'points="([^"]+)"', svg)
+               for pair in points.split() for v in pair.split(",")]
+    assert len(coords) > 2 * len(xs)
+    assert all(math.isfinite(c) for c in coords)
+    assert "nan" not in svg and "inf" not in svg
+    # every point lies inside the plot area
+    assert all(64.0 <= x <= 704.0 and 28.0 <= y <= 434.0 for x, y in _circles(svg))
+
+
 def test_non_finite_and_log_nonpositive_points_are_dropped():
     xs, ys = [0.0, 1.0, 10.0, math.nan, 100.0], [1.0, 5.0, -2.0, 3.0, math.inf]
     assert len(_circles(line_chart([("s", xs, ys)], xlabel="x", ylabel="y"))) == 3
