@@ -41,7 +41,7 @@ def effective_sample_size(n: int, tau: float) -> EffectiveSampleSize:
     """n_eff = n / (1 + n*tau); equals n at tau=0 and caps near 1/tau."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
     return EffectiveSampleSize(n=n, tau=tau, n_eff=n / (1.0 + n * tau))
 
@@ -53,9 +53,9 @@ def oracle_bandwidth(n: int, tau: float, beta: float) -> float:
     tau^(1/(2*beta+1)) once tau dominates 1/n. Only the exponent is
     principled; the constant in front is taken as 1.
     """
-    if beta <= 0:
+    if not beta > 0:  # NaN fails too
         raise ValueError("beta must be positive")
-    if n < 1 or tau < 0:
+    if n < 1 or not tau >= 0:
         raise ValueError("need n >= 1 and tau >= 0")
     return (1.0 / n + tau) ** (1.0 / (2.0 * beta + 1.0))
 
@@ -211,9 +211,11 @@ def estimate_tau_from_summaries(theta, n_per: int, sigma2_hat: float) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.size < 2:
         raise ValueError("need at least 2 realizations")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     if n_per < 1:
         raise ValueError("n_per must be at least 1")
-    if sigma2_hat <= 0:
-        raise ValueError("sigma2_hat must be positive")
+    if not 0 < sigma2_hat < np.inf:  # NaN fails too
+        raise ValueError("sigma2_hat must be positive and finite")
     spread = float(np.var(theta, ddof=1))
     return max(0.0, (spread - sigma2_hat / n_per) / sigma2_hat)

@@ -54,9 +54,6 @@ from .streams import substream, substreams
 from .svgplot import line_chart
 
 DEFAULT_GRID_POINTS = 101
-# estimate-tau samples its realizations in stacks of at most this many points
-# (at least one realization each), which bounds the stack's working memory.
-STACK_POINTS = 2 ** 13
 
 
 def _keep_freed_heap() -> None:
@@ -341,9 +338,9 @@ def _read_realization(path: str, warnings: list[str]):
         raise ConfigError(f"{where} lacks a 'y' column")
     try:
         ys = np.array([float(row["y"]) for row in data])
-        buckets = (np.array([int(row["bucket_id"]) for row in data])
+        buckets = (np.array([int(row["bucket_id"]) for row in data], dtype=np.int64)
                    if data[0].get("bucket_id", "") else None)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} has a non-numeric y or bucket_id: {exc}") from None
     if not np.isfinite(ys).all():
         raise ConfigError(f"{where} has a non-finite y")
@@ -353,6 +350,9 @@ def _read_realization(path: str, warnings: list[str]):
         return float(ys.mean()), ys.size, float(np.var(ys, ddof=1))
     if buckets.min() < 0:
         raise ConfigError(f"{where} has a negative bucket_id")
+    # ids 0..k-1 in the same order: the estimate sums over occupied buckets
+    # only, so it is unchanged, and its bincounts stay k long however large an id
+    buckets = np.unique(buckets, return_inverse=True)[1]
     return float(ys.mean()), ys.size, _noise_variance(ys, buckets, where)
 
 
@@ -378,15 +378,12 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
                             "f; the estimate assumes centered outcomes")
         theta = np.empty(j)
         sig_parts = np.empty(j)
-        xi_rngs, data_rngs = substreams(seed, "xi", count=j), substreams(seed, "data", count=j)
-        stack = max(1, STACK_POINTS // base.n)
-        for first in range(0, j, stack):
-            last = min(first + stack, j)
-            xis = [draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
-                   for i in range(first, last)]
-            ds = sample_perturbed(spec, xis, base.n, [data_rngs[i] for i in range(first, last)])
-            theta[first:last] = ds.ys.mean(axis=1)
-            sig_parts[first:last] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
+        xi_rngs = substreams(seed, "xi", count=j)
+        for run, data_rngs in substreams(seed, "data", count=j).stacks(base.n):
+            xis = [draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}") for i in run]
+            ds = sample_perturbed(spec, xis, base.n, data_rngs)
+            theta[run] = ds.ys.mean(axis=1)
+            sig_parts[run] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
         n_per = base.n
         sigma2_hat = float(sig_parts.mean())
         source = "baseline.sigma2"

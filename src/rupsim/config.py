@@ -34,7 +34,8 @@ def load_yaml(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+        detail = " ".join(str(exc).split())  # PyYAML's message spans several lines
+        raise ConfigError(f"config file {path} is not valid YAML: {detail}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping at top level")
     return data

@@ -15,7 +15,7 @@ design point they hold), which makes its cost follow the window's occupancy
 rather than n and B_X. It scores a stack of equal-size designs in one call,
 each design's buckets keyed apart, so the fixed cost of its numpy calls is
 paid once per stack; kl_mc draws each n's designs from one substreams batch
-and scores them in stacks of at most STACK_POINTS points.
+and scores them in the runs of its Substreams.stacks.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .streams import substreams
 # n/B_X growing by more than this factor across the grid flags the run as
 # outside the bounded-occupancy regime.
 REGIME_GROWTH_LIMIT = 1.5
-# kl_mc scores its designs in stacks of at most this many points (at least
-# one design each), which bounds the stack's working memory.
-STACK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -194,14 +191,14 @@ def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
         n_eff = n / (1.0 + n * tau)
         constr = TwoPointConstruction(x0=x0, h=n_eff ** (-1.0 / (2.0 * beta + 1.0)),
                                       beta=beta, holder_const=holder_const)
-        rngs = substreams(seed, "design", ni, count=reps)
         kls = np.empty(reps)
-        designs = np.empty((min(max(1, STACK_POINTS // n), reps), n))
-        for start in range(0, reps, len(designs)):
-            stack = designs[:min(len(designs), reps - start)]
-            for r, row in enumerate(stack, start):
-                rngs[r].random(out=row)
-            kls[start:start + len(stack)] = conditional_kl(stack, constr, spec)
+        for run, rngs in substreams(seed, "design", ni, count=reps).stacks(n):
+            if not run.start:  # the first run is the longest; later runs reuse its rows
+                designs = np.empty((len(run), n))
+            stack = designs[:len(run)]
+            for rng, row in zip(rngs, stack):
+                rng.random(out=row)
+            kls[run] = conditional_kl(stack, constr, spec)
         kl_mean = float(kls.mean())
         kl_se = float(kls.std(ddof=1) / math.sqrt(reps))
         norm = n_eff * constr.h ** (2.0 * constr.beta + 1.0)

@@ -32,6 +32,7 @@ fit over a freshly sorted one, bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,10 @@ class LpeConfig:
     kernel: Kernel = EPANECHNIKOV
 
     def __post_init__(self):
+        try:
+            operator.index(self.order)  # an int or a numpy integer, not 1.5 or 1.0
+        except TypeError:
+            raise TypeError(f"order must be an integer, got {self.order!r}") from None
         if not 0 <= self.order <= 5:
             raise ValueError(f"order must be in 0..5, got {self.order}")
         if not 0.0 < self.bandwidth <= 1.0:

@@ -36,7 +36,8 @@ from typing import Union
 
 import numpy as np
 
-from .baseline import FUNCTION_CATALOG, BaselineConfig, Dataset, get_function
+from .baseline import (FUNCTION_CATALOG, BaselineConfig, Dataset, check_unit_interval,
+                       get_function)
 
 _MAX_REDRAWS = 100
 _TINY = np.finfo(float).tiny
@@ -73,8 +74,8 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
              1.37702099489081330271e0, 2.16236993594496635890e-1,
              1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
-# Points per pass: the buffers stay in cache, and an estimate-tau stack of
-# at most 2**13 points is one pass.
+# Points per pass: the buffers stay in cache. An estimate-tau stack of
+# streams.STACK_POINTS = 2**14 points takes two passes.
 _NDTRI_CHUNK = 8192
 
 
@@ -419,8 +420,10 @@ def delta_at(xi: PerturbationRealization, x) -> np.ndarray:
 
     Correlated noise: the bucket shift itself. Partition: the bin-mean
     contrast (1/B_eps) * sum_j (w_ij/w_bar_i - 1) m_j of the bucket's row.
+    x must lie in [0, 1].
     """
     x = np.asarray(x, dtype=float)
+    check_unit_interval(x, "x must lie in [0, 1]")
     spec = xi.spec
     buckets = bucket_of(x, spec.b_x)
     if xi.variant == "correlated_noise":

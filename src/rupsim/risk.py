@@ -7,10 +7,11 @@ estimator subtracts the inner-noise contamination from the outer variance so
 the three pieces add up to the total mean squared error within Monte Carlo
 error.
 
-Every Monte Carlo routine here (the risk split, MISE curves and the optimal
-bandwidth per (n, tau) cell) draws each replicate from its own pre-assigned
-substream and runs the replicates one after another in the calling process,
-so a result depends on the seed alone.
+Every Monte Carlo routine here (the risk split, the oracle, MISE curves and
+the optimal bandwidth per (n, tau) cell) draws each replicate from its own
+pre-assigned stream, taken from a streams.substreams batch, and runs the
+replicates one after another in the calling process, so a result depends on
+the seed alone.
 
 MISE curves for a ladder of perturbation specs share one baseline and one
 seed, so every spec's replicate r sees the same design (common random
@@ -29,11 +30,11 @@ import numpy as np
 
 from .bandwidth import NumericDeadEnd, argmin_prefer_larger
 from .baseline import BaselineConfig
-from .local_poly import (CHUNK_ELEMENTS, LpeConfig, NoLocalSupport, _kernel_weights, local_fit,
-                         predict_grid, sort_design)
+from .local_poly import (LpeConfig, NoLocalSupport, _kernel_weights, local_fit, predict_grid,
+                         sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
-from .streams import map_indexed, substream, substreams
+from .streams import map_indexed, substreams
 
 # Abort when more than this fraction of fits lack local support.
 MAX_FAIL_FRACTION = 0.01
@@ -101,23 +102,23 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     """Nested Monte Carlo estimate of the pointwise risk decomposition at x0.
 
     Outer loop draws perturbation realizations, inner loop draws datasets
-    conditional on each realization; every replicate has a pre-assigned
-    stream, so the report depends on the seed alone. The datasets of
-    one realization are drawn in one stacked sampler call and fitted in one
-    stacked engine call. Aborts if more
-    than 1% of fits lack local support. diagnostics["ridged_fits"] counts
-    the supported fits whose local Gram matrix was ridged. spec.baseline
-    must be base.
+    conditional on each realization; realization i draws from stream
+    (seed, "xi", i) and its dataset j from (seed, "data", i, j), so the
+    report depends on the seed alone. The datasets of one realization are
+    drawn in one stacked sampler call and fitted in one stacked engine call.
+    Aborts if more than 1% of fits lack local support.
+    diagnostics["ridged_fits"] counts the supported fits whose local Gram
+    matrix was ridged. spec.baseline must be base.
     """
     if reps_xi < 2 or reps_data < 2:
         raise ValueError("need reps_xi >= 2 and reps_data >= 2")
     _check_baseline(base, spec)
     f0 = float(base.f(x0))
+    xi_rngs = substreams(seed, "xi", count=reps_xi)
 
     def one_realization(i: int):
-        xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
-        stack = sample_perturbed(spec, xi, base.n,
-                                 [substream(seed, "data", i, j) for j in range(reps_data)])
+        xi = draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
+        stack = sample_perturbed(spec, xi, base.n, substreams(seed, "data", i, count=reps_data))
         fit = local_fit(lpe, sort_design(stack.xs, stack.ys), [x0])
         return fit.values[:, 0], int((fit.degenerate & fit.supported).sum())
 
@@ -159,28 +160,25 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     Averages sum_b (sum of in-bucket weights)^2 over fresh uniform designs
     and scales by delta2*sigma2 (the block correlation makes the double sum
     over weight pairs collapse to per-bucket squares). Returns (value, se).
-    Designs are fitted in stacks of at most CHUNK_ELEMENTS / 8 points, which
-    bounds the working memory. Raises NoLocalSupport when a design has no
-    point with positive kernel weight at x0. spec.baseline must be base.
+    Designs are fitted in the runs of Substreams.stacks, which bounds the
+    working memory. Raises NoLocalSupport when a design has no point with
+    positive kernel weight at x0. spec.baseline must be base.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     _check_baseline(base, spec)
     acc = np.empty(reps)
-    chunk = max(1, CHUNK_ELEMENTS // (8 * base.n))
-    rngs = substreams(seed, "oracle-design", count=reps)
-    for first in range(0, reps, chunk):
-        draws = np.arange(first, min(first + chunk, reps))
-        xs = np.array([rngs[r].random(base.n) for r in draws])
+    for run, rngs in substreams(seed, "oracle-design", count=reps).stacks(base.n):
+        xs = np.array([rng.random(base.n) for rng in rngs])
         design = sort_design(xs)
         fit = local_fit(lpe, design, [x0])
         if not fit.supported.all():
             raise NoLocalSupport(f"no kernel support at x0={x0} with h={lpe.bandwidth}")
         w = _kernel_weights(lpe, design, fit, x0)
         # one bincount: design k's buckets are offset by k * b_x
-        keys = bucket_of(xs, spec.b_x) + (np.arange(draws.size) * spec.b_x)[:, None]
-        s = np.bincount(keys.ravel(), weights=w.ravel(), minlength=draws.size * spec.b_x)
-        acc[draws] = (s.reshape(draws.size, spec.b_x) ** 2).sum(axis=1)
+        keys = bucket_of(xs, spec.b_x) + (np.arange(len(run)) * spec.b_x)[:, None]
+        s = np.bincount(keys.ravel(), weights=w.ravel(), minlength=len(run) * spec.b_x)
+        acc[run] = (s.reshape(len(run), spec.b_x) ** 2).sum(axis=1)
     scale = spec.delta2 * base.sigma2
     return (float(scale * acc.mean()),
             float(scale * acc.std(ddof=1) / math.sqrt(reps)))
@@ -220,11 +218,12 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
     """MISE curves of several perturbation specs under one seed, one per spec.
 
     Each spec's baseline must be base. Replicate r of every spec draws its
-    realization and dataset from the same xi and data substreams, so all
-    specs see the same design (x is the data stream's first draw) and only
-    their responses differ; each (replicate, h) is one engine call that fits
-    every spec's responses. curves[j] equals mise_mc on specs[j] alone bit
-    for bit. meta["failed_h"] lists the h scored +inf, and
+    realization and dataset from the start of streams (seed, "xi", r) and
+    (seed, "data", r), so all specs see the same design (x is the data
+    stream's first draw) and only their responses differ; each (replicate,
+    h) is one engine call that fits every spec's responses. curves[j]
+    equals mise_mc on specs[j] alone bit for bit. meta["failed_h"] lists
+    the h scored +inf, and
     meta["ridged_fits"], per h, counts the supported fits over all
     replicates whose local Gram matrix was ridged; it depends on the design
     alone, so every spec reports the same counts.
@@ -241,12 +240,13 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
     if h_grid.size == 0 or eval_grid.size == 0:
         raise ValueError("h_grid and eval_grid must be nonempty")
     truth = base.f(eval_grid)
+    xi_rngs, data_rngs = substreams(seed, "xi", count=reps), substreams(seed, "data", count=reps)
 
     def one_rep(r: int):
         sets = []
         for spec in specs:
-            xi = draw_perturbation(spec, substream(seed, "xi", r), realization_id=f"xi{r:05d}")
-            sets.append(sample_perturbed(spec, xi, base.n, substream(seed, "data", r)))
+            xi = draw_perturbation(spec, xi_rngs[r], realization_id=f"xi{r:05d}")
+            sets.append(sample_perturbed(spec, xi, base.n, data_rngs[r]))
         if any(not np.array_equal(ds.xs, sets[0].xs) for ds in sets):
             raise RuntimeError("specs of one ladder drew different designs")
         design = sort_design(sets[0].xs, [ds.ys for ds in sets])

@@ -6,20 +6,22 @@ order. Replicates run one after another in the calling process: a thread pool
 was measured slower than one worker on every shipped config, because the work
 is many small numpy calls that contend for the interpreter lock.
 
-A routine that needs many replicate streams under one prefix takes them from
-`substreams`, which gives stream i the bits of `substream(seed, *prefix, i)`
-at about a tenth of the cost: numpy's SeedSequence hash runs once for the
-shared prefix and once, vectorised, over the replicate indices, and each
-generator is built from its four seed words only when it is read. Such a
-generator has no SeedSequence behind it, so its `spawn()` raises TypeError;
-nothing in rupsim calls it.
+Every Monte Carlo loop takes its replicate streams from `substreams`, which
+gives stream i the bits of `substream(seed, *prefix, i)` at about a tenth of
+the cost: numpy's SeedSequence hash runs once for the shared prefix and once,
+vectorised, over the replicate indices, and each generator is built from its
+four seed words only when it is read. Such a generator has no SeedSequence
+behind it, so its `spawn()` raises TypeError; nothing in rupsim calls it. A
+loop that draws its replicates in stacks takes them from `Substreams.stacks`,
+under the one budget STACK_POINTS. `substream` is left for a single named
+stream.
 """
 
 from __future__ import annotations
 
 import operator
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -39,6 +41,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 # A replicate index is one 32-bit word of the spawn key up to this count.
 MAX_SUBSTREAMS = 2 ** 32
+# Substreams.stacks hands out runs of at most this many points (at least one
+# stream each), which bounds a stacked loop's working memory.
+STACK_POINTS = 2 ** 14
 
 
 def _key(part: int | str) -> int:
@@ -152,6 +157,17 @@ class Substreams(Sequence):
 
     def __getitem__(self, i) -> np.random.Generator:
         return Generator(PCG64(_SeedWords(self._words[operator.index(i)])))
+
+    def stacks(self, n: int) -> Iterator[tuple[range, list[np.random.Generator]]]:
+        """(run, generators) for consecutive runs of max(1, STACK_POINTS // n) streams.
+
+        n >= 1 is the number of points each stream draws. The last run may be
+        shorter; generators[k] is element run[k].
+        """
+        size = max(1, STACK_POINTS // n)
+        for first in range(0, len(self), size):
+            run = range(first, min(first + size, len(self)))
+            yield run, [self[i] for i in run]
 
 
 def substreams(seed: int, *prefix: int | str, count: int) -> Substreams:

@@ -210,6 +210,34 @@ def test_estimate_tau_validation():
         estimate_tau_from_summaries([1.0, 2.0], 10, 0.0)
 
 
+@pytest.mark.parametrize("theta, sigma2_hat, message", [
+    ([0.1, 0.2, 0.3], math.nan, "sigma2_hat must be positive and finite"),
+    ([0.1, 0.2, 0.3], math.inf, "sigma2_hat must be positive and finite"),
+    ([0.1, 0.2, 0.3], -math.inf, "sigma2_hat must be positive and finite"),
+    ([0.1, math.inf, 0.3], 1.0, "theta must be finite"),
+    ([0.1, math.nan, 0.3], 1.0, "theta must be finite"),
+    ([-math.inf, 0.2, 0.3], 1.0, "theta must be finite"),
+], ids=["sigma2-nan", "sigma2-inf", "sigma2-minus-inf", "theta-inf", "theta-nan",
+        "theta-minus-inf"])
+def test_estimate_tau_refuses_non_finite_inputs(theta, sigma2_hat, message):
+    # these once came back as tau_hat = 0, "no perturbation"
+    with pytest.raises(ValueError, match=message):
+        estimate_tau_from_summaries(theta, 10, sigma2_hat)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -math.inf, -0.1])
+def test_effective_sample_size_and_oracle_bandwidth_refuse_a_nan_or_negative_tau(tau):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        effective_sample_size(10, tau)
+    with pytest.raises(ValueError, match="tau >= 0"):
+        oracle_bandwidth(10, tau, 2.0)
+
+
+def test_oracle_bandwidth_refuses_a_nan_beta():
+    with pytest.raises(ValueError, match="beta must be positive"):
+        oracle_bandwidth(10, 0.1, math.nan)
+
+
 def test_estimate_tau_end_to_end():
     tau, n, j = 0.025, 1000, 400
     base = BaselineConfig(f=zero_function(), sigma2=1.0, n=n)

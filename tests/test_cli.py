@@ -16,6 +16,7 @@ from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec, WeightLa
 from rupsim.bandwidth import NumericDeadEnd
 from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
 from rupsim.config import ConfigError, load_yaml
+from rupsim.streams import STACK_POINTS
 
 SAMPLE_CFG = """
 seed: 7
@@ -483,7 +484,7 @@ def _per_realization_tau_report(spec, n, j, seed):
 @pytest.mark.parametrize("model", ["partition", "correlated_noise"])
 def test_estimate_tau_stacks_equal_per_realization_results(tmp_path, model):
     n = 2000
-    stack = cli.STACK_POINTS // n
+    stack = STACK_POINTS // n
     assert stack >= 2
     base = BaselineConfig(f=zero_function(), sigma2=1.0, n=n)
     if model == "partition":
@@ -601,6 +602,17 @@ def _one_config_error(capsys, out):
      "rup.delta2: expected a finite number, got inf"),
     ("mise-sweep", MISE_CFG.replace("[0.0, 0.02]", "[0.0, -.inf]"),
      "rup.tau_grid[1]: expected a finite number, got -inf"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.3]", "{min: 0.5, max: 0.2, count: 2}"),
+                 "lpe.h_grid.max: must be >= min", id="h-grid-max-below-min"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.3]", "{min: 0.2, max: 1.5, count: 2}"),
+                 "lpe.h_grid.max: bandwidths must lie in (0, 1]", id="h-grid-max-above-one"),
+    pytest.param("mise-sweep", MISE_CFG.replace("order: 1", "order: 6"),
+                 "lpe.order: must be at most 5", id="lpe-order-6"),
+    pytest.param("kl-check", KL_FIXED_CFG.replace("  reps: 20", "  reps: 20\n  x0: 1.5"),
+                 "kl.x0: must lie in [0, 1]", id="kl-x0-1.5"),
+    pytest.param("sample", PARTITION_SAMPLE_CFG.replace("sigma2: 1.0", "sigma2: 0"),
+                 "baseline.sigma2: partition model needs sigma2 > 0",
+                 id="partition-sigma2-0"),
 ])
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text, message):
     out = tmp_path / "o"
@@ -663,6 +675,105 @@ def test_h_grid_bandwidth_floor(tmp_path, capsys, h_grid, code):
     assert main(["mise-sweep", "--config", cfg, "--out", str(out)]) == code
     if code == 2:
         assert _one_config_error(capsys, out).endswith("bandwidths must be at least 1e-12")
+
+
+def test_h_grid_linear_spacing_is_an_even_grid(tmp_path):
+    cfg = write_cfg(tmp_path, MISE_CFG.replace(
+        "[0.3]", "{min: 0.2, max: 0.5, count: 4, spacing: linear}"))
+    out = tmp_path / "o"
+    assert main(["mise-sweep", "--config", cfg, "--out", str(out), "--strict"]) == 0
+    hs = sorted({float(r["h"]) for r in read_rows(out / "mise_curve.csv")})
+    assert hs == np.linspace(0.2, 0.5, 4).tolist()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed: [1\n", "is not valid YAML: "),
+    ("- seed: 1\n", "must contain a mapping at top level"),
+    ("", "must contain a mapping at top level"),
+], ids=["not-yaml", "top-level-list", "empty"])
+def test_config_that_is_not_a_yaml_mapping_exits_2(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out).startswith(f"config error: config file {cfg} {message}")
+
+
+HEADER = "x,y,bucket_id,realization_id\n"
+
+
+@pytest.mark.parametrize("second, message", [
+    (None, "{path} cannot be read: "),
+    (HEADER, "{path} has no data rows"),
+    (HEADER + "0.1,0.5,0,a\n", "{path} has one data row; the noise variance needs two"),
+    (GOOD_CSV.replace(",y,", ",z,"), "{path} lacks a 'y' column"),
+    (GOOD_CSV.replace("-0.5", "inf"), "{path} has a non-finite y"),
+    (GOOD_CSV.replace("-0.5", "nan"), "{path} has a non-finite y"),
+    (GOOD_CSV.replace("1.0,1,a", "1.0,-1,a"), "{path} has a negative bucket_id"),
+    (GOOD_CSV.replace("1.0,1,a", f"1.0,{2 ** 63},a"), "{path} has a non-numeric y or bucket_id"),
+    (GOOD_CSV + "0.9,0.3,1,a\n", "realizations have unequal sizes"),
+], ids=["directory", "header-only", "one-row", "no-y-column", "inf-y", "nan-y",
+        "negative-bucket-id", "bucket-id-beyond-int64", "unequal-sizes"])
+def test_estimate_tau_from_unusable_files_exits_2(tmp_path, capsys, second, message):
+    cfg = _estimate_from(tmp_path, GOOD_CSV, second)
+    if second is None:
+        (tmp_path / "d1.csv").mkdir()
+    out = tmp_path / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_config_error(capsys, out).startswith(
+        "config error: tau_estimate.from_files: " + message.format(path=tmp_path / "d1.csv"))
+
+
+def _tau_report_from(tmp_path, name, *csv_texts):
+    (tmp_path / name).mkdir()
+    cfg = _estimate_from(tmp_path / name, *csv_texts)
+    out = tmp_path / name / "o"
+    assert main(["estimate-tau", "--config", cfg, "--out", str(out), "--strict"]) == 0
+    return (out / "tau_report.csv").read_bytes()
+
+
+def test_estimate_tau_from_files_with_huge_bucket_ids_equals_ids_0_to_k(tmp_path):
+    # ids only label buckets: a bincount sized by an id of 1e15 would need petabytes
+    datasets = []
+    for seed in (101, 102):
+        cfg = write_cfg(tmp_path, SAMPLE_CFG.replace("n: 5", "n: 300"), f"s{seed}.yaml")
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / f"r{seed}"),
+                     "--seed", str(seed)]) == 0
+        datasets.append((tmp_path / f"r{seed}" / "dataset.csv").read_text(encoding="utf-8"))
+    assert all(f",{k}," in text for text in datasets for k in range(4))  # ids 0..3
+
+    def respell(text, new_id):
+        rows = text.splitlines(keepends=True)
+        return rows[0] + "".join(
+            ",".join(cells[:2] + [str(new_id(int(cells[2])))] + cells[3:])
+            for cells in (row.split(",") for row in rows[1:]))
+
+    plain = _tau_report_from(tmp_path, "plain", *datasets)
+    assert _tau_report_from(tmp_path, "huge", *(
+        respell(text, lambda k: 10 ** 15 if k == 3 else k) for text in datasets)) == plain
+    assert _tau_report_from(tmp_path, "spaced", *(
+        respell(text, lambda k: 7 + 100003 * k) for text in datasets)) == plain
+
+
+def test_estimate_tau_from_files_without_bucket_ids_warns_and_strict_exits_3(tmp_path, capsys):
+    no_ids = GOOD_CSV.replace(",0,a", ",,a").replace(",1,a", ",,a")
+    cfg = _estimate_from(tmp_path, no_ids, no_ids.replace("1.0", "2.0"))
+    assert main(["estimate-tau", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    expected = [f"warning: {tmp_path / name}: no bucket ids; sigma2 from raw variance "
+                "(inflated by the shift variance)" for name in ("d0.csv", "d1.csv")]
+    assert capsys.readouterr().err.strip().splitlines() == expected
+    row = read_rows(tmp_path / "o" / "tau_report.csv")[0]
+    ys = [[0.5, -0.5, 1.0, 0.0], [0.5, -0.5, 2.0, 0.0]]
+    assert float(row["sigma2_hat"]) == float(np.mean([np.var(y, ddof=1) for y in ys]))
+    assert main(["estimate-tau", "--config", cfg, "--out", str(tmp_path / "s"), "--strict"]) == 3
+
+
+def test_estimate_tau_of_a_sine_baseline_warns_and_strict_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TAU_CFG.replace("f: zero", "f: sine"))
+    assert main(["estimate-tau", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    expected = ["warning: baseline.f is not 'zero': outcome means also vary with f; "
+                "the estimate assumes centered outcomes"]
+    assert capsys.readouterr().err.strip().splitlines() == expected
+    assert main(["estimate-tau", "--config", cfg, "--out", str(tmp_path / "s"), "--strict"]) == 3
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")

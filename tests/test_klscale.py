@@ -9,7 +9,7 @@ from rupsim import (EPANECHNIKOV, SMOOTH_BUMP, TRIANGULAR, UNIFORM, BaselineConf
                     block_precision_apply, bucket_of, conditional_kl,
                     correlated_noise_kl_suite, kl_mc, substream, two_point_separation,
                     zero_function)
-from rupsim.klscale import STACK_POINTS
+from rupsim.streams import STACK_POINTS
 
 
 def base(n=100, sigma2=1.0):

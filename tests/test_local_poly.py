@@ -196,6 +196,20 @@ def test_config_validation():
         LpeConfig(order=1, bandwidth=1.5)
 
 
+@pytest.mark.parametrize("order", [1.5, 1.0, "1", None])
+def test_config_refuses_an_order_that_is_not_an_integer(order):
+    # 1.5 used to pass and fail later inside the engine
+    with pytest.raises(TypeError, match="order must be an integer"):
+        LpeConfig(order=order, bandwidth=0.1)
+
+
+def test_config_accepts_a_numpy_integer_order():
+    xs = np.linspace(0.0, 1.0, 30)
+    fits = [fit_predict(LpeConfig(order=k, bandwidth=0.3), Dataset(xs=xs, ys=xs ** 2), 0.4)
+            for k in (2, np.int64(2))]
+    assert fits[0] == fits[1]
+
+
 ACCURACY_QUERIES = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 23)])
 
 

@@ -109,6 +109,21 @@ def test_delta_at_correlated_noise_indexing():
     assert np.all(delta_at(make_corr_xi([0.0, 0.0])[1], np.linspace(0, 1, 11)) == 0.0)
 
 
+@pytest.mark.parametrize("x", [-0.5, 1.5, math.nan, [0.2, -1e-9], [0.9, math.inf]])
+def test_delta_at_refuses_x_outside_the_unit_interval(x):
+    # a negative bucket index used to wrap around to the last buckets
+    for _, xi in (make_corr_xi([0.1, -0.4, 0.7, 0.2]), make_partition_xi([[1.5, 0.5]] * 4)):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            delta_at(xi, x)
+
+
+def test_delta_variance_mc_refuses_x_outside_the_unit_interval():
+    spec = CorrelatedNoiseSpec(b_x=4, delta2=0.5, baseline=BASE)
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        delta_variance_mc(spec, reps=3, rng=substream(1, "dv"), x=-0.3)
+    assert delta_variance_mc(spec, reps=3, rng=substream(1, "dv"), x=1.0) >= 0.0
+
+
 def test_shift_passes_through_without_noise():
     spec, xi = make_corr_xi([0.5, 0.0], delta2=1.0, sigma2=0.0, n=1)
     ds = sample_perturbed(spec, xi, 1, substream(0, "d"), xs=np.array([0.1]))

@@ -10,8 +10,8 @@ from rupsim import (KERNELS, BaselineConfig, CorrelatedNoiseSpec, LpeConfig, NoL
                     PartitionSpec, RegressionFunction, WeightLaw, bucket_of,
                     dist_var_weight_oracle, draw_perturbation, equivalent_kernel_weights,
                     fit_predict, get_kernel, mise_ladder, mise_mc, oracle_bandwidth,
-                    optimal_bandwidth_curve, pointwise_risk_mc, rate_fit, risk,
-                    sample_perturbed, sine_function, substream, zero_function)
+                    optimal_bandwidth_curve, pointwise_risk_mc, predict_grid, rate_fit, risk,
+                    sample_perturbed, sine_function, sort_design, substream, zero_function)
 
 
 def affine_function(a=0.5, b=1.5):
@@ -272,6 +272,28 @@ def test_mise_ladder_curves_equal_per_spec_curves(n, reps, seed, order, kernel, 
     assert len(ladder) == len(specs)
     for spec, curve in zip(specs, ladder):
         assert _same_curve(curve, mise_mc(base, spec, lpe, *args))
+
+
+def test_mise_ladder_equals_a_per_replicate_substream_loop():
+    # replicate r of every spec reads the start of substream(seed, "xi", r) and
+    # substream(seed, "data", r); each curve is fitted here one spec and one h at a time
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=90)
+    specs = [corr_spec(0.0, base), corr_spec(0.05, base),
+             PartitionSpec(b_x=4, b_eps=6, weight_law=WeightLaw.exponential(), baseline=base)]
+    lpe = LpeConfig(order=1, bandwidth=0.1, kernel=get_kernel("triangular"))
+    h_grid, eval_grid, reps, seed = np.array([0.15, 0.4]), np.linspace(0.05, 0.95, 11), 5, 37
+    truth = base.f(eval_grid)
+    for spec, curve in zip(specs, mise_ladder(base, specs, lpe, h_grid, eval_grid, reps, seed)):
+        table = np.empty((reps, h_grid.size))
+        for r in range(reps):
+            xi = draw_perturbation(spec, substream(seed, "xi", r), realization_id=f"xi{r:05d}")
+            ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", r))
+            for k, h in enumerate(h_grid):
+                fit = predict_grid(LpeConfig(order=1, bandwidth=float(h), kernel=lpe.kernel),
+                                   sort_design(ds.xs, ds.ys), eval_grid)
+                table[r, k] = np.mean((fit - truth) ** 2)
+        assert curve.mise.tobytes() == table.mean(axis=0).tobytes()
+        assert curve.se.tobytes() == (table.std(axis=0, ddof=1) / math.sqrt(reps)).tobytes()
 
 
 def test_mise_ladder_rejects_empty_or_mixed_ladders():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rupsim import map_indexed, substream, substreams
+from rupsim.streams import STACK_POINTS
 
 # 0, small, at and beyond each 32-bit word boundary; parts may also be labels
 _INTS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 130) | st.sampled_from(
@@ -65,3 +66,27 @@ def test_map_indexed_runs_in_index_order():
     assert map_indexed(lambda i: i * i, 4) == [0, 1, 4, 9]
     with pytest.raises(ValueError):
         map_indexed(lambda i: i, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(0, 70), n=st.integers(1, 3 * STACK_POINTS) | st.sampled_from(
+    [1, 2, 3, STACK_POINTS // 7, STACK_POINTS // 2, STACK_POINTS - 1, STACK_POINTS,
+     STACK_POINTS + 1]))
+def test_stacks_cover_the_batch_in_order_within_the_point_budget(count, n):
+    batch = substreams(29, "s", count=count)
+    runs = list(batch.stacks(n))
+    size = max(1, STACK_POINTS // n)
+    assert [i for run, _ in runs for i in run] == list(range(count))
+    assert all(isinstance(run, range) and run.step == 1 for run, _ in runs)
+    assert all(len(run) == size for run, _ in runs[:-1])
+    assert all(1 <= len(run) <= size for run, _ in runs)
+    for run, rngs in runs:
+        assert len(rngs) == len(run)
+        for i, rng in zip(run, rngs):
+            assert rng.bit_generator.state == substream(29, "s", i).bit_generator.state
+
+
+def test_stacks_of_an_empty_batch_or_of_wide_streams():
+    assert list(substreams(5, count=0).stacks(10)) == []
+    runs = [run for run, _ in substreams(5, count=3).stacks(STACK_POINTS + 1)]
+    assert runs == [range(0, 1), range(1, 2), range(2, 3)]
