@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baseline import Dataset
+from .baseline import Dataset, bucket_labels
 from .local_poly import LpeConfig, predict_grid, sort_design
 from .streams import substream
 
@@ -174,14 +174,13 @@ def within_bucket_noise_variance(ys, bucket_ids):
     A (D, n) stack of datasets gives D estimates, each equal bit for bit to
     the call on its row alone. A row's sums run over its occupied buckets
     only, in bucket order: numpy's pairwise sum groups terms by position, so
-    a zero standing in for an empty bucket could change the last bits.
+    a zero standing in for an empty bucket could change the last bits. Ids are labels.
     """
     ys = np.asarray(ys, dtype=float)
     bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
     if ys.shape != bucket_ids.shape:
         raise ValueError("ys and bucket_ids must have the same length")
-    if bucket_ids.size and bucket_ids.min() < 0:
-        raise ValueError("bucket ids must be nonnegative")
+    bucket_ids = bucket_labels(bucket_ids)
     rows = np.atleast_2d(ys)
     width = int(bucket_ids.max()) + 1 if bucket_ids.size else 1
     # one bincount per statistic: row d's buckets are offset by d * width

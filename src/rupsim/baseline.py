@@ -25,6 +25,21 @@ def check_unit_interval(x: np.ndarray, message: str) -> None:
         raise ValueError(message)
 
 
+def bucket_labels(ids: np.ndarray) -> np.ndarray:
+    """Int64 bucket ids (n,) or (D, n), relabelled 0..k-1 in order by row once one is >= 2n.
+
+    A negative id is a ValueError. Order and occupancy are kept, so sums over
+    occupied buckets keep their bits, and a bincount over the labels is at
+    most twice the data's length.
+    """
+    if ids.size and ids.min() < 0:
+        raise ValueError("bucket ids must be nonnegative")
+    rows = np.atleast_2d(ids)
+    if ids.size == 0 or ids.max() < 2 * rows.shape[1]:
+        return ids
+    return np.array([np.unique(row, return_inverse=True)[1] for row in rows]).reshape(ids.shape)
+
+
 @dataclass(frozen=True)
 class RegressionFunction:
     """Target function on [0,1] with a Holder-class certificate (beta, L).

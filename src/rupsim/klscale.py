@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baseline import BaselineConfig, check_unit_interval
+from .bandwidth import effective_sample_size
+from .baseline import BaselineConfig, bucket_labels, check_unit_interval
 from .kernels import SMOOTH_BUMP, Kernel
 from .perturbation import CorrelatedNoiseSpec, bucket_of
 from .streams import substreams
@@ -67,18 +68,16 @@ class BlockCovariance:
     bucket_ids: np.ndarray
     sigma2: float
     delta2: float
-    _n_buckets: int = field(init=False)
+    _labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.bucket_ids, dtype=np.int64)
-        if ids.size and ids.min() < 0:
-            raise ValueError("bucket ids must be nonnegative")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
         if self.delta2 < 0:
             raise ValueError("delta2 must be nonnegative")
         object.__setattr__(self, "bucket_ids", ids)
-        object.__setattr__(self, "_n_buckets", int(ids.max()) + 1 if ids.size else 0)
+        object.__setattr__(self, "_labels", bucket_labels(ids))
 
     def dense(self) -> np.ndarray:
         """Materialized covariance; oracle-test use only (O(n^2) memory)."""
@@ -95,10 +94,11 @@ def block_precision_apply(cov: BlockCovariance, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != cov.bucket_ids.shape:
         raise ValueError("v must match the bucket layout length")
-    counts = np.bincount(cov.bucket_ids, minlength=cov._n_buckets)
-    sums = np.bincount(cov.bucket_ids, weights=v, minlength=cov._n_buckets)
+    labels = cov._labels
+    counts = np.bincount(labels)
+    sums = np.bincount(labels, weights=v)
     shrink = cov.delta2 / (1.0 + counts * cov.delta2)
-    return (v - shrink[cov.bucket_ids] * sums[cov.bucket_ids]) / cov.sigma2
+    return (v - shrink[labels] * sums[labels]) / cov.sigma2
 
 
 def conditional_kl(design_xs, construction: TwoPointConstruction,
@@ -187,8 +187,7 @@ def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
     for ni, n in enumerate(n_grid):
         b_x = int(bucket_rule(n))
         spec = CorrelatedNoiseSpec(b_x=b_x, delta2=delta2, baseline=replace(base, n=n))
-        tau = spec.delta2 / b_x
-        n_eff = n / (1.0 + n * tau)
+        n_eff = effective_sample_size(n, spec.delta2 / b_x).n_eff
         constr = TwoPointConstruction(x0=x0, h=n_eff ** (-1.0 / (2.0 * beta + 1.0)),
                                       beta=beta, holder_const=holder_const)
         kls = np.empty(reps)

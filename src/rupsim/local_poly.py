@@ -305,9 +305,9 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
     i0, i1 = _search_rows(cell, np.arange(count)[:, None], np.array([cells[0], cells[1] + 1.0]),
                           "left").T
     kept = i1 - i0
+    # total > 0: a lattice is built only for a reached window, and need (taken from its
+    # points) and widest (qcell - 1 .. qcell + 1, see _NEAR_CELLS) both hold its points
     total = int(kept.sum())
-    if total == 0:
-        return _Lattice(level, npow, cells, cell, slot, np.zeros((npow, groups, 1)))
     # the points of those cells, design by design; a run is one (design, cell)
     head = np.cumsum(kept) - kept  # where each design's points start
     pick = np.arange(total) + np.repeat(np.arange(0, count * n, n) + i0 - head, kept)
@@ -504,7 +504,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     xs = np.atleast_2d(xs)
     if ys is not None:  # (k, D, n), k = 1 for a single response
         ys = ys.reshape((responses or (1,)) + xs.shape)
-    if m == 0 or xs.shape[1] == 0:
+    if m == 0 or xs.size == 0:  # no query, an empty design or an empty stack
         none = np.zeros(shape, dtype=bool)
         zero = np.zeros(shape, dtype=np.int64)
         return LocalFit(values=None if ys is None else np.full(responses + shape, np.nan),
@@ -535,9 +535,9 @@ def _kernel_weights(config: LpeConfig, design: SortedDesign, fit: LocalFit,
     xs = np.atleast_2d(design.xs)
     count, n = xs.shape
     lo, hi = fit.lo.reshape(count), fit.hi.reshape(count)
-    coef = fit.coef.reshape(count, -1)
+    coef = fit.coef.reshape(count, config.order + 1)
     span = hi - lo
-    valid = np.arange(max(int(span.max()), 1)) < span[:, None]
+    valid = np.arange(max(int(span.max(initial=0)), 1)) < span[:, None]
     rows = np.broadcast_to(np.arange(count)[:, None], valid.shape)
     idx = np.minimum(lo[:, None] + np.arange(valid.shape[1]), n - 1)
     u = (xs[rows, idx] - x0) / config.bandwidth
@@ -554,21 +554,17 @@ def _kernel_weights(config: LpeConfig, design: SortedDesign, fit: LocalFit,
 def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
     """Weight vector of the LP(order) fit at x0 over the design xs.
 
-    Raises NoLocalSupport when no point has positive kernel weight. When the
-    local Gram matrix is near-singular the RIDGE term is added and the
-    result is flagged degenerate (its weights need not sum to one).
+    xs is one design (n,) or a stack (D, n), whose row d of weights equals the
+    call on xs[d] bit for bit. Raises NoLocalSupport unless every design has a
+    point with positive kernel weight. A near-singular local Gram gets the RIDGE
+    term, and the result is flagged degenerate (its weights need not sum to one).
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise NoLocalSupport("empty design")
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("query point outside [0, 1]")
     design = sort_design(xs)
     fit = local_fit(config, design, [x0])
-    if not fit.supported[0]:
+    if not fit.supported.all():
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
     return WeightVector(weights=_kernel_weights(config, design, fit, x0), query=x0,
-                        degenerate=bool(fit.degenerate[0]))
+                        degenerate=bool(fit.degenerate.any()))
 
 
 def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> float:
@@ -576,8 +572,6 @@ def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> f
 
     The design carries one response; any other shape raises ValueError.
     """
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("query point outside [0, 1]")
     fit = local_fit(config, _as_design(data), [x0])
     if not fit.supported[0]:
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")

@@ -220,6 +220,9 @@ class CorrelatedNoiseSpec:
             raise ValueError("b_x must be at least 1")
         if self.delta2 < 0:
             raise ValueError("delta2 must be nonnegative")
+        if not self.delta2 * self.baseline.sigma2 < math.inf:  # NaN fails too
+            raise ValueError(f"the shift variance delta2 * sigma2 must be finite, got "
+                             f"{self.delta2:g} * {self.baseline.sigma2:g}")
 
 
 PerturbationSpec = Union[PartitionSpec, CorrelatedNoiseSpec]
@@ -264,8 +267,12 @@ class PerturbationRealization:
             draw = np.asarray(getattr(self, name), dtype=float)
         except ValueError:  # a ragged nested list has no shape
             raise ValueError(f"{rule}; got a ragged list") from None
-        if draw.shape != shape or not np.isfinite(draw).all() or (partition and draw.min() <= 0):
+        if draw.shape != shape:
             raise ValueError(f"{rule}; got shape {draw.shape}")
+        if not np.isfinite(draw).all():
+            raise ValueError(f"{rule}; got a non-finite entry")
+        if partition and draw.min() <= 0:
+            raise ValueError(f"{rule}; got a weight <= 0")
         setattr(self, name, draw)
         if partition:
             self.normalized_weights = draw / draw.mean(axis=1)[:, None]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bandwidth import NumericDeadEnd, argmin_prefer_larger
 from .baseline import BaselineConfig
-from .local_poly import (LpeConfig, NoLocalSupport, _kernel_weights, local_fit, predict_grid,
+from .local_poly import (LpeConfig, equivalent_kernel_weights, local_fit, predict_grid,
                          sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
@@ -160,9 +160,9 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     Averages sum_b (sum of in-bucket weights)^2 over fresh uniform designs
     and scales by delta2*sigma2 (the block correlation makes the double sum
     over weight pairs collapse to per-bucket squares). Returns (value, se).
-    Designs are fitted in the runs of Substreams.stacks, which bounds the
-    working memory. Raises NoLocalSupport when a design has no point with
-    positive kernel weight at x0. spec.baseline must be base.
+    Weights are equivalent_kernel_weights over the runs of Substreams.stacks,
+    which bounds the working memory; it raises NoLocalSupport when a design
+    has no point with positive kernel weight at x0. spec.baseline must be base.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -170,11 +170,7 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     acc = np.empty(reps)
     for run, rngs in substreams(seed, "oracle-design", count=reps).stacks(base.n):
         xs = np.array([rng.random(base.n) for rng in rngs])
-        design = sort_design(xs)
-        fit = local_fit(lpe, design, [x0])
-        if not fit.supported.all():
-            raise NoLocalSupport(f"no kernel support at x0={x0} with h={lpe.bandwidth}")
-        w = _kernel_weights(lpe, design, fit, x0)
+        w = equivalent_kernel_weights(lpe, xs, x0).weights
         # one bincount: design k's buckets are offset by k * b_x
         keys = bucket_of(xs, spec.b_x) + (np.arange(len(run)) * spec.b_x)[:, None]
         s = np.bincount(keys.ravel(), weights=w.ravel(), minlength=len(run) * spec.b_x)

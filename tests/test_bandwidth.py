@@ -9,7 +9,7 @@ from rupsim import (BaselineConfig, CorrelatedNoiseSpec, Dataset, LpeConfig,
                     naive_cv_bandwidth, oracle_bandwidth, predict_grid,
                     sample_baseline, sample_perturbed, sine_function, substream,
                     within_bucket_noise_variance, zero_function)
-from rupsim.bandwidth import argmin_prefer_larger
+from rupsim.bandwidth import EVAL_WINDOW, _cv_scores, argmin_prefer_larger
 
 
 def simulate_suite(tau, n_per, j, seed, sigma2=0.25, b_x=10, f=None):
@@ -282,3 +282,48 @@ def test_stacked_within_bucket_noise_variance_equals_row_calls():
         within_bucket_noise_variance(np.zeros((2, 3)), np.array([[0, 0, 1], [0, 1, 2]]))
     with pytest.raises(ValueError, match="nonnegative"):
         within_bucket_noise_variance(np.zeros((2, 3)), np.array([[0, 0, 1], [0, -1, 1]]))
+
+
+def test_effective_sample_size_and_tau_estimate_refuse_n_below_one():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        effective_sample_size(0, 0.1)
+    with pytest.raises(ValueError, match="n_per must be at least 1"):
+        estimate_tau_from_summaries([0.1, 0.2], 0, 1.0)
+
+
+def test_cv_scores_without_held_out_points_in_the_window_are_infinite():
+    train = Dataset(xs=np.linspace(0.0, 1.0, 50), ys=np.zeros(50))
+    test_xs = np.array([EVAL_WINDOW[0] / 2, (1.0 + EVAL_WINDOW[1]) / 2])
+    scores = _cv_scores(train, test_xs, np.ones(2), np.array([0.1, 0.5]),
+                        LpeConfig(order=1, bandwidth=0.1))
+    assert np.array_equal(scores, [np.inf, np.inf])
+
+
+def test_cv_scores_skip_an_h_that_leaves_a_held_out_point_unsupported():
+    # training points lie in [0.1, 0.3]; at h = 0.05 the held-out x = 0.6 has no support
+    train = Dataset(xs=np.linspace(0.1, 0.3, 40), ys=np.ones(40))
+    scores = _cv_scores(train, np.array([0.2, 0.6]), np.array([1.0, 3.0]),
+                        np.array([0.05, 0.6]), LpeConfig(order=0, bandwidth=0.1))
+    assert scores[0] == np.inf
+    assert scores[1] == pytest.approx(2.0)  # the fit is 1 everywhere: (0 + 4) / 2
+
+
+def test_within_bucket_noise_variance_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="same length"):
+        within_bucket_noise_variance(np.zeros(4), np.array([0, 0, 1]))
+    with pytest.raises(ValueError, match="same length"):
+        within_bucket_noise_variance(np.zeros((2, 3)), np.zeros(6, dtype=np.int64))
+
+
+def test_within_bucket_noise_variance_treats_bucket_ids_as_labels():
+    ys = [0.5, -0.5, 1.0, 0.0]
+    for ids in ([0, 0, 1, 1], [0, 0, 10 ** 15, 10 ** 15], [7, 7, 2 ** 63 - 1, 2 ** 63 - 1]):
+        assert within_bucket_noise_variance(ys, ids) == 0.5
+    # a stack whose ids are spread far apart row by row gives the bits of dense ids
+    rng = substream(13, "labels")
+    dense = rng.integers(0, 30, size=(5, 40))
+    spread = dense * 10 ** 15 + 7 + np.arange(5)[:, None]
+    ys = rng.normal(size=(5, 40))
+    expected = within_bucket_noise_variance(ys, dense)
+    assert np.array_equal(within_bucket_noise_variance(ys, spread), expected)
+    assert [within_bucket_noise_variance(y, b) for y, b in zip(ys, spread)] == expected.tolist()

@@ -128,3 +128,24 @@ def test_dataset_validation():
         Dataset(xs=np.array([0.1, 1.2]), ys=np.array([0.0, 0.0]))
     ds = Dataset(xs=np.array([0.1]), ys=np.array([2.0]), bucket_ids=np.array([0]))
     assert len(ds) == 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RegressionFunction("bad", beta=1.0, holder_const=0.0, _fn=lambda x: x),
+     "holder_const must be positive"),
+    (lambda: RegressionFunction("bad", beta=1.0, holder_const=-1.0, _fn=lambda x: x),
+     "holder_const must be positive"),
+    (lambda: bump_function(center=0.5, width=0.0, beta=1.0, holder_const=1.0),
+     "width must be positive"),
+    (lambda: bump_function(center=0.5, width=-0.1, beta=1.0, holder_const=1.0),
+     "width must be positive"),
+    (lambda: Dataset(xs=np.array([0.1, 0.2]), ys=np.zeros(2), bucket_ids=np.array([0])),
+     "bucket_ids must match xs in length"),
+    (lambda: sample_baseline(BaselineConfig(f=zero_function(), sigma2=1.0, n=3),
+                             substream(1, "forced"), xs=np.array([0.1, 0.2])),
+     "forced xs must have length config.n"),
+], ids=["holder-const-0", "holder-const-negative", "bump-width-0", "bump-width-negative",
+        "bucket-ids-too-short", "forced-xs-too-short"])
+def test_invalid_arguments_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

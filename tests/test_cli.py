@@ -613,6 +613,35 @@ def _one_config_error(capsys, out):
     pytest.param("sample", PARTITION_SAMPLE_CFG.replace("sigma2: 1.0", "sigma2: 0"),
                  "baseline.sigma2: partition model needs sigma2 > 0",
                  id="partition-sigma2-0"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.3]", "[0.3, 1.5]"),
+                 "lpe.h_grid: bandwidths must lie in (0, 1]", id="h-grid-list-above-one"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.05, 0.95]", "[0.5, 0.2]"),
+                 "eval.window: expected [lo, hi] with 0 <= lo < hi <= 1", id="window-reversed"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.05, 0.95]", "[0.1, 1.5]"),
+                 "eval.window: expected [lo, hi] with 0 <= lo < hi <= 1", id="window-above-one"),
+    # finite numbers whose shift variance, or precision term, overflows
+    pytest.param("sample", SAMPLE_CFG.replace("sigma2: 1.0", "sigma2: 10.0")
+                 .replace("delta2: 0.25", "delta2: 1.0e+308"),
+                 "rup.delta2: delta2 * baseline.sigma2 must be finite, got 1e+308 * 10",
+                 id="sample-shift-variance-overflow"),
+    pytest.param("estimate-tau", TAU_CFG.replace("sigma2: 1.0", "sigma2: 10.0")
+                 .replace("delta2: 0.25", "delta2: 1.0e+308"),
+                 "rup.delta2: delta2 * baseline.sigma2 must be finite, got 1e+308 * 10",
+                 id="estimate-tau-shift-variance-overflow"),
+    pytest.param("mise-sweep", MISE_CFG.replace("[0.0, 0.02]", "[0.0, 1.0e+308]"),
+                 "rup.tau_grid[1]: tau * rup.b_x * baseline.sigma2 must be finite, "
+                 "got 1e+308 * 5 * 0.5", id="mise-sweep-tau-overflow"),
+    pytest.param("bandwidth-vs-n", MISE_CFG.replace("n: 150", "n_grid: [150]")
+                 .replace("[0.0, 0.02]", "[4.0e+307]"),
+                 "rup.tau_grid[0]: tau * rup.b_x * baseline.sigma2 must be finite, "
+                 "got 4e+307 * 5 * 0.5", id="bandwidth-vs-n-tau-overflow"),
+    pytest.param("kl-check", "seed: 1\nkl: {n_grid: [2, 3], delta2: 1.0e+308, reps: 2}\n",
+                 "kl.delta2: max(kl.n_grid) * delta2 must be finite, got 3 * 1e+308",
+                 id="kl-check-precision-overflow"),
+    pytest.param("kl-check", "seed: 1\nbaseline: {sigma2: 100.0}\n"
+                 "kl: {n_grid: [2, 3], delta2: 1.0e+307, reps: 2}\n",
+                 "kl.delta2: delta2 * baseline.sigma2 must be finite, got 1e+307 * 100",
+                 id="kl-check-shift-variance-overflow"),
 ])
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text, message):
     out = tmp_path / "o"

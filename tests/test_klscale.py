@@ -258,3 +258,34 @@ def test_block_covariance_validation():
     assert np.array_equal(np.bincount(cov.bucket_ids, minlength=3), [2, 0, 1])
     with pytest.raises(ValueError):
         block_precision_apply(cov, np.ones(4))
+
+
+def test_block_covariance_refuses_a_negative_bucket_id():
+    with pytest.raises(ValueError, match="bucket ids must be nonnegative"):
+        BlockCovariance(bucket_ids=np.array([0, -1]), sigma2=1.0, delta2=0.1)
+
+
+def test_precision_treats_bucket_ids_as_labels():
+    v = [0.5, -0.5, 1.0, 0.0]
+    for ids in ([0, 0, 1, 1], [0, 0, 10 ** 15, 10 ** 15], [7, 7, 2 ** 63 - 1, 2 ** 63 - 1]):
+        cov = BlockCovariance(bucket_ids=np.array(ids), sigma2=1.0, delta2=0.5)
+        assert block_precision_apply(cov, v).tolist() == [0.5, -0.5, 0.75, -0.25]
+        assert cov.bucket_ids.tolist() == ids  # the layout keeps the ids it was given
+
+
+@pytest.mark.parametrize("h, beta, holder_const", [(0.0, 1.0, 1.0), (-0.1, 1.0, 1.0),
+                                                   (0.1, 0.0, 1.0), (0.1, -1.0, 1.0),
+                                                   (0.1, 1.0, 0.0), (0.1, 1.0, -2.0)],
+                         ids=["h-0", "h-negative", "beta-0", "beta-negative", "L-0",
+                              "L-negative"])
+def test_two_point_construction_refuses_a_nonpositive_parameter(h, beta, holder_const):
+    with pytest.raises(ValueError, match="h, beta and holder_const must be positive"):
+        TwoPointConstruction(x0=0.5, h=h, beta=beta, holder_const=holder_const)
+
+
+@pytest.mark.parametrize("n_grid, reps, message", [([100], 1, "reps must be at least 2"),
+                                                   ([], 10, "n_grid must be nonempty")],
+                         ids=["reps-1", "empty-n-grid"])
+def test_kl_mc_refuses_too_few_reps_or_no_n(n_grid, reps, message):
+    with pytest.raises(ValueError, match=message):
+        kl_mc(n_grid, lambda n: n, 1.0, base(), 1.0, 1.0, 0.5, reps, 0)

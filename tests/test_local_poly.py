@@ -136,8 +136,12 @@ def test_queries_outside_unit_interval_or_nan_rejected():
     for grid in ([0.5, np.nan], [np.nan], [np.nan, 0.5], [0.5, 1.5], [-0.2]):
         with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
             predict_grid(cfg, ds, grid)
-    with pytest.raises(ValueError, match=r"query point outside \[0, 1\]"):
-        fit_predict(cfg, ds, np.nan)
+    # fit_predict and equivalent_kernel_weights leave the query check to local_fit
+    for query in (np.nan, 1.5, -0.2):
+        with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
+            fit_predict(cfg, ds, query)
+        with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
+            equivalent_kernel_weights(cfg, ds.xs, query)
 
 
 def test_no_local_support_raises_and_grid_marks_nan():
@@ -396,6 +400,33 @@ def test_stacked_weights_equal_equivalent_kernel_weights(kernel, order, h, count
         assert _same_bits(weights[d], alone.weights)
         assert _same_bits(weights[d], weights_one_design(cfg, xs[d], x0))
         assert bool(fit.degenerate[d, 0]) == alone.degenerate
+    # the stack as a whole: every design must have support, and any ridged design flags it
+    if not fit.supported.all():
+        with pytest.raises(NoLocalSupport):
+            equivalent_kernel_weights(cfg, xs, x0)
+        return
+    stacked = equivalent_kernel_weights(cfg, xs, x0)
+    assert _same_bits(stacked.weights, weights)
+    assert stacked.degenerate == bool(fit.degenerate.any())
+
+
+@pytest.mark.parametrize("xs", [[[0.45, 0.5, 0.55], [0.9, 0.95, 0.99]],
+                                [[0.9, 0.95, 0.99], [0.45, 0.5, 0.55]],
+                                np.empty((2, 0)), []],
+                         ids=["unsupported-last", "unsupported-first", "empty-designs",
+                              "empty-design"])
+def test_weights_need_support_in_every_design(xs):
+    with pytest.raises(NoLocalSupport):
+        equivalent_kernel_weights(LpeConfig(order=1, bandwidth=0.1), xs, 0.5)
+
+
+def test_weights_of_a_stack_flag_any_ridged_design():
+    cfg = LpeConfig(order=1, bandwidth=0.1)
+    xs = np.array([[0.45, 0.5, 0.55], [0.5, 0.5, 0.5]])  # design 1 has a singular Gram
+    w = equivalent_kernel_weights(cfg, xs, 0.5)
+    assert w.degenerate and not equivalent_kernel_weights(cfg, xs[0], 0.5).degenerate
+    assert equivalent_kernel_weights(cfg, xs[::-1], 0.5).degenerate
+    assert equivalent_kernel_weights(cfg, np.empty((0, 3)), 0.5).weights.shape == (0, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -695,3 +695,47 @@ def test_realization_derives_variant_weights_and_bin_means_from_its_draw():
     assert corr.normalized_weights is None and corr.eps_bin_means is None
     with pytest.raises(ValueError, match=re.escape("bucket_shifts must have shape (2,)")):
         PerturbationRealization(corr.spec, partition_weights=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WeightLaw("lognormal", log_sd=0.0), "lognormal log_sd must be positive"),
+    (lambda: WeightLaw("lognormal", log_sd=-1.0), "lognormal log_sd must be positive"),
+    (lambda: WeightLaw.lognormal_with_ratio(0.0), "var_over_mean_sq must be positive"),
+    (lambda: PartitionSpec(b_x=0, b_eps=4, weight_law=WeightLaw.exponential(), baseline=BASE),
+     "b_x must be at least 1"),
+    (lambda: CorrelatedNoiseSpec(b_x=0, delta2=0.1, baseline=BASE), "b_x must be at least 1"),
+    (lambda: gaussian_bin_means(0.0, 4), "sigma2 must be positive"),
+    (lambda: delta_variance_mc(CorrelatedNoiseSpec(b_x=3, delta2=0.1, baseline=BASE), 1,
+                               substream(1, "dv")), "reps must be at least 2"),
+], ids=["log-sd-0", "log-sd-negative", "ratio-0", "partition-b-x-0", "correlated-b-x-0",
+        "bin-means-sigma2-0", "delta-variance-reps-1"])
+def test_invalid_laws_specs_and_reps_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("delta2, sigma2", [(1e308, 10.0), (math.nan, 1.0), (math.inf, 0.0),
+                                            (1e200, 1e200)],
+                         ids=["overflow", "nan-delta2", "inf-times-zero", "product-overflow"])
+def test_correlated_noise_spec_refuses_a_shift_variance_that_is_not_finite(delta2, sigma2):
+    base = BaselineConfig(f=zero_function(), sigma2=sigma2, n=10)
+    with pytest.raises(ValueError, match="the shift variance delta2 \\* sigma2 must be finite"):
+        CorrelatedNoiseSpec(b_x=10, delta2=delta2, baseline=base)
+
+
+def test_correlated_noise_spec_accepts_a_large_finite_shift_variance():
+    base = BaselineConfig(f=zero_function(), sigma2=10.0, n=10)
+    spec = CorrelatedNoiseSpec(b_x=10, delta2=1e307, baseline=base)
+    assert np.isfinite(draw_perturbation(spec, substream(2, "xi")).bucket_shifts).all()
+
+
+@pytest.mark.parametrize("spec, name, draw, got", [
+    (_SHIFTS4, "bucket_shifts", np.zeros(3), "got shape (3,)"),
+    (_SHIFTS4, "bucket_shifts", [0.0, math.inf, 0.0, 0.0], "got a non-finite entry"),
+    (_CELLS34, "partition_weights", np.ones((4, 4)), "got shape (4, 4)"),
+    (_CELLS34, "partition_weights", np.full((3, 4), math.nan), "got a non-finite entry"),
+    (_CELLS34, "partition_weights", np.eye(3, 4), "got a weight <= 0"),
+], ids=["shifts-shape", "shifts-inf", "weights-shape", "weights-nan", "weights-zero"])
+def test_realization_names_the_rule_its_draw_breaks(spec, name, draw, got):
+    with pytest.raises(ValueError, match=re.escape(got) + "$"):
+        PerturbationRealization(spec, **{name: draw})

@@ -394,3 +394,32 @@ def test_rate_fit_exact_line_and_errors():
         rate_fit([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         rate_fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+_LPE = LpeConfig(order=1, bandwidth=0.2)
+_GRID = np.linspace(0.1, 0.9, 5)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: pointwise_risk_mc(_SINE, corr_spec(0.01, _SINE), _LPE, 0.5, 1, 3, seed=0),
+     "need reps_xi >= 2 and reps_data >= 2"),
+    (lambda: pointwise_risk_mc(_SINE, corr_spec(0.01, _SINE), _LPE, 0.5, 3, 1, seed=0),
+     "need reps_xi >= 2 and reps_data >= 2"),
+    (lambda: dist_var_weight_oracle(_SINE, corr_spec(0.01, _SINE), _LPE, 0.5, 1, seed=0),
+     "reps must be at least 2"),
+    (lambda: mise_ladder(_SINE, [corr_spec(0.01, _SINE)], _LPE, [0.2], _GRID, 1, 0),
+     "reps must be at least 2"),
+    (lambda: mise_ladder(_SINE, [corr_spec(0.01, _SINE)], _LPE, [], _GRID, 2, 0),
+     "h_grid and eval_grid must be nonempty"),
+    (lambda: mise_ladder(_SINE, [corr_spec(0.01, _SINE)], _LPE, [0.2], [], 2, 0),
+     "h_grid and eval_grid must be nonempty"),
+], ids=["risk-reps-xi-1", "risk-reps-data-1", "oracle-reps-1", "ladder-reps-1",
+        "ladder-empty-h-grid", "ladder-empty-eval-grid"])
+def test_monte_carlo_routines_refuse_too_few_reps_or_an_empty_grid(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_optimal_bandwidth_curve_of_an_empty_tau_grid_is_empty():
+    assert optimal_bandwidth_curve(_SINE, _LPE, b_x=10, tau_grid=[], n_grid=[50],
+                                   h_grid=[0.2], eval_grid=_GRID, reps=2, seed=0) == []

@@ -90,3 +90,13 @@ def test_stacks_of_an_empty_batch_or_of_wide_streams():
     assert list(substreams(5, count=0).stacks(10)) == []
     runs = [run for run, _ in substreams(5, count=3).stacks(STACK_POINTS + 1)]
     assert runs == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def test_a_negative_seed_or_a_seed_state_other_than_four_uint64_words_is_refused():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        substream(-1)
+    seed_words = substreams(1, "x", count=1)[0].bit_generator.seed_seq
+    assert seed_words.generate_state(4, np.uint64).shape == (4,)
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError, match="four uint64 words"):
+            seed_words.generate_state(n_words, dtype)
