@@ -12,9 +12,8 @@ from .bandwidth import (BandwidthSelection, EffectiveSampleSize, NeedsMultipleDo
                         NumericDeadEnd, domain_cv_bandwidth, effective_sample_size,
                         estimate_tau_from_summaries, naive_cv_bandwidth,
                         oracle_bandwidth, within_bucket_noise_variance)
-from .baseline import (BaselineConfig, Dataset, RegressionFunction, bump_function,
-                       get_function, holder_margin, sample_baseline, sine_function,
-                       zero_function)
+from .baseline import (BaselineConfig, Dataset, RegressionFunction, get_function,
+                       holder_margin, sample_baseline, sine_function, zero_function)
 from .kernels import (EPANECHNIKOV, KERNELS, SMOOTH_BUMP, TRIANGULAR, UNIFORM,
                       Kernel, get_kernel)
 from .klscale import (BlockCovariance, KlScalingTable, TwoPointConstruction,

@@ -1,7 +1,7 @@
 """Baseline data model: uniform design on [0,1] with additive Gaussian noise.
 
-The target functions carry declared smoothness certificates (beta, L) so that
-rate experiments know which exponent they are checking.
+The target functions carry declared smoothness certificates (beta, L). Replay
+documents record them, and holder_margin checks them on a grid.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .kernels import SMOOTH_BUMP, Kernel
 
 # Grid step of the finite-difference Holder checks.
 HOLDER_STEP = 1e-3
@@ -46,21 +44,20 @@ class RegressionFunction:
 
     The certificate asserts that the derivative of order ceil(beta)-1 (the
     largest integer strictly below beta) is (beta - that order)-Holder with
-    constant L. Equality follows what defines the function: its name,
-    certificate and params (a bump's centre and width), not the closure.
+    constant L. Equality follows what defines the function: its name and
+    certificate, not the closure.
     """
 
     name: str
     beta: float
     holder_const: float
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-    params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.holder_const <= 0:
-            raise ValueError(f"holder_const must be positive, got {self.holder_const}")
+        if not 0 < self.beta < math.inf:  # NaN fails too
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 < self.holder_const < math.inf:
+            raise ValueError(f"holder_const must be positive and finite, got {self.holder_const}")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -85,51 +82,6 @@ def sine_function(beta: float = 2.0, holder_const: float | None = None) -> Regre
                               _fn=lambda x: np.sin(2.0 * math.pi * x))
 
 
-def _holder_pairs(fn, lo: float, hi: float, degree: int):
-    """(|d^degree fn(x) - d^degree fn(x')|, |x - x'|) over pairs of a grid on [lo, hi].
-
-    The grid step is HOLDER_STEP; the diagonal reads (0, 1), so x == x' drops out.
-    """
-    grid = np.arange(lo, hi + HOLDER_STEP / 2, HOLDER_STEP)
-    vals = fn(grid)
-    for _ in range(degree):
-        vals = np.gradient(vals, HOLDER_STEP)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist = np.abs(grid[:, None] - grid[None, :])
-    np.fill_diagonal(dist, 1.0)
-    np.fill_diagonal(diff, 0.0)
-    return diff, dist
-
-
-def _kernel_holder_modulus(kernel: Kernel, beta: float) -> float:
-    """Grid estimate of the Holder-(beta) modulus of the matching kernel derivative."""
-    degree = math.ceil(beta) - 1
-    half = kernel.support + 0.1
-    diff, dist = _holder_pairs(kernel, -half, half, degree)
-    return float(np.max(diff / dist ** (beta - degree)))
-
-
-def bump_function(center: float, width: float, beta: float,
-                  holder_const: float) -> RegressionFunction:
-    """Scaled smooth bump L * width^beta * K((x - center)/width), K = SMOOTH_BUMP.
-
-    The amplitude uses holder_const directly; the declared certificate is
-    inflated by the kernel's own Holder modulus (the bump's derivative of
-    order ceil(beta)-1 inherits the kernel's, rescaled by width^-beta, which
-    cancels the amplitude's width^beta).
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    amp = holder_const * width ** beta
-    certificate = holder_const * _kernel_holder_modulus(SMOOTH_BUMP, beta) * 1.05
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return amp * SMOOTH_BUMP((x - center) / width)
-
-    return RegressionFunction("bump", beta=beta, holder_const=certificate, _fn=fn,
-                              params=(center, width))
-
-
 FUNCTION_CATALOG: dict[str, Callable[[], RegressionFunction]] = {
     "zero": zero_function,
     "sine": sine_function,
@@ -150,7 +102,13 @@ def holder_margin(f: RegressionFunction) -> float:
     with l = f.holder_degree; nonpositive means the certificate holds on the
     grid (up to finite-difference error).
     """
-    diff, dist = _holder_pairs(f, 0.0, 1.0, f.holder_degree)
+    grid = np.arange(0.0, 1.0 + HOLDER_STEP / 2, HOLDER_STEP)
+    vals = f(grid)
+    for _ in range(f.holder_degree):
+        vals = np.gradient(vals, HOLDER_STEP)
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.abs(grid[:, None] - grid[None, :])
+    np.fill_diagonal(dist, 1.0)  # x == x' reads diff 0 against -L, so it never sets the max
     return float(np.max(diff - f.holder_const * dist ** (f.beta - f.holder_degree)))
 
 
@@ -163,8 +121,8 @@ class BaselineConfig:
     n: int
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not 0 <= self.sigma2 < math.inf:  # NaN fails too
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
 

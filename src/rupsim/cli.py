@@ -330,7 +330,8 @@ def cmd_kl_check(root: Conf, seed: int, outdir: Path):
 
 
 def _noise_variance(ys, buckets, where: str) -> float:
-    """within_bucket_noise_variance; a layout that leaves no degree of freedom is a ConfigError."""
+    """within_bucket_noise_variance; a layout it refuses (a negative id, no degree of
+    freedom) is a ConfigError."""
     try:
         return within_bucket_noise_variance(ys, buckets)
     except ValueError as exc:
@@ -364,8 +365,6 @@ def _read_realization(path: str, warnings: list[str]):
         warnings.append(f"{path}: no bucket ids; sigma2 from raw variance "
                         "(inflated by the shift variance)")
         return float(ys.mean()), ys.size, float(np.var(ys, ddof=1))
-    if buckets.min() < 0:
-        raise ConfigError(f"{where} has a negative bucket_id")
     return float(ys.mean()), ys.size, _noise_variance(ys, buckets, where)
 
 

@@ -47,8 +47,10 @@ class TwoPointConstruction:
     kernel: Kernel = SMOOTH_BUMP
 
     def __post_init__(self):
-        if self.h <= 0 or self.beta <= 0 or self.holder_const <= 0:
-            raise ValueError("h, beta and holder_const must be positive")
+        if not all(0 < v < math.inf for v in (self.h, self.beta, self.holder_const)):
+            raise ValueError(f"h, beta and holder_const must be positive and finite, got "
+                             f"{self.h:g}, {self.beta:g}, {self.holder_const:g}")
+        check_unit_interval(np.asarray(self.x0, dtype=float), "x0 must lie in [0, 1]")
 
     def bump(self, x) -> np.ndarray:
         """The nonzero hypothesis f1; vanishes outside the kernel support window."""
@@ -72,10 +74,10 @@ class BlockCovariance:
 
     def __post_init__(self):
         ids = np.asarray(self.bucket_ids, dtype=np.int64)
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.delta2 < 0:
-            raise ValueError("delta2 must be nonnegative")
+        if not 0 < self.sigma2 < math.inf:  # NaN fails too
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2:g}")
+        if not 0 <= self.delta2 < math.inf:
+            raise ValueError(f"delta2 must be nonnegative and finite, got {self.delta2:g}")
         object.__setattr__(self, "bucket_ids", ids)
         object.__setattr__(self, "_labels", bucket_labels(ids))
 
@@ -90,12 +92,17 @@ def block_precision_apply(cov: BlockCovariance, v) -> np.ndarray:
 
     Per bucket with m points the rank-one update gives
     (1/sigma2) * (v - delta2/(1 + m*delta2) * (sum of v in bucket)).
+    A layout whose largest m*delta2 overflows is a ValueError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != cov.bucket_ids.shape:
         raise ValueError("v must match the bucket layout length")
     labels = cov._labels
     counts = np.bincount(labels)
+    largest = int(counts.max(initial=0))
+    if not largest * cov.delta2 < math.inf:  # NaN fails too
+        raise ValueError(f"delta2 * the largest bucket count must be finite, got "
+                         f"{cov.delta2:g} * {largest}")
     sums = np.bincount(labels, weights=v)
     shrink = cov.delta2 / (1.0 + counts * cov.delta2)
     return (v - shrink[labels] * sums[labels]) / cov.sigma2

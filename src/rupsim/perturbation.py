@@ -163,8 +163,8 @@ class WeightLaw:
     def __post_init__(self):
         if self.kind not in ("exp", "lognormal"):
             raise ValueError(f"unknown weight law {self.kind!r}")
-        if self.kind == "lognormal" and self.log_sd <= 0:
-            raise ValueError("lognormal log_sd must be positive")
+        if self.kind == "lognormal" and not 0 < self.log_sd < math.inf:  # NaN fails too
+            raise ValueError(f"lognormal log_sd must be positive and finite, got {self.log_sd:g}")
 
     @classmethod
     def exponential(cls) -> "WeightLaw":
@@ -173,8 +173,9 @@ class WeightLaw:
     @classmethod
     def lognormal_with_ratio(cls, var_over_mean_sq: float) -> "WeightLaw":
         """Lognormal with a target Var/mean^2 = exp(s^2) - 1."""
-        if var_over_mean_sq <= 0:
-            raise ValueError("var_over_mean_sq must be positive")
+        if not 0 < var_over_mean_sq < math.inf:  # NaN fails too
+            raise ValueError(f"var_over_mean_sq must be positive and finite, got "
+                             f"{var_over_mean_sq:g}")
         return cls("lognormal", log_mean=0.0, log_sd=math.sqrt(math.log1p(var_over_mean_sq)))
 
     @property

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rupsim import (BaselineConfig, Dataset, RegressionFunction, bump_function,
-                    get_function, holder_margin, sample_baseline, sine_function,
-                    substream, zero_function)
+from rupsim import (BaselineConfig, BlockCovariance, Dataset, RegressionFunction,
+                    TwoPointConstruction, WeightLaw, get_function, holder_margin,
+                    sample_baseline, sine_function, substream, zero_function)
 
 
 def test_zero_function_zero_noise():
@@ -88,21 +89,24 @@ def test_reproducible_given_stream():
 def test_holder_certificates_hold_on_grid():
     assert holder_margin(zero_function()) <= 0.0
     assert holder_margin(sine_function()) <= 1e-6
-    bump = bump_function(center=0.5, width=0.2, beta=1.0, holder_const=1.0)
-    assert holder_margin(bump) <= 1e-6
-    bump2 = bump_function(center=0.4, width=0.3, beta=2.0, holder_const=2.0)
-    assert holder_margin(bump2) <= 1e-6
+    assert holder_margin(sine_function(beta=1.0)) <= 0.0  # degree 0: f itself is Lipschitz
 
 
-def test_equality_follows_name_certificate_and_params():
+def test_holder_margin_is_positive_for_a_certificate_below_the_true_constant():
+    # sin(2 pi x) has Lipschitz constant 2 pi = 6.283, and f' = 2 pi cos(2 pi x)
+    # has 4 pi^2 = 39.5; a grid of step 1e-3 sees almost all of either
+    assert holder_margin(sine_function(beta=1.0, holder_const=6.0)) > 0.0
+    assert holder_margin(sine_function(beta=1.0, holder_const=6.3)) <= 0.0
+    assert holder_margin(replace(sine_function(), holder_const=1.0)) > 0.0
+
+
+def test_equality_follows_name_and_certificate():
     assert sine_function() == sine_function()  # two closures, one function
     assert sine_function() != sine_function(beta=3.0)
     assert zero_function() != sine_function()
-    bump = bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
-    assert bump == bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
-    assert bump != bump_function(center=0.4, width=0.2, beta=2.0, holder_const=1.0)
-    assert bump != bump_function(center=0.5, width=0.3, beta=2.0, holder_const=1.0)
-    assert len({sine_function(), sine_function(), bump}) == 2
+    assert (RegressionFunction("hand", beta=2.0, holder_const=1.0, _fn=np.cos)
+            == RegressionFunction("hand", beta=2.0, holder_const=1.0, _fn=np.sin))
+    assert len({sine_function(), sine_function(), zero_function()}) == 2
 
 
 def test_catalog_lookup():
@@ -135,17 +139,46 @@ def test_dataset_validation():
      "holder_const must be positive"),
     (lambda: RegressionFunction("bad", beta=1.0, holder_const=-1.0, _fn=lambda x: x),
      "holder_const must be positive"),
-    (lambda: bump_function(center=0.5, width=0.0, beta=1.0, holder_const=1.0),
-     "width must be positive"),
-    (lambda: bump_function(center=0.5, width=-0.1, beta=1.0, holder_const=1.0),
-     "width must be positive"),
     (lambda: Dataset(xs=np.array([0.1, 0.2]), ys=np.zeros(2), bucket_ids=np.array([0])),
      "bucket_ids must match xs in length"),
     (lambda: sample_baseline(BaselineConfig(f=zero_function(), sigma2=1.0, n=3),
                              substream(1, "forced"), xs=np.array([0.1, 0.2])),
      "forced xs must have length config.n"),
-], ids=["holder-const-0", "holder-const-negative", "bump-width-0", "bump-width-negative",
-        "bucket-ids-too-short", "forced-xs-too-short"])
+], ids=["holder-const-0", "holder-const-negative", "bucket-ids-too-short",
+        "forced-xs-too-short"])
 def test_invalid_arguments_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def _hand_built(beta=1.0, holder_const=1.0):
+    return RegressionFunction("hand", beta=beta, holder_const=holder_const, _fn=np.cos)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BaselineConfig(f=zero_function(), sigma2=math.nan, n=3),
+     "sigma2 must be nonnegative"),
+    (lambda: BaselineConfig(f=zero_function(), sigma2=math.inf, n=3),
+     "sigma2 must be nonnegative"),
+    (lambda: _hand_built(beta=math.nan), "beta must be positive"),
+    (lambda: _hand_built(holder_const=math.nan), "holder_const must be positive"),
+    (lambda: WeightLaw("lognormal", log_sd=math.nan), "lognormal log_sd must be positive"),
+    (lambda: WeightLaw.lognormal_with_ratio(math.nan), "var_over_mean_sq must be positive"),
+    (lambda: TwoPointConstruction(x0=0.5, h=math.nan, beta=1.0, holder_const=1.0),
+     "h, beta and holder_const must be positive"),
+    (lambda: TwoPointConstruction(x0=2.0, h=0.1, beta=1.0, holder_const=1.0),
+     r"x0 must lie in \[0, 1\]"),
+    (lambda: TwoPointConstruction(x0=math.nan, h=0.1, beta=1.0, holder_const=1.0),
+     r"x0 must lie in \[0, 1\]"),
+    (lambda: BlockCovariance(np.array([0, 0, 1]), sigma2=math.nan, delta2=0.5),
+     "sigma2 must be positive"),
+    (lambda: BlockCovariance(np.array([0, 0, 1]), sigma2=math.inf, delta2=0.5),
+     "sigma2 must be positive"),
+    (lambda: BlockCovariance(np.array([0, 0, 1]), sigma2=1.0, delta2=math.nan),
+     "delta2 must be nonnegative"),
+], ids=["baseline-sigma2-nan", "baseline-sigma2-inf", "beta-nan", "holder-const-nan",
+        "log-sd-nan", "ratio-nan", "two-point-h-nan", "two-point-x0-2", "two-point-x0-nan",
+        "block-sigma2-nan", "block-sigma2-inf", "block-delta2-nan"])
+def test_constructors_refuse_nan_and_infinities(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -737,7 +737,7 @@ HEADER = "x,y,bucket_id,realization_id\n"
     (GOOD_CSV.replace(",y,", ",z,"), "{path} lacks a 'y' column"),
     (GOOD_CSV.replace("-0.5", "inf"), "{path} has a non-finite y"),
     (GOOD_CSV.replace("-0.5", "nan"), "{path} has a non-finite y"),
-    (GOOD_CSV.replace("1.0,1,a", "1.0,-1,a"), "{path} has a negative bucket_id"),
+    (GOOD_CSV.replace("1.0,1,a", "1.0,-1,a"), "{path}: bucket ids must be nonnegative"),
     (GOOD_CSV.replace("1.0,1,a", f"1.0,{2 ** 63},a"), "{path} has a non-numeric y or bucket_id"),
     (GOOD_CSV + "0.9,0.3,1,a\n", "realizations have unequal sizes"),
 ], ids=["directory", "header-only", "one-row", "no-y-column", "inf-y", "nan-y",

@@ -265,6 +265,19 @@ def test_block_covariance_refuses_a_negative_bucket_id():
         BlockCovariance(bucket_ids=np.array([0, -1]), sigma2=1.0, delta2=0.1)
 
 
+def test_precision_refuses_a_bucket_whose_shift_variance_overflows():
+    # two points share bucket 0, so 1 + 2 * delta2 overflows; the product would
+    # come back [1, 2, 0] where the precision gives [-0.5, 0.5, 0]
+    cov = BlockCovariance(bucket_ids=np.array([0, 0, 1]), sigma2=1.0, delta2=1e308)
+    with pytest.raises(ValueError, match=r"delta2 \* the largest bucket count must be finite, "
+                                         r"got 1e\+308 \* 2"):
+        block_precision_apply(cov, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="largest bucket count"):
+        kl_mc([2, 3], lambda n: n, 1e308, base(2), 1.0, 1.0, 0.5, 2, 0)
+    empty = BlockCovariance(bucket_ids=np.array([], dtype=np.int64), sigma2=1.0, delta2=1e308)
+    assert block_precision_apply(empty, []).shape == (0,)
+
+
 def test_precision_treats_bucket_ids_as_labels():
     v = [0.5, -0.5, 1.0, 0.0]
     for ids in ([0, 0, 1, 1], [0, 0, 10 ** 15, 10 ** 15], [7, 7, 2 ** 63 - 1, 2 ** 63 - 1]):

@@ -17,9 +17,9 @@ from rupsim.local_poly import _search_rows as _noise_bins
 from rupsim.perturbation import _bisect_rows, _ndtri
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
-                    PerturbationRealization, WeightLaw, bucket_of, delta_at,
-                    delta_variance_mc, draw_perturbation, gaussian_bin_means,
-                    bump_function, kl_to_baseline_partition, load_realization,
+                    PerturbationRealization, RegressionFunction, WeightLaw, bucket_of,
+                    delta_at, delta_variance_mc, draw_perturbation, gaussian_bin_means,
+                    kl_to_baseline_partition, load_realization,
                     perturbation_strength, realization_from_json, realization_to_json,
                     sample_perturbed, save_realization, sine_function, substream,
                     zero_function)
@@ -326,7 +326,7 @@ def test_reloaded_realization_samples_with_a_freshly_built_equal_spec(tmp_path, 
 
 
 def test_replay_document_refuses_a_function_the_catalog_cannot_rebuild(tmp_path):
-    bump = bump_function(center=0.5, width=0.2, beta=2.0, holder_const=1.0)
+    bump = RegressionFunction("bump", beta=2.0, holder_const=1.0, _fn=np.cos)
     spec = CorrelatedNoiseSpec(b_x=4, delta2=0.4, baseline=BaselineConfig(f=bump, sigma2=0.5, n=9))
     xi = draw_perturbation(spec, substream(14, "bump"))
     with pytest.raises(ValueError, match="function 'bump' is not in the function catalog"):
