@@ -84,10 +84,21 @@ def argmin_prefer_larger(values: np.ndarray, scores: np.ndarray) -> float:
     return float(values[tied].max())
 
 
+def _in_eval_window(xs: np.ndarray) -> np.ndarray:
+    return (xs >= EVAL_WINDOW[0]) & (xs <= EVAL_WINDOW[1])
+
+
+def _cv_grid(h_grid) -> np.ndarray:
+    h_grid = np.sort(np.asarray(h_grid, dtype=float))
+    if h_grid.size == 0:
+        raise ValueError("h_grid must be nonempty")
+    return h_grid
+
+
 def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
                h_grid: np.ndarray, lpe_base: LpeConfig) -> np.ndarray:
     """Held-out squared prediction error per h in EVAL_WINDOW; an unsupported point makes h +inf."""
-    keep = (test_xs >= EVAL_WINDOW[0]) & (test_xs <= EVAL_WINDOW[1])
+    keep = _in_eval_window(test_xs)
     scores = np.full(h_grid.size, np.inf)
     if not keep.any():
         return scores
@@ -101,9 +112,16 @@ def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
     return scores
 
 
-def _selection(h_grid: np.ndarray, per_split: np.ndarray, method: str) -> BandwidthSelection:
-    """Average the (split, h) scores over splits and pick h by argmin_prefer_larger."""
-    scores = per_split.mean(axis=0)
+def _selection(h_grid: np.ndarray, per_split: list, method: str, split: str) -> BandwidthSelection:
+    """Average the (split, h) score rows over splits and pick h by argmin_prefer_larger.
+
+    A split scores when it holds out a point in EVAL_WINDOW; the selectors
+    pass no row for the others.
+    """
+    if not per_split:
+        raise NumericDeadEnd(f"no held-out {split} has a point in the evaluation window "
+                             f"{list(EVAL_WINDOW)}, so no split can be scored")
+    scores = np.array(per_split).mean(axis=0)
     return BandwidthSelection(h_star=argmin_prefer_larger(h_grid, scores), method=method,
                               diagnostics=list(zip(h_grid.tolist(), scores.tolist())))
 
@@ -115,7 +133,8 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
     Each element of `datasets` must carry a realization_id; datasets sharing
     an id form one domain. For every held-out domain an LP fit on the union
     of the others predicts at the held-out covariates inside EVAL_WINDOW,
-    and h minimizes the domain-averaged squared prediction error.
+    and h minimizes the domain-averaged squared prediction error. A domain
+    with no covariate inside EVAL_WINDOW is left out of the average.
     """
     groups: dict[str, list[Dataset]] = {}
     for ds in datasets:
@@ -124,17 +143,19 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
         groups.setdefault(ds.realization_id, []).append(ds)
     if len(groups) < 2:
         raise NeedsMultipleDomains(f"got {len(groups)} realization(s), need at least 2")
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
+    h_grid = _cv_grid(h_grid)
     keys = sorted(groups)
-    per_domain = np.empty((len(keys), h_grid.size))
-    for row, held in enumerate(keys):
+    per_domain = []
+    for held in keys:
+        test_xs = np.concatenate([d.xs for d in groups[held]])
+        if not _in_eval_window(test_xs).any():
+            continue
+        test_ys = np.concatenate([d.ys for d in groups[held]])
         train_parts = [ds for k in keys if k != held for ds in groups[k]]
         train = Dataset(xs=np.concatenate([d.xs for d in train_parts]),
                         ys=np.concatenate([d.ys for d in train_parts]))
-        test_xs = np.concatenate([d.xs for d in groups[held]])
-        test_ys = np.concatenate([d.ys for d in groups[held]])
-        per_domain[row] = _cv_scores(train, test_xs, test_ys, h_grid, lpe_base)
-    return _selection(h_grid, per_domain, "domain_cv")
+        per_domain.append(_cv_scores(train, test_xs, test_ys, h_grid, lpe_base))
+    return _selection(h_grid, per_domain, "domain_cv", "realization")
 
 
 def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int,
@@ -143,24 +164,27 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
 
     Random splits only see sampling variability, so under dataset-level
     perturbations this tends to pick smaller bandwidths than domain CV.
-    Fold assignment is a deterministic function of the seed.
+    Fold assignment is a deterministic function of the seed. A fold with no
+    point inside EVAL_WINDOW is left out of the average.
     """
     n = len(dataset)
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if folds > n:
         raise ValueError("more folds than data points")
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
+    h_grid = _cv_grid(h_grid)
     perm = substream(seed, "cv-folds").permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % folds
-    per_fold = np.empty((folds, h_grid.size))
+    per_fold = []
     for fold in range(folds):
         hold = fold_of == fold
+        if not _in_eval_window(dataset.xs[hold]).any():
+            continue
         train = Dataset(xs=dataset.xs[~hold], ys=dataset.ys[~hold])
-        per_fold[fold] = _cv_scores(train, dataset.xs[hold], dataset.ys[hold],
-                                    h_grid, lpe_base)
-    return _selection(h_grid, per_fold, "naive_cv")
+        per_fold.append(_cv_scores(train, dataset.xs[hold], dataset.ys[hold],
+                                   h_grid, lpe_base))
+    return _selection(h_grid, per_fold, "naive_cv", "fold")
 
 
 def within_bucket_noise_variance(ys, bucket_ids):

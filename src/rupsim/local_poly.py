@@ -21,12 +21,13 @@ so the sums do not cancel. The lattice depends on h only through its level:
 a SortedDesign keeps the last one built, and every bandwidth of that level
 reuses it, so a sweep over an h grid builds one lattice per level, not per
 h. Only occupied cells within reach of the queries get columns, so its
-memory is O(n) whatever h is. Other kernels sum over each gathered window.
-Nothing a query computes depends on which other queries or designs share its
-batch, or on what the design was fitted at before, so a grid fit equals the
-scalar fits at its points, a stacked fit equals the fits of its designs one
-by one, and a fit over a design that has served other bandwidths equals the
-fit over a freshly sorted one, bit for bit.
+memory is O(n) whatever h is. Other kernels sum over each gathered window,
+strictly left to right from +0: one add per window offset covers every
+query of a pass. Nothing a query computes depends on which other queries or
+designs share its batch, or on what the design was fitted at before, so a
+grid fit equals the scalar fits at its points, a stacked fit equals the fits
+of its designs one by one, and a fit over a design that has served other
+bandwidths equals the fit over a freshly sorted one, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ _NEAR_CELLS = np.arange(-1.0, 3.0)[:, None]
 _HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
 _E1 = [np.eye(p)[:, :1] for p in range(7)]
 
-# Upper bound on the elements of one stacked array of gathered windows, which
-# bounds the working memory of kernels without polynomial pieces.
+# Upper bound on the elements of the one workspace (window offset, moment,
+# query) of a block of gathered windows, which bounds the working memory of
+# kernels without polynomial pieces; each window is summed sequentially along
+# its offsets, so how the queries and offsets are cut into blocks leaves every
+# sum unchanged.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -128,16 +132,22 @@ def sort_design(xs, ys=None) -> SortedDesign:
     """Sort a design by x, stably; a 2-D (D, n) xs is sorted row by row.
 
     ys has the shape of xs, or one more leading axis of k responses, and every
-    response is sorted with its design.
+    response is sorted with its design. numpy's default sort is tried first:
+    where it leaves every row strictly increasing the order is unique, so it
+    is the stable one; ties, NaN and signed zeros fall back to the stable sort.
     """
     xs = np.asarray(xs, dtype=float)
-    order = np.argsort(xs, kind="stable", axis=-1)
+    order = np.argsort(xs, axis=-1)
+    ordered = np.take_along_axis(xs, order, -1)
+    if not (ordered[..., 1:] > ordered[..., :-1]).all():
+        order = np.argsort(xs, kind="stable", axis=-1)
+        ordered = np.take_along_axis(xs, order, -1)
     if ys is not None:
         ys = np.asarray(ys, dtype=float)
         if ys.ndim - xs.ndim not in (0, 1):
             raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}")
         ys = np.take_along_axis(ys, np.broadcast_to(order, ys.shape), -1)
-    return SortedDesign(xs=np.take_along_axis(xs, order, -1), order=order, ys=ys)
+    return SortedDesign(xs=ordered, order=order, ys=ys)
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
@@ -238,19 +248,6 @@ def _taylor_shift(sums: np.ndarray, d: np.ndarray) -> None:
     for k in range(top):
         step = np.multiply(d, sums[k:top], out=scratch[:top - k])
         sums[k + 1:] += step
-
-
-def _tree_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis by adding aligned pairs, level by level.
-
-    Zeros padded onto the end of a row leave its sum unchanged, so a row's
-    sum does not depend on how wide its batch was.
-    """
-    while a.shape[-1] > 1:
-        if a.shape[-1] % 2:
-            a = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
-        a = a[..., 0::2] + a[..., 1::2]
-    return a[..., 0]
 
 
 def _moments(sums: np.ndarray, pieces, p: int):
@@ -428,32 +425,63 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
 
 def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
                     h: float, lo: np.ndarray, hi: np.ndarray, p: int):
-    """Window moments of any kernel from sums over each gathered window.
+    """Window moments of any kernel, each window summed left to right from +0.
 
-    Windows are gathered from the flattened stack of designs, and rows are
-    zero-padded to the longest window of all; the padding is masked, so it
-    may read into the next design. Queries are taken in chunks whose stack
-    of 1 + k groups stays within CHUNK_ELEMENTS.
+    Every design row ends in one pad point that no window from [0, 1] at
+    h <= 1 can hold; points beyond the pad, NaN included, read as the pad,
+    so every u is finite. A window's offsets run from lo up to the pad, so
+    the kernel itself zeroes the points past hi and the pad, and past its
+    span a window reads y from the pad, where it is 0. Those terms are all
+    zeros, and adding a zero to a sum started at +0 leaves it as it is, so
+    a sum does not depend on how wide its batch was. A pass lays its queries
+    out offset by offset, and one add per window offset extends every
+    query's running sum; an explicit loop fixes that order, where a
+    reduction along a contiguous axis would sum pairwise. The x moments take
+    2p - 1 powers of u, the y moments p. The workspace of one block of
+    offsets stays within CHUNK_ELEMENTS.
     """
     count, n = xs.shape
+    k = 0 if ys is None else len(ys)
     npow = 2 * p - 1
-    flat_x = xs.ravel()
-    flat_y = None if ys is None else ys.reshape(len(ys), -1)
-    lo, span = (lo + np.arange(0, count * n, n)[:, None]).ravel(), (hi - lo).ravel()
+    rows = npow + k * p  # sum K u^j (j < 2p - 1), then sum K u^j y_r (j < p) per response
+    pad = 1.0 + 2.0 * kernel.reach(1.0)
+    flat_x = np.concatenate((np.fmin(xs, pad), np.full((count, 1), pad)), axis=1).ravel()
+    flat_y = None if ys is None else np.concatenate(
+        (ys, np.zeros((k, count, 1))), axis=2).reshape(k, -1)
+    first = np.arange(0, count * (n + 1), n + 1)[:, None]  # each design's first point
+    start, stop = (lo + first).ravel(), np.broadcast_to(first + n, lo.shape).ravel()
+    end = (hi + first).ravel()
+    span = end - start
     g = np.tile(g, count)
-    sums = np.empty((npow, 1 if ys is None else 1 + len(ys), 1, g.size))
+    sums = np.zeros((rows, g.size))
+    # a pass takes as many queries as leave room for blocks of 32 offsets
+    # (fewer when every window is narrower), so few calls are made per block
     width = max(int(span.max()), 1)
-    offsets = np.arange(width)
-    step = max(1, CHUNK_ELEMENTS // (sums.shape[1] * npow * width))
-    for first in range(0, g.size, step):
-        rows = slice(first, first + step)
-        valid = offsets < span[rows, None]
-        idx = np.minimum(lo[rows, None] + offsets, flat_x.size - 1)
-        u = np.where(valid, (flat_x[idx] - g[rows, None]) / h, 0.0)
-        stack = _powers((npow,) + idx.shape, np.where(valid, kernel(u), 0.0), u,
-                        None if ys is None else np.where(valid, flat_y[:, idx], 0.0))
-        sums[:, :, 0, rows] = _tree_sum(stack)
-    return _moments(sums, ((1.0,),), p)
+    step = min(g.size, max(1, CHUNK_ELEMENTS // (rows * min(width, 32))))  # queries per pass
+    block = max(1, CHUNK_ELEMENTS // (rows * step))  # offsets per block
+    work = np.empty(rows * block * step)
+    offsets = np.arange(width)[:, None]
+    for q0 in range(0, g.size, step):
+        q = slice(q0, q0 + step)
+        acc = sums[:, q]
+        longest = int(span[q].max())
+        for o0 in range(0, longest, block):
+            at = start[q] + offsets[o0:min(o0 + block, longest)]  # (offset, query)
+            u = np.take(flat_x, np.minimum(at, stop[q]))
+            u -= g[q]
+            u /= h
+            terms = work[:rows * u.size].reshape(len(u), rows, -1)
+            terms[:, 0] = kernel(u)
+            for j in range(1, npow):
+                np.multiply(terms[:, j - 1], u, out=terms[:, j])
+            if k:
+                y = np.take(flat_y, np.where(at < end[q], at, stop[q]), axis=1)
+                for r in range(k):
+                    np.multiply(terms[:, :p], y[r, :, None],
+                                out=terms[:, npow + r * p:npow + (r + 1) * p])
+            for i in range(len(u)):
+                acc += terms[i]
+    return sums[:npow], None if ys is None else sums[npow:].reshape(k, p, -1).swapaxes(0, 1)
 
 
 def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray, p: int):

@@ -9,7 +9,7 @@ from rupsim import (BaselineConfig, CorrelatedNoiseSpec, Dataset, LpeConfig,
                     naive_cv_bandwidth, oracle_bandwidth, predict_grid,
                     sample_baseline, sample_perturbed, sine_function, substream,
                     within_bucket_noise_variance, zero_function)
-from rupsim.bandwidth import EVAL_WINDOW, _cv_scores, argmin_prefer_larger
+from rupsim.bandwidth import EVAL_WINDOW, NumericDeadEnd, _cv_scores, argmin_prefer_larger
 
 
 def simulate_suite(tau, n_per, j, seed, sigma2=0.25, b_x=10, f=None):
@@ -306,6 +306,53 @@ def test_cv_scores_skip_an_h_that_leaves_a_held_out_point_unsupported():
                         np.array([0.05, 0.6]), LpeConfig(order=0, bandwidth=0.1))
     assert scores[0] == np.inf
     assert scores[1] == pytest.approx(2.0)  # the fit is 1 everywhere: (0 + 4) / 2
+
+
+def test_leave_one_out_cv_leaves_out_the_folds_outside_the_window():
+    # a fold holding x = 0.02 has no point to score; the mean runs over the others
+    xs = np.linspace(0.0, 1.0, 50)
+    ds = Dataset(xs=xs, ys=np.sin(6 * xs))
+    h_grid, lpe = np.array([0.2, 0.4]), LpeConfig(order=1, bandwidth=0.2)
+    sel = naive_cv_bandwidth(ds, h_grid, lpe, folds=50)
+    inside = np.flatnonzero((xs >= EVAL_WINDOW[0]) & (xs <= EVAL_WINDOW[1]))
+    assert 0 < inside.size < xs.size
+    rows = [_cv_scores(Dataset(xs=np.delete(xs, i), ys=np.delete(ds.ys, i)), xs[i:i + 1],
+                       ds.ys[i:i + 1], h_grid, lpe) for i in inside]
+    assert [s for _, s in sel.diagnostics] == pytest.approx(np.mean(rows, axis=0), rel=1e-12)
+
+
+def test_domain_cv_leaves_out_a_domain_outside_the_window():
+    suite = simulate_suite(0.0, 120, 2, seed=8)
+    edge = Dataset(xs=np.linspace(0.0, 0.04, 30), ys=np.zeros(30), realization_id="edge")
+    h_grid, lpe = np.array([0.2, 0.4]), LpeConfig(order=1, bandwidth=0.2)
+    sel = domain_cv_bandwidth(suite + [edge], h_grid, lpe)
+    rows = []
+    for held in suite:
+        train = [d for d in suite + [edge] if d is not held]
+        rows.append(_cv_scores(Dataset(xs=np.concatenate([d.xs for d in train]),
+                                       ys=np.concatenate([d.ys for d in train])),
+                               held.xs, held.ys, h_grid, lpe))
+    assert np.isfinite(rows).all()
+    assert [s for _, s in sel.diagnostics] == pytest.approx(np.mean(rows, axis=0), rel=1e-12)
+
+
+def test_cv_without_a_split_to_score_says_why():
+    lpe = LpeConfig(order=0, bandwidth=0.3)
+    outside = [Dataset(xs=np.linspace(lo, hi, 20), ys=np.zeros(20), realization_id=name)
+               for lo, hi, name in ((0.0, 0.04, "left"), (0.96, 1.0, "right"))]
+    with pytest.raises(NumericDeadEnd, match="no held-out realization .* evaluation window"):
+        domain_cv_bandwidth(outside, [0.3], lpe)
+    with pytest.raises(NumericDeadEnd, match="no held-out fold .* evaluation window"):
+        naive_cv_bandwidth(outside[0], [0.3], lpe, folds=4)
+
+
+def test_cv_refuses_an_empty_h_grid():
+    suite = simulate_suite(0.0, 60, 2, seed=9)
+    lpe = LpeConfig(order=1, bandwidth=0.2)
+    with pytest.raises(ValueError, match="h_grid must be nonempty"):
+        domain_cv_bandwidth(suite, [], lpe)
+    with pytest.raises(ValueError, match="h_grid must be nonempty"):
+        naive_cv_bandwidth(suite[0], [], lpe, folds=3)
 
 
 def test_within_bucket_noise_variance_refuses_mismatched_shapes():

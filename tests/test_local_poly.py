@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
                     fit_predict, get_kernel, local_fit, predict_grid, sine_function,
                     sort_design, substream)
+from rupsim import local_poly
 from rupsim.local_poly import (_NEAR_CELLS, DEGENERATE_EIG, MIN_BANDWIDTH, _kernel_weights,
                                _prefix_moments, _window, _window_moments)
 
@@ -634,3 +635,93 @@ def test_windows_lie_in_the_near_cells(kernel):
                 scale = np.where(reached, points, 0) * ymax * (1e-10 if order <= 3 else 1e-8)
                 assert np.all(np.abs(moments - gathered) <= scale), (h, order)
                 assert np.all(np.abs(ymoments - ygathered) <= scale), (h, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(1, 4), n=st.integers(0, 400), seed=st.integers(0, 2 ** 16),
+       ties=st.booleans(),
+       specials=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]), max_size=6))
+@example(count=2, n=300, seed=0, ties=True, specials=[])
+@example(count=2, n=300, seed=0, ties=False, specials=[])
+@example(count=3, n=200, seed=1, ties=False, specials=[0.0, -0.0, math.nan])
+def test_sort_design_equals_the_stable_sort(count, n, seed, ties, specials):
+    rng = substream(seed, "sort-design")
+    xs = rng.random((count, n))
+    if ties:
+        xs = np.round(xs, 2)
+    if n and specials:
+        xs[np.arange(count)[:, None], rng.integers(0, n, (count, len(specials)))] = specials
+    ys = rng.normal(size=(2, count, n))
+    for x, y in ((xs, ys), (xs, ys[0]), (xs[0], ys[0, 0])):
+        design = sort_design(x, y)
+        order = np.argsort(x, kind="stable", axis=-1)
+        assert _same_bits(design.order, order)
+        assert _same_bits(design.xs, np.take_along_axis(x, order, -1))
+        assert _same_bits(design.ys, np.take_along_axis(y, np.broadcast_to(order, y.shape), -1))
+
+
+def _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p):
+    """Window moments as plain Python float sums, point by point from 0.0."""
+    k = 0 if ys is None else len(ys)
+    moments, ymoments = [], []
+    for d in range(xs.shape[0]):
+        for i, x0 in enumerate(g):
+            window = slice(lo[d, i], hi[d, i])
+            u = (xs[d, window] - x0) / h
+            acc, yacc = [0.0] * (2 * p - 1), [[0.0] * k for _ in range(p)]
+            for t, (weight, ut) in enumerate(zip(kernel(u).tolist(), u.tolist())):
+                term = weight
+                for j in range(2 * p - 1):
+                    if j:
+                        term *= ut
+                    acc[j] += term
+                    if j < p:
+                        for r in range(k):
+                            yacc[j][r] += term * float(ys[r, d, window][t])
+            moments.append(acc)
+            ymoments.append(yacc)
+    return np.array(moments).T, None if ys is None else np.moveaxis(np.array(ymoments), 0, -1)
+
+
+@pytest.mark.parametrize("chunk", [64, 1000, local_poly.CHUNK_ELEMENTS])
+@pytest.mark.parametrize("count,m,k", [(1, 1, 0), (1, 1, 1), (1, 40, 1), (3, 7, 1), (2, 9, 3),
+                                       (1, 25, 0)])
+def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k):
+    """Each window of the gathered path is summed in order, however the call is cut.
+
+    Chunks of 64 and 1000 elements cut a call into passes of one to a few
+    dozen queries and blocks of 2 to 41 offsets; the windows here hold 9 to
+    133 points, so most span several blocks.
+    """
+    monkeypatch.setattr(local_poly, "CHUNK_ELEMENTS", chunk)
+    rng = substream(count * 100 + m, "left-to-right", k)
+    xs = np.sort(np.round(rng.random((count, 150)), 2), axis=-1)  # ties on a 0.01 grid
+    ys = rng.normal(size=(k, count, 150)) if k else None
+    g = np.round(rng.random(m), 3)
+    kernel = get_kernel("smooth_bump")
+    for h in (0.15, 0.8):
+        lo, hi = _window(kernel, xs, g, h)
+        assert (hi - lo).max() > 8
+        for p in (1, 3, 6):
+            moments, ymoments = _window_moments(kernel, xs, ys, g, h, lo, hi, p)
+            expected, yexpected = _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p)
+            assert _same_bits(moments, expected), (h, p)
+            if k:
+                assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (h, p)
+            else:
+                assert ymoments is None
+
+
+def test_design_points_no_window_can_hold_leave_gathered_fits_unchanged():
+    # NaN, infinite and huge design points sort past every window; 0 * u must stay finite
+    xs = np.round(substream(4, "far-points").random(60), 2)
+    ys = np.sin(5 * xs)
+    far = np.array([np.nan, np.inf, 1e200])
+    g = np.linspace(0.0, 1.0, 21)
+    for h in (MIN_BANDWIDTH, 0.05, 1.0):
+        cfg = LpeConfig(order=2, bandwidth=h, kernel=get_kernel("smooth_bump"))
+        plain = local_fit(cfg, sort_design(xs, ys), g)
+        padded = local_fit(cfg, sort_design(np.concatenate([xs, far]),
+                                            np.concatenate([ys, [np.nan, 1.0, 2.0]])), g)
+        for field in ("values", "coef", "supported", "degenerate", "lo", "hi"):
+            assert _same_bits(getattr(padded, field), getattr(plain, field)), (h, field)
