@@ -63,7 +63,6 @@ def oracle_bandwidth(n: int, tau: float, beta: float) -> float:
 @dataclass
 class BandwidthSelection:
     h_star: float
-    method: str  # "oracle" | "domain_cv" | "naive_cv"
     diagnostics: list[tuple[float, float]]  # (h, score) rows
 
 
@@ -112,7 +111,7 @@ def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
     return scores
 
 
-def _selection(h_grid: np.ndarray, per_split: list, method: str, split: str) -> BandwidthSelection:
+def _selection(h_grid: np.ndarray, per_split: list, split: str) -> BandwidthSelection:
     """Average the (split, h) score rows over splits and pick h by argmin_prefer_larger.
 
     A split scores when it holds out a point in EVAL_WINDOW; the selectors
@@ -122,7 +121,7 @@ def _selection(h_grid: np.ndarray, per_split: list, method: str, split: str) -> 
         raise NumericDeadEnd(f"no held-out {split} has a point in the evaluation window "
                              f"{list(EVAL_WINDOW)}, so no split can be scored")
     scores = np.array(per_split).mean(axis=0)
-    return BandwidthSelection(h_star=argmin_prefer_larger(h_grid, scores), method=method,
+    return BandwidthSelection(h_star=argmin_prefer_larger(h_grid, scores),
                               diagnostics=list(zip(h_grid.tolist(), scores.tolist())))
 
 
@@ -155,7 +154,7 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
         train = Dataset(xs=np.concatenate([d.xs for d in train_parts]),
                         ys=np.concatenate([d.ys for d in train_parts]))
         per_domain.append(_cv_scores(train, test_xs, test_ys, h_grid, lpe_base))
-    return _selection(h_grid, per_domain, "domain_cv", "realization")
+    return _selection(h_grid, per_domain, "realization")
 
 
 def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int,
@@ -184,7 +183,7 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
         train = Dataset(xs=dataset.xs[~hold], ys=dataset.ys[~hold])
         per_fold.append(_cv_scores(train, dataset.xs[hold], dataset.ys[hold],
                                    h_grid, lpe_base))
-    return _selection(h_grid, per_fold, "naive_cv", "fold")
+    return _selection(h_grid, per_fold, "fold")
 
 
 def within_bucket_noise_variance(ys, bucket_ids):

@@ -1,7 +1,7 @@
 """Baseline data model: uniform design on [0,1] with additive Gaussian noise.
 
-The target functions carry declared smoothness certificates (beta, L). Replay
-documents record them, and holder_margin checks them on a grid.
+The target functions carry declared smoothness certificates (beta, L), which
+replay documents record.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-# Grid step of the finite-difference Holder checks.
-HOLDER_STEP = 1e-3
-
 
 def check_unit_interval(x: np.ndarray, message: str) -> None:
     """Raise ValueError(message) unless every value of x lies in [0, 1]; NaN fails."""
@@ -64,11 +60,6 @@ class RegressionFunction:
         check_unit_interval(x, "x outside the domain [0, 1]")
         return self._fn(x)
 
-    @property
-    def holder_degree(self) -> int:
-        """Order of the derivative the Holder condition constrains."""
-        return math.ceil(self.beta) - 1
-
 
 def zero_function() -> RegressionFunction:
     return RegressionFunction("zero", beta=2.0, holder_const=1.0, _fn=lambda x: np.zeros_like(x))
@@ -93,23 +84,6 @@ def get_function(name: str) -> RegressionFunction:
         return FUNCTION_CATALOG[name]()
     except KeyError:
         raise KeyError(f"unknown function {name!r}; available: {sorted(FUNCTION_CATALOG)}") from None
-
-
-def holder_margin(f: RegressionFunction) -> float:
-    """Worst slack of the finite-difference Holder inequality on a grid of step HOLDER_STEP.
-
-    Returns max over grid pairs of |d^l f(x) - d^l f(x')| - L |x - x'|^(beta-l)
-    with l = f.holder_degree; nonpositive means the certificate holds on the
-    grid (up to finite-difference error).
-    """
-    grid = np.arange(0.0, 1.0 + HOLDER_STEP / 2, HOLDER_STEP)
-    vals = f(grid)
-    for _ in range(f.holder_degree):
-        vals = np.gradient(vals, HOLDER_STEP)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist = np.abs(grid[:, None] - grid[None, :])
-    np.fill_diagonal(dist, 1.0)  # x == x' reads diff 0 against -L, so it never sets the max
-    return float(np.max(diff - f.holder_const * dist ** (f.beta - f.holder_degree)))
 
 
 @dataclass(frozen=True)

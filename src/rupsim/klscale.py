@@ -58,11 +58,6 @@ class TwoPointConstruction:
         return self.holder_const * self.h ** self.beta * self.kernel((x - self.x0) / self.h)
 
 
-def two_point_separation(construction: TwoPointConstruction) -> float:
-    """Peak distance |f1(x0) - f0(x0)| = L * h^beta * K_max between the hypotheses."""
-    return construction.holder_const * construction.h ** construction.beta * construction.kernel.k_max
-
-
 @dataclass(frozen=True)
 class BlockCovariance:
     """Covariance sigma2 * (I + delta2 * 1 1^T) per bucket, independent across buckets."""
@@ -170,7 +165,6 @@ class KlScalingRow:
 class KlScalingTable:
     rows: list[KlScalingRow]
     regime_warning: bool
-    meta: dict
 
 
 def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
@@ -215,8 +209,7 @@ def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
     warn = bool(occ.max() / occ.min() > REGIME_GROWTH_LIMIT) if occ.min() > 0 else True
     for r in rows:
         r.regime_warning = warn
-    return KlScalingTable(rows=rows, regime_warning=warn,
-                          meta={"reps": reps, "seed": seed})
+    return KlScalingTable(rows=rows, regime_warning=warn)
 
 
 def correlated_noise_kl_suite(n_grid, delta2: float, base: BaselineConfig,

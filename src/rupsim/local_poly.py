@@ -101,10 +101,14 @@ class LpeConfig:
 
 @dataclass
 class WeightVector:
-    """Equivalent-kernel weights W_k(x0) of a local fit, one per design point."""
+    """Equivalent-kernel weights W_k(x0) of a fit at one query, one per design point.
+
+    weights has the shape of the design, (n,) or (D, n), in its original
+    order. degenerate is True when a local Gram matrix was ridged; the
+    weights of that fit need not sum to one.
+    """
 
     weights: np.ndarray
-    query: float
     degenerate: bool
 
 
@@ -131,12 +135,15 @@ class SortedDesign:
 def sort_design(xs, ys=None) -> SortedDesign:
     """Sort a design by x, stably; a 2-D (D, n) xs is sorted row by row.
 
-    ys has the shape of xs, or one more leading axis of k responses, and every
-    response is sorted with its design. numpy's default sort is tried first:
-    where it leaves every row strictly increasing the order is unique, so it
-    is the stable one; ties, NaN and signed zeros fall back to the stable sort.
+    Design points must lie in [0, 1]; any other point, NaN included, is a
+    ValueError. ys has the shape of xs, or one more leading axis of k
+    responses, and every response is sorted with its design. numpy's default
+    sort is tried first: where it leaves every row strictly increasing the
+    order is unique, so it is the stable one; ties and signed zeros fall back
+    to the stable sort.
     """
     xs = np.asarray(xs, dtype=float)
+    check_unit_interval(xs, "design points must lie in [0, 1]")
     order = np.argsort(xs, axis=-1)
     ordered = np.take_along_axis(xs, order, -1)
     if not (ordered[..., 1:] > ordered[..., :-1]).all():
@@ -428,10 +435,9 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     """Window moments of any kernel, each window summed left to right from +0.
 
     Every design row ends in one pad point that no window from [0, 1] at
-    h <= 1 can hold; points beyond the pad, NaN included, read as the pad,
-    so every u is finite. A window's offsets run from lo up to the pad, so
-    the kernel itself zeroes the points past hi and the pad, and past its
-    span a window reads y from the pad, where it is 0. Those terms are all
+    h <= 1 can hold. A window's offsets run from lo up to the pad, so the
+    kernel itself zeroes the points past hi and the pad, and past its span
+    a window reads y from the pad, where it is 0. Those terms are all
     zeros, and adding a zero to a sum started at +0 leaves it as it is, so
     a sum does not depend on how wide its batch was. A pass lays its queries
     out offset by offset, and one add per window offset extends every
@@ -445,7 +451,7 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     npow = 2 * p - 1
     rows = npow + k * p  # sum K u^j (j < 2p - 1), then sum K u^j y_r (j < p) per response
     pad = 1.0 + 2.0 * kernel.reach(1.0)
-    flat_x = np.concatenate((np.fmin(xs, pad), np.full((count, 1), pad)), axis=1).ravel()
+    flat_x = np.concatenate((xs, np.full((count, 1), pad)), axis=1).ravel()
     flat_y = None if ys is None else np.concatenate(
         (ys, np.zeros((k, count, 1))), axis=2).reshape(k, -1)
     first = np.arange(0, count * (n + 1), n + 1)[:, None]  # each design's first point
@@ -582,16 +588,17 @@ def _kernel_weights(config: LpeConfig, design: SortedDesign, fit: LocalFit,
 def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
     """Weight vector of the LP(order) fit at x0 over the design xs.
 
-    xs is one design (n,) or a stack (D, n), whose row d of weights equals the
-    call on xs[d] bit for bit. Raises NoLocalSupport unless every design has a
-    point with positive kernel weight. A near-singular local Gram gets the RIDGE
-    term, and the result is flagged degenerate (its weights need not sum to one).
+    xs is one design (n,) or a stack (D, n) of points in [0, 1] (see
+    sort_design), whose row d of weights equals the call on xs[d] bit for
+    bit. Raises NoLocalSupport unless every design has a point with positive
+    kernel weight. A near-singular local Gram gets the RIDGE term, and the
+    result is flagged degenerate (its weights need not sum to one).
     """
     design = sort_design(xs)
     fit = local_fit(config, design, [x0])
     if not fit.supported.all():
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
-    return WeightVector(weights=_kernel_weights(config, design, fit, x0), query=x0,
+    return WeightVector(weights=_kernel_weights(config, design, fit, x0),
                         degenerate=bool(fit.degenerate.any()))
 
 

@@ -280,14 +280,12 @@ class PerturbationRealization:
             self.eps_bin_means = _cached_bin_means(spec.baseline.sigma2, spec.b_eps)
 
 
-def gaussian_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
-    """Exact means of N(0, sigma2) truncated to its b_eps quantile bins."""
-    return _cached_bin_means(sigma2, b_eps).copy()
-
-
 @lru_cache(maxsize=64)
 def _cached_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
-    """gaussian_bin_means, computed once per (sigma2, b_eps) and read-only."""
+    """Exact means of N(0, sigma2) truncated to its b_eps quantile bins.
+
+    Computed once per (sigma2, b_eps) and returned read-only.
+    """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     edges = _ndtri(np.arange(b_eps + 1) / b_eps)

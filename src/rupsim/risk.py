@@ -59,9 +59,6 @@ class RiskReport:
     se_sampling: float
     se_dist: float
     se_combined: float
-    reps_xi: int
-    reps_data: int
-    x0: float
     diagnostics: dict
 
     @property
@@ -147,7 +144,6 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
         bias2=float(bias2), sampling_var=float(samp), dist_var=float(max(0.0, dist_raw)),
         total_mse=float(total), se_total=float(se_total), se_bias2=float(se_bias2),
         se_sampling=float(se_samp), se_dist=float(se_dist), se_combined=float(se_combined),
-        reps_xi=reps_xi, reps_data=reps_data, x0=x0,
         diagnostics={"dist_var_raw": float(dist_raw), "failed_fits": failed,
                      "total_fits": rows.size, "dropped_rows": dropped_rows,
                      "ridged_fits": int(ridged.sum())})
@@ -182,7 +178,7 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
 
 @dataclass
 class MiseCurve:
-    """MISE against bandwidth, with the meta block echoing the run setup."""
+    """MISE against bandwidth; meta holds the run's failed_h and ridged_fits (see mise_ladder)."""
 
     h: np.ndarray
     mise: np.ndarray
@@ -270,9 +266,7 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
             raise NumericDeadEnd(
                 f"no bandwidth in the grid (max h={h_grid.max():g}) has local support at "
                 f"every evaluation point for n={base.n}") from None
-        meta = {"n": base.n, "sigma2": base.sigma2, "f": base.f.name, "reps": reps,
-                "seed": seed, "order": lpe_base.order, "kernel": lpe_base.kernel.name,
-                "failed_h": h_grid[bad].tolist(), "ridged_fits": list(ridged)}
+        meta = {"failed_h": h_grid[bad].tolist(), "ridged_fits": list(ridged)}
         curves.append(MiseCurve(h=h_grid, mise=mise, se=se, argmin_h=argmin_h, meta=meta))
     return curves
 

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from rupsim import (BaselineConfig, BlockCovariance, Dataset, RegressionFunction,
-                    TwoPointConstruction, WeightLaw, get_function, holder_margin,
-                    sample_baseline, sine_function, substream, zero_function)
+                    TwoPointConstruction, WeightLaw, get_function, sample_baseline,
+                    sine_function, substream, zero_function)
 
 
 def test_zero_function_zero_noise():
@@ -84,6 +84,28 @@ def test_reproducible_given_stream():
     c = sample_baseline(cfg, substream(43, "rep"))
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
     assert not np.array_equal(a.ys, c.ys)
+
+
+HOLDER_STEP = 1e-3  # grid step of the finite-difference Holder check
+
+
+def holder_margin(f: RegressionFunction) -> float:
+    """Worst slack of the finite-difference Holder inequality on a grid of step HOLDER_STEP.
+
+    Returns max over grid pairs of |d^l f(x) - d^l f(x')| - L |x - x'|^(beta-l)
+    with l = ceil(beta) - 1, the order of the derivative the certificate
+    constrains; nonpositive means the certificate holds on the grid (up to
+    finite-difference error).
+    """
+    degree = math.ceil(f.beta) - 1
+    grid = np.arange(0.0, 1.0 + HOLDER_STEP / 2, HOLDER_STEP)
+    vals = f(grid)
+    for _ in range(degree):
+        vals = np.gradient(vals, HOLDER_STEP)
+    diff = np.abs(vals[:, None] - vals[None, :])
+    dist = np.abs(grid[:, None] - grid[None, :])
+    np.fill_diagonal(dist, 1.0)  # x == x' reads diff 0 against -L, so it never sets the max
+    return float(np.max(diff - f.holder_const * dist ** (f.beta - degree)))
 
 
 def test_holder_certificates_hold_on_grid():

@@ -14,12 +14,6 @@ def test_nonnegative_and_zero_outside_support(kernel):
     assert np.all(vals[outside] == 0.0)
 
 
-@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=sorted(KERNELS))
-def test_declared_sup_norm_matches_grid(kernel):
-    u = np.arange(-1.0, 1.0 + 5e-5, 1e-4)
-    assert abs(kernel(u).max() - kernel.k_max) <= 1e-6
-
-
 def test_epanechnikov_values():
     assert EPANECHNIKOV(0.0) == 0.75
     assert EPANECHNIKOV(0.5) == 0.75 * 0.75

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from rupsim import (EPANECHNIKOV, SMOOTH_BUMP, TRIANGULAR, UNIFORM, BaselineConfig,
-                    BlockCovariance, CorrelatedNoiseSpec, Kernel, TwoPointConstruction,
+                    BlockCovariance, CorrelatedNoiseSpec, TwoPointConstruction,
                     block_precision_apply, bucket_of, conditional_kl,
-                    correlated_noise_kl_suite, kl_mc, substream, two_point_separation,
-                    zero_function)
+                    correlated_noise_kl_suite, kl_mc, substream, zero_function)
 from rupsim.streams import STACK_POINTS
 
 
@@ -190,20 +189,6 @@ def test_conditional_kl_decreasing_in_delta2_shared_bucket():
     vals = [conditional_kl(xs, constr, CorrelatedNoiseSpec(b_x=2, delta2=d, baseline=base()))
             for d in (0.0, 0.25, 0.5, 1.0, 2.0)]
     assert np.all(np.diff(vals) < 0.0)
-
-
-def test_two_point_separation():
-    assert two_point_separation(
-        TwoPointConstruction(x0=0.5, h=1.0, beta=1.0, holder_const=1.0)) == 1.0
-    scaled = Kernel("scaled", k_max=0.8, support=1.0,
-                    _fn=lambda u: 0.8 * np.maximum(1.0 - np.abs(u), 0.0))
-    assert two_point_separation(
-        TwoPointConstruction(x0=0.2, h=0.5, beta=1.0, holder_const=2.0,
-                             kernel=scaled)) == pytest.approx(0.8)
-    seps = [two_point_separation(TwoPointConstruction(x0=0.5, h=h, beta=1.0,
-                                                      holder_const=1.0))
-            for h in (0.4, 0.2, 0.1, 0.05)]
-    assert np.all(np.diff(seps) < 0.0)
 
 
 def _iid_ratio_constant(holder_const, sigma2):

@@ -14,15 +14,14 @@ from scipy import integrate, special, stats
 
 import rupsim
 from rupsim.local_poly import _search_rows as _noise_bins
-from rupsim.perturbation import _bisect_rows, _ndtri
+from rupsim.perturbation import _bisect_rows, _cached_bin_means, _ndtri
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, RegressionFunction, WeightLaw, bucket_of,
-                    delta_at, delta_variance_mc, draw_perturbation, gaussian_bin_means,
-                    kl_to_baseline_partition, load_realization,
-                    perturbation_strength, realization_from_json, realization_to_json,
-                    sample_perturbed, save_realization, sine_function, substream,
-                    zero_function)
+                    delta_at, delta_variance_mc, draw_perturbation,
+                    kl_to_baseline_partition, load_realization, perturbation_strength,
+                    realization_from_json, realization_to_json, sample_perturbed,
+                    save_realization, sine_function, substream, zero_function)
 
 BASE = BaselineConfig(f=zero_function(), sigma2=1.0, n=1000)
 
@@ -73,7 +72,7 @@ def test_partition_two_bin_row_averages_to_one():
 
 
 def test_gaussian_bin_means_half_normal():
-    m = gaussian_bin_means(1.0, 2)
+    m = _cached_bin_means(1.0, 2)
     expected = math.sqrt(2.0 / math.pi)
     assert m[0] == pytest.approx(-expected, abs=1e-12)
     assert m[1] == pytest.approx(expected, abs=1e-12)
@@ -82,7 +81,7 @@ def test_gaussian_bin_means_half_normal():
 def test_gaussian_bin_means_quadrature_oracle():
     sigma2, b_eps = 2.5, 5
     sigma = math.sqrt(sigma2)
-    m = gaussian_bin_means(sigma2, b_eps)
+    m = _cached_bin_means(sigma2, b_eps)
     edges = sigma * stats.norm.ppf(np.arange(b_eps + 1) / b_eps)
     for j in range(b_eps):
         lo = -20 * sigma if j == 0 else edges[j]
@@ -93,7 +92,7 @@ def test_gaussian_bin_means_quadrature_oracle():
 
 
 def test_eps_bin_means_sum_to_zero_large_beps():
-    m = gaussian_bin_means(1.0, 50)
+    m = _cached_bin_means(1.0, 50)
     assert abs(m.sum()) <= 1e-9
 
 
@@ -336,18 +335,14 @@ def test_replay_document_refuses_a_function_the_catalog_cannot_rebuild(tmp_path)
     assert not (tmp_path / "xi.json").exists()
 
 
-def test_bin_means_cache_is_read_only_and_public_copy_is_fresh():
+def test_bin_means_cache_is_read_only_and_shared():
     spec = PartitionSpec(b_x=2, b_eps=5, weight_law=WeightLaw.exponential(), baseline=BASE)
     xi = draw_perturbation(spec, substream(17, "cache"))
     assert not xi.eps_bin_means.flags.writeable
     with pytest.raises(ValueError):
         xi.eps_bin_means[0] = 0.0
-    mine = gaussian_bin_means(1.0, 5)
-    assert mine.flags.writeable
-    mine[:] = 0.0
-    assert np.array_equal(draw_perturbation(spec, substream(17, "again")).eps_bin_means,
-                          gaussian_bin_means(1.0, 5))
-    assert np.array_equal(gaussian_bin_means(1.0, 5), xi.eps_bin_means)
+    again = draw_perturbation(spec, substream(17, "again")).eps_bin_means
+    assert again is xi.eps_bin_means is _cached_bin_means(1.0, 5)
 
 
 def _per_row_bins(row_cum, buckets, u):
@@ -689,7 +684,7 @@ def test_realization_derives_variant_weights_and_bin_means_from_its_draw():
     assert xi.variant == "partition" and xi.bucket_shifts is None
     assert np.array_equal(xi.normalized_weights, [[1.5, 0.5], [0.5, 1.5]])
     assert xi.eps_bin_means is draw_perturbation(spec, substream(1, "xi")).eps_bin_means
-    assert np.array_equal(xi.eps_bin_means, gaussian_bin_means(2.0, 2))
+    assert np.array_equal(xi.eps_bin_means, _cached_bin_means(2.0, 2))
     _, corr = make_corr_xi([0.25, -0.5])
     assert corr.variant == "correlated_noise"
     assert corr.normalized_weights is None and corr.eps_bin_means is None
@@ -704,7 +699,7 @@ def test_realization_derives_variant_weights_and_bin_means_from_its_draw():
     (lambda: PartitionSpec(b_x=0, b_eps=4, weight_law=WeightLaw.exponential(), baseline=BASE),
      "b_x must be at least 1"),
     (lambda: CorrelatedNoiseSpec(b_x=0, delta2=0.1, baseline=BASE), "b_x must be at least 1"),
-    (lambda: gaussian_bin_means(0.0, 4), "sigma2 must be positive"),
+    (lambda: _cached_bin_means(0.0, 4), "sigma2 must be positive"),
     (lambda: delta_variance_mc(CorrelatedNoiseSpec(b_x=3, delta2=0.1, baseline=BASE), 1,
                                substream(1, "dv")), "reps must be at least 2"),
 ], ids=["log-sd-0", "log-sd-negative", "ratio-0", "partition-b-x-0", "correlated-b-x-0",

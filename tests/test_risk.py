@@ -228,7 +228,9 @@ def test_mise_invalid_h_scored_infinite():
     assert np.isinf(curve.mise[0])
     assert np.isfinite(curve.mise[1])
     assert curve.argmin_h == 0.3
-    assert 0.004 in curve.meta["failed_h"]
+    assert curve.meta["failed_h"] == [0.004]
+    # the CLI and the benchmark's risk.mise_mc.failed_h counter read meta["failed_h"]
+    assert set(curve.meta) == {"failed_h", "ridged_fits"}
 
 
 def test_optimal_bandwidth_curve_single_cell():
