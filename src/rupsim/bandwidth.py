@@ -197,7 +197,10 @@ def within_bucket_noise_variance(ys, bucket_ids):
     A (D, n) stack of datasets gives D estimates, each equal bit for bit to
     the call on its row alone. A row's sums run over its occupied buckets
     only, in bucket order: numpy's pairwise sum groups terms by position, so
-    a zero standing in for an empty bucket could change the last bits. Ids are labels.
+    a zero standing in for an empty bucket could change the last bits. When
+    every row occupies every bucket, one reduction along the rows sums them
+    all, each row pairwise over the same operands as the call on it alone;
+    a stack with an empty bucket sums row by row. Ids are labels.
     """
     ys = np.asarray(ys, dtype=float)
     bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
@@ -216,8 +219,11 @@ def within_bucket_noise_variance(ys, bucket_ids):
     df = rows.shape[1] - occupied.sum(axis=1)
     if (df < 1).any():
         raise ValueError("not enough points per bucket to estimate the noise variance")
-    ss_within = np.array([sq[o].sum() - (s[o] ** 2 / c[o]).sum()
-                          for sq, s, c, o in zip(sumsq, sums, counts, occupied)])
+    if occupied.all():
+        ss_within = sumsq.sum(axis=1) - (sums ** 2 / counts).sum(axis=1)
+    else:
+        ss_within = np.array([sq[o].sum() - (s[o] ** 2 / c[o]).sum()
+                              for sq, s, c, o in zip(sumsq, sums, counts, occupied)])
     out = ss_within / df
     return float(out[0]) if ys.ndim == 1 else out
 

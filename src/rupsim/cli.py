@@ -65,9 +65,9 @@ def _keep_freed_heap() -> None:
     thresholds the freed top of the heap can be trimmed after a call and
     faulted back in at the next. On the benchmark configs, estimate-tau
     takes about 410 minor faults with fixed thresholds against 13k without
-    (and about 14% less wall time), mise-sweep 300 against 540; kl-check is
-    unchanged at 77. The CLI owns its process, so it sets fixed thresholds;
-    without glibc's mallopt this does nothing.
+    (and about 9% less wall time), mise-sweep 320 against 500; kl-check is
+    unchanged at about 90. The CLI owns its process, so it sets fixed
+    thresholds; without glibc's mallopt this does nothing.
     """
     if sys.platform != "linux":
         return
@@ -392,8 +392,8 @@ def cmd_estimate_tau(root: Conf, seed: int, outdir: Path):
         sig_parts = np.empty(j)
         xi_rngs = substreams(seed, "xi", count=j)
         for run, data_rngs in substreams(seed, "data", count=j).stacks(base.n):
-            xis = [draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}") for i in run]
-            ds = sample_perturbed(spec, xis, base.n, data_rngs)
+            xi = draw_perturbation(spec, [xi_rngs[i] for i in run])
+            ds = sample_perturbed(spec, xi, base.n, data_rngs)
             theta[run] = ds.ys.mean(axis=1)
             sig_parts[run] = _noise_variance(ds.ys, ds.bucket_ids, "baseline.n")
         n_per = base.n

@@ -49,10 +49,19 @@ def _triangular(u: np.ndarray) -> np.ndarray:
 
 
 def _smooth_bump(u: np.ndarray) -> np.ndarray:
-    # C-infinity mollifier on [-1/2, 1/2], scaled so the peak value is 1.
+    # C-infinity mollifier on [-1/2, 1/2], scaled so the peak value is 1:
+    # exp(1 - 1/(1 - (2u)^2)) inside, 0 outside, in one buffer. An outside
+    # point runs the chain from 0 to exp(0) = 1, then the mask zeroes it.
     inside = np.abs(u) < 0.5
-    v = 2.0 * np.where(inside, u, 0.0)
-    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - v * v)), 0.0)
+    v = np.where(inside, u, 0.0)
+    v *= 2.0
+    v *= v
+    np.subtract(1.0, v, out=v)
+    np.divide(1.0, v, out=v)
+    np.subtract(1.0, v, out=v)
+    np.exp(v, out=v)
+    v *= inside
+    return v
 
 
 EPANECHNIKOV = Kernel("epanechnikov", support=1.0, _fn=_epanechnikov,

@@ -15,7 +15,9 @@ design point they hold), which makes its cost follow the window's occupancy
 rather than n and B_X. It scores a stack of equal-size designs in one call,
 each design's buckets keyed apart, so the fixed cost of its numpy calls is
 paid once per stack; kl_mc draws each n's designs from one substreams batch
-and scores them in the runs of its Substreams.stacks.
+and scores them in the runs of its Substreams.stacks. What remains per stack
+is that fixed cost: the window's bucket range is scalar arithmetic, and the
+bump fills one buffer in place.
 """
 
 from __future__ import annotations
@@ -128,15 +130,17 @@ def conditional_kl(design_xs, construction: TwoPointConstruction,
     # nondecreasing in x, so every point in a bucket outside [first, last]
     # lies beyond the reach and has df = 0.
     reach = construction.kernel.reach(construction.h)
-    first, last = bucket_of(np.clip([construction.x0 - reach, construction.x0 + reach],
-                                    0.0, 1.0), spec.b_x)
+    b_x = spec.b_x
+    # bucket_of's rule on the window's ends clipped to [0, 1], in scalars
+    first = min(int(max(construction.x0 - reach, 0.0) * b_x), b_x - 1)
+    last = min(int(min(construction.x0 + reach, 1.0) * b_x), b_x - 1)
     # A point of bucket first..last has x within [first, last + 1] / b_x; a
     # margin of one bucket width covers the rounding of x * b_x, so the exact
     # bucket test below sees every such point, row by row in design order.
     flat = stack.ravel()
-    kept = np.flatnonzero((flat >= (first - 1) / spec.b_x) & (flat < (last + 2) / spec.b_x))
+    kept = np.flatnonzero((flat >= (first - 1) / b_x) & (flat < (last + 2) / b_x))
     x, rows = flat[kept], kept // stack.shape[1]
-    buckets = bucket_of(x, spec.b_x)
+    buckets = bucket_of(x, b_x)
     near = (buckets >= first) & (buckets <= last)
     rows, buckets = rows[near], buckets[near]
     df = construction.bump(x[near])

@@ -8,9 +8,12 @@ each X bucket. Both keep the covariate marginal fixed, are mean-zero across
 realizations, and carry a strength tau = delta2 * rho_bar where rho_bar is
 the average within-bucket correlation 1/B_X.
 
-Sampling cost. `sample_perturbed` draws a stack of D datasets in one call,
-one generator per row, so its fixed cost of a few dozen numpy calls is paid
-once per stack rather than once per dataset. The partition model finds each
+Sampling cost. `draw_perturbation` draws a stack of D realizations in one
+call, one generator per row, into one array that is checked and normalised
+once; `sample_perturbed` draws a stack of D datasets from one realization or
+from such a stack, with one table of cumulative bin weights. Their fixed
+cost of a few dozen numpy calls is paid once per stack rather than once per
+realization or dataset. The partition model finds each
 point's noise bin by inversion (Devroye 1986, Non-Uniform Random Variate
 Generation, III.2): a bisection over the point's (realization, bucket) row of
 cumulative weights that takes the same ceil(log2 B_eps) halving steps for
@@ -245,7 +248,10 @@ class PerturbationRealization:
     """One drawn perturbation, its spec and its draw: enough to replay sampling.
 
     The draw is partition_weights (B_X, B_eps) or bucket_shifts (B_X,), as the
-    spec's model has it; one that does not fit the spec is a ValueError.
+    spec's model has it; one that does not fit the spec is a ValueError. A
+    stack of D realizations of one spec carries a leading axis of D on its
+    draw and on normalized_weights, and depth = D; one realization has depth
+    None. A stack is checked and normalised once, as a whole.
     """
 
     spec: PerturbationSpec
@@ -253,6 +259,7 @@ class PerturbationRealization:
     partition_weights: np.ndarray | None = None
     bucket_shifts: np.ndarray | None = None
     variant: str = field(init=False)  # "partition" | "correlated_noise"
+    depth: int | None = field(init=False, default=None)  # D for a stack of D, None for one
     normalized_weights: np.ndarray | None = field(init=False, default=None)  # w / row mean
     eps_bin_means: np.ndarray | None = field(init=False, default=None)  # E[eps | bin j], read-only
 
@@ -268,16 +275,25 @@ class PerturbationRealization:
             draw = np.asarray(getattr(self, name), dtype=float)
         except ValueError:  # a ragged nested list has no shape
             raise ValueError(f"{rule}; got a ragged list") from None
-        if draw.shape != shape:
+        stack = draw.ndim > len(shape)
+        if draw.shape[int(stack):] != shape or draw.size == 0:
             raise ValueError(f"{rule}; got shape {draw.shape}")
         if not np.isfinite(draw).all():
             raise ValueError(f"{rule}; got a non-finite entry")
         if partition and draw.min() <= 0:
             raise ValueError(f"{rule}; got a weight <= 0")
         setattr(self, name, draw)
+        if stack:
+            self.depth = len(draw)
         if partition:
-            self.normalized_weights = draw / draw.mean(axis=1)[:, None]
+            self.normalized_weights = draw / draw.mean(axis=-1)[..., None]
             self.eps_bin_means = _cached_bin_means(spec.baseline.sigma2, spec.b_eps)
+
+
+def _one_realization(xi: PerturbationRealization, what: str) -> None:
+    """ValueError when xi is a stack: what applies to one realization only."""
+    if xi.depth is not None:
+        raise ValueError(f"{what} needs one realization, got a stack of {xi.depth}")
 
 
 @lru_cache(maxsize=64)
@@ -298,25 +314,43 @@ def _cached_bin_means(sigma2: float, b_eps: int) -> np.ndarray:
     return means
 
 
-def draw_perturbation(spec: PerturbationSpec, rng: np.random.Generator,
+def draw_perturbation(spec: PerturbationSpec, rng,
                       realization_id: str | None = None) -> PerturbationRealization:
-    """Draw one perturbation realization xi from the spec's law."""
+    """Draw one perturbation realization xi from the spec's law, or a stack of them.
+
+    rng is one Generator, or a sequence of D generators that draws a stack of
+    depth D whose row d equals the one-generator draw from rng[d] bit for bit:
+    each generator makes that draw's calls, redraws included.
+    """
+    stacked = not isinstance(rng, np.random.Generator)
+    rngs = list(rng) if stacked else [rng]
+    if not rngs:
+        raise ValueError("need one or more generators")
     if isinstance(spec, CorrelatedNoiseSpec):
         scale = math.sqrt(spec.delta2 * spec.baseline.sigma2)
-        shifts = rng.normal(0.0, scale, spec.b_x)
-        return PerturbationRealization(spec, realization_id, bucket_shifts=shifts)
-    weights = spec.weight_law.sample(rng, (spec.b_x, spec.b_eps))
-    bad = weights <= 0.0
-    redraws = 0
-    while bad.any():
-        redraws += 1
-        if redraws > _MAX_REDRAWS:
-            raise RuntimeError(
-                f"weight draw degenerate after {_MAX_REDRAWS} redraws "
-                f"({int(bad.sum())} stuck cells); check the weight law")
-        weights[bad] = spec.weight_law.sample(rng, int(bad.sum()))
-        bad = weights <= 0.0
-    return PerturbationRealization(spec, realization_id, partition_weights=weights)
+        shifts = np.empty((len(rngs), spec.b_x))
+        for row, g in zip(shifts, rngs):
+            row[...] = g.normal(0.0, scale, spec.b_x)
+        return PerturbationRealization(spec, realization_id,
+                                       bucket_shifts=shifts if stacked else shifts[0])
+    weights = np.empty((len(rngs), spec.b_x, spec.b_eps))
+    for row, g in zip(weights, rngs):
+        row[...] = spec.weight_law.sample(g, row.shape)
+    # a row with a weight <= 0 redraws those cells from its own generator
+    for d in np.flatnonzero((weights <= 0.0).any(axis=(1, 2))):
+        row = weights[d]
+        bad = row <= 0.0
+        redraws = 0
+        while bad.any():
+            redraws += 1
+            if redraws > _MAX_REDRAWS:
+                raise RuntimeError(
+                    f"weight draw degenerate after {_MAX_REDRAWS} redraws "
+                    f"({int(bad.sum())} stuck cells); check the weight law")
+            row[bad] = spec.weight_law.sample(rngs[d], int(bad.sum()))
+            bad = row <= 0.0
+    return PerturbationRealization(spec, realization_id,
+                                   partition_weights=weights if stacked else weights[0])
 
 
 def _bisect_rows(table: np.ndarray, rows, u) -> np.ndarray:
@@ -341,20 +375,7 @@ def _bisect_rows(table: np.ndarray, rows, u) -> np.ndarray:
     return pos - start
 
 
-def _stacked_rows(xis, row_table, buckets: np.ndarray, b_x: int):
-    """(table, rows): the realizations' per-bucket tables and each point's row.
-
-    row_table(xi) gives a realization's (B_X, ...) table. A stack that shares
-    one realization uses its table alone; otherwise the tables are stacked and
-    row d's points index the d-th block.
-    """
-    if all(x is xis[0] for x in xis):
-        return row_table(xis[0]), buckets
-    table = np.concatenate([row_table(x) for x in xis])
-    return table, buckets + b_x * np.arange(len(xis))[:, None]
-
-
-def sample_perturbed(spec: PerturbationSpec, xi, n: int, rng,
+def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int, rng,
                      xs: np.ndarray | None = None) -> Dataset:
     """Draw n iid pairs from the perturbed law P_xi, or a stack of such datasets.
 
@@ -363,23 +384,23 @@ def sample_perturbed(spec: PerturbationSpec, xi, n: int, rng,
 
     rng is one Generator, or a sequence of D generators that draws a stack:
     xs, ys and bucket_ids then have shape (D, n), xi is one realization for
-    every row or a sequence of D, and forced xs has shape (n,) or (D, n). Row
-    d equals the one-generator call with rng[d] and xi[d] bit for bit, since
-    each generator draws what that call draws, in the same order: the x
-    uniforms unless xs is forced, then the partition model's bin and in-bin
-    uniforms or the correlated model's noise. The stack's realization_id is
-    the one its rows share, None when they differ.
+    every row or a stack of depth D whose row d serves row d, and forced xs
+    has shape (n,) or (D, n). Row d equals the one-generator call with rng[d]
+    and row d of xi bit for bit, since each generator draws what that call
+    draws, in the same order: the x uniforms unless xs is forced, then the
+    partition model's bin and in-bin uniforms or the correlated model's
+    noise. The dataset's realization_id is xi's.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     stacked = not isinstance(rng, np.random.Generator)
     rngs = list(rng) if stacked else [rng]
-    xis = [xi] * len(rngs) if isinstance(xi, PerturbationRealization) else list(xi)
-    if not rngs or len(xis) != len(rngs):
-        raise ValueError("need one or more generators and one realization per generator")
-    if any(x.spec is not spec and x.spec != spec for x in xis):
-        raise ValueError("realization was drawn from a different spec")
     depth = len(rngs)
+    if not rngs or xi.depth not in (None, depth):
+        raise ValueError("need one or more generators and, for a stacked realization, "
+                         "one realization per generator")
+    if xi.spec is not spec and xi.spec != spec:
+        raise ValueError("realization was drawn from a different spec")
     fresh = xs is None
     if fresh:
         xs = np.empty((depth, n))
@@ -400,25 +421,27 @@ def sample_perturbed(spec: PerturbationSpec, xi, n: int, rng,
         else:
             draws[0, d] = g.normal(0.0, math.sqrt(base.sigma2), n)
     buckets = bucket_of(xs, spec.b_x)
+    # a stack's per-bucket rows follow one another, row d's points index block d
+    rows = buckets if xi.depth is None else buckets + spec.b_x * np.arange(depth)[:, None]
 
     if partition:
         # Pick a noise bin from the tilted row law, then sample the Gaussian
         # restricted to that bin by inverse CDF on its probability slice.
         b_eps = spec.b_eps
-        table, rows = _stacked_rows(
-            xis, lambda x: np.cumsum(x.normalized_weights / b_eps, axis=1), buckets, spec.b_x)
+        table = np.cumsum(xi.normalized_weights / b_eps, axis=-1).reshape(-1, b_eps)
         bins = _bisect_rows(table, rows, draws[0])
-        np.clip(bins, 0, b_eps - 1, out=bins)
-        slice_prob = np.clip((bins + draws[1]) / b_eps, _TINY, 1.0 - np.finfo(float).epsneg)
+        np.minimum(bins, b_eps - 1, out=bins)  # a u past the row's rounded total
+        slice_prob = draws[1]
+        slice_prob += bins
+        slice_prob /= b_eps
+        np.maximum(slice_prob, _TINY, out=slice_prob)
+        np.minimum(slice_prob, 1.0 - np.finfo(float).epsneg, out=slice_prob)
         ys = base.f(xs) + math.sqrt(base.sigma2) * _ndtri(slice_prob)
     else:
-        shifts, rows = _stacked_rows(xis, lambda x: x.bucket_shifts[None], buckets, spec.b_x)
-        ys = base.f(xs) + shifts.ravel()[rows] + draws[0]
-    ids = {x.realization_id for x in xis}
-    realization_id = ids.pop() if len(ids) == 1 else None
+        ys = base.f(xs) + xi.bucket_shifts.ravel()[rows] + draws[0]
     if not stacked:
         xs, ys, buckets = xs[0], ys[0], buckets[0]
-    return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=realization_id)
+    return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=xi.realization_id)
 
 
 def delta_at(xi: PerturbationRealization, x) -> np.ndarray:
@@ -428,6 +451,7 @@ def delta_at(xi: PerturbationRealization, x) -> np.ndarray:
     contrast (1/B_eps) * sum_j (w_ij/w_bar_i - 1) m_j of the bucket's row.
     x must lie in [0, 1].
     """
+    _one_realization(xi, "delta_at")
     x = np.asarray(x, dtype=float)
     check_unit_interval(x, "x must lie in [0, 1]")
     spec = xi.spec
@@ -453,6 +477,7 @@ def perturbation_strength(spec: PerturbationSpec) -> PerturbationStrength:
 
 def kl_to_baseline_partition(xi: PerturbationRealization) -> float:
     """KL(P0 || P_xi) of a partition realization: mean of -log normalized weight."""
+    _one_realization(xi, "kl_to_baseline_partition")
     if xi.variant != "partition":
         raise ValueError("KL-to-baseline formula applies to partition realizations only")
     return float(np.mean(-np.log(xi.normalized_weights)))
@@ -479,6 +504,7 @@ def realization_to_json(xi: PerturbationRealization) -> dict:
     A target function the catalog cannot rebuild, such as a bump, is a
     ValueError: its document could not be read back.
     """
+    _one_realization(xi, "a replay document")
     spec = xi.spec
     base = spec.baseline
     if base.f.name not in FUNCTION_CATALOG:
@@ -529,9 +555,13 @@ def realization_from_json(doc: dict) -> PerturbationRealization:
                         log_sd=float(sp["weight_law"]["log_sd"]))
         spec = PartitionSpec(b_x=int(sp["b_x"]), b_eps=int(sp["b_eps"]),
                              weight_law=law, baseline=base)
-        return PerturbationRealization(spec, rid, partition_weights=doc["partition_weights"])
-    spec = CorrelatedNoiseSpec(b_x=int(sp["b_x"]), delta2=float(sp["delta2"]), baseline=base)
-    return PerturbationRealization(spec, rid, bucket_shifts=doc["bucket_shifts"])
+        xi = PerturbationRealization(spec, rid, partition_weights=doc["partition_weights"])
+    else:
+        spec = CorrelatedNoiseSpec(b_x=int(sp["b_x"]), delta2=float(sp["delta2"]),
+                                   baseline=base)
+        xi = PerturbationRealization(spec, rid, bucket_shifts=doc["bucket_shifts"])
+    _one_realization(xi, "a replay document")
+    return xi
 
 
 def save_realization(xi: PerturbationRealization, path) -> None:

@@ -278,6 +278,20 @@ def test_stacked_within_bucket_noise_variance_equals_row_calls():
         stacked = within_bucket_noise_variance(ys, ids)
         assert stacked.shape == (depth,)
         assert np.array_equal(stacked, rows)
+    # every bucket occupied in every row, at widths on numpy's pairwise-sum
+    # block edges (8 terms unrolled, blocks of 128), then a stack that mixes
+    # full rows with a row that leaves a bucket empty
+    for b_x in (7, 8, 9, 128, 129, 300):
+        for depth in (1, 2, 5):
+            ids = rng.permuted(np.tile(np.arange(b_x), (depth, 3)), axis=1)
+            ys = rng.normal(size=ids.shape) * 10.0 ** rng.uniform(-3, 3, size=(depth, 1)) + 7.0
+            rows = [within_bucket_noise_variance(y, b) for y, b in zip(ys, ids)]
+            assert np.array_equal(within_bucket_noise_variance(ys, ids), rows)
+    ids = rng.permuted(np.tile(np.arange(129), (3, 3)), axis=1)
+    ids[1][ids[1] == 64] = 0
+    ys = rng.normal(size=ids.shape)
+    rows = [within_bucket_noise_variance(y, b) for y, b in zip(ys, ids)]
+    assert np.array_equal(within_bucket_noise_variance(ys, ids), rows)
     with pytest.raises(ValueError, match="not enough points"):
         within_bucket_noise_variance(np.zeros((2, 3)), np.array([[0, 0, 1], [0, 1, 2]]))
     with pytest.raises(ValueError, match="nonnegative"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -38,6 +40,28 @@ def test_smooth_bump_formula_and_support():
     assert SMOOTH_BUMP(0.75) == 0.0
     # smooth vanishing at the support edge
     assert SMOOTH_BUMP(0.4999) < 1e-300 or SMOOTH_BUMP(0.4999) >= 0.0
+
+
+def _smooth_bump_formula(u):
+    inside = np.abs(u) < 0.5
+    v = 2.0 * np.where(inside, u, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - v * v)), 0.0)
+
+
+def test_smooth_bump_has_the_formula_bits():
+    edges = np.array([0.5, -0.5, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    near = np.concatenate([np.nextafter(edges[:2], 0.0), np.nextafter(edges[:2], edges[:2] * 2),
+                           0.5 - np.arange(1, 65) * 2.0 ** -54, np.nextafter(0.0, [1.0, -1.0])])
+    u = np.concatenate([np.linspace(-0.75, 0.75, 60001), edges, near, -near])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for shaped in (u, u[:16000].reshape(32, 500), u[-12:].reshape(3, 4)):
+            got, want = SMOOTH_BUMP(shaped), _smooth_bump_formula(shaped)
+            assert got.shape == shaped.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for x in edges:
+            got, want = SMOOTH_BUMP(x), _smooth_bump_formula(np.asarray(x))
+            assert got.view(np.uint64) == want.view(np.uint64)
 
 
 def test_get_kernel():

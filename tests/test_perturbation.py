@@ -549,12 +549,13 @@ def test_stacked_rows_equal_one_generator_calls(model, b_x, b_eps):
     spec = _stack_case(model, b_x, b_eps)
     xis = [draw_perturbation(spec, substream(20, "xi", b_x, d), realization_id=f"xi{d}")
            for d in range(3)]
+    stacked_xi = draw_perturbation(spec, [substream(20, "xi", b_x, d) for d in range(3)])
     forced = np.concatenate(([0.0, 1.0], np.arange(b_x + 1)[:40] / b_x,
                              substream(20, "xs").random(30)))
     for n, xs in ((1, None), (257, None), (forced.size, forced),
                   (forced.size, np.stack([forced, forced[::-1], np.sort(forced)]))):
         for shared in (True, False):
-            stack = sample_perturbed(spec, xis[0] if shared else xis, n,
+            stack = sample_perturbed(spec, xis[0] if shared else stacked_xi, n,
                                      [substream(20, "d", d) for d in range(3)], xs=xs)
             assert stack.xs.shape == stack.ys.shape == stack.bucket_ids.shape == (3, n)
             assert stack.realization_id == ("xi0" if shared else None)
@@ -593,16 +594,79 @@ def test_generators_draw_what_the_one_call_draws():
 def test_stack_validation():
     spec = _stack_case("partition", 4, 5)
     xi = draw_perturbation(spec, substream(22, "xi"))
-    other = draw_perturbation(_stack_case("partition", 4, 6), substream(22, "xi"))
+    one_row = draw_perturbation(spec, [substream(22, "xi")])
+    other = draw_perturbation(_stack_case("partition", 4, 6),
+                              [substream(22, "xi", d) for d in range(2)])
     rngs = [substream(22, "d", d) for d in range(2)]
     with pytest.raises(ValueError, match="one realization per generator"):
-        sample_perturbed(spec, [xi], 5, rngs)
+        sample_perturbed(spec, one_row, 5, rngs)
     with pytest.raises(ValueError, match="one realization per generator"):
         sample_perturbed(spec, xi, 5, [])
     with pytest.raises(ValueError, match="different spec"):
-        sample_perturbed(spec, [xi, other], 5, rngs)
+        sample_perturbed(spec, other, 5, rngs)
     with pytest.raises(ValueError, match="forced xs"):
         sample_perturbed(spec, xi, 5, rngs, xs=np.full((3, 5), 0.5))
+
+
+def _sample_zero_once(flagged):
+    """A WeightLaw.sample whose first call on the generator in flagged ([g] or []) has a
+    0.0 in cell 1."""
+    real = WeightLaw.sample
+
+    def sample(self, rng, size):
+        out = real(self, rng, size)
+        if flagged and rng is flagged[0]:
+            flagged.pop()
+            out.flat[1] = 0.0
+        return out
+    return sample
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("spec", [
+    _stack_case("partition", 4, 5), _stack_case("partition", 1, 2),
+    _stack_case("correlated_noise", 6, None),
+    PartitionSpec(b_x=3, b_eps=7, weight_law=WeightLaw.lognormal_with_ratio(2.5), baseline=BASE),
+], ids=["partition-4x5", "partition-1x2", "correlated-6", "partition-lognormal-3x7"])
+def test_stacked_draw_equals_one_generator_draws(spec, depth):
+    partition = isinstance(spec, PartitionSpec)
+    name = "partition_weights" if partition else "bucket_shifts"
+    # row 1 of the stack (row 0 of a stack of one) draws a 0.0 once and redraws that cell
+    row = min(1, depth - 1)
+    stack_rngs = [substream(24, "xi", d) for d in range(depth)]
+    with mock.patch.object(WeightLaw, "sample", _sample_zero_once([stack_rngs[row]])):
+        stack = draw_perturbation(spec, stack_rngs, realization_id="run")
+    assert stack.depth == depth and stack.realization_id == "run"
+    assert getattr(stack, name).shape == (depth, spec.b_x) + ((spec.b_eps,) if partition else ())
+    for d in range(depth):
+        rng = substream(24, "xi", d)
+        with mock.patch.object(WeightLaw, "sample", _sample_zero_once([rng] if d == row else [])):
+            one = draw_perturbation(spec, rng)
+        assert one.depth is None
+        assert np.array_equal(getattr(stack, name)[d], getattr(one, name))
+        if partition:
+            assert np.array_equal(stack.normalized_weights[d], one.normalized_weights)
+            assert stack.eps_bin_means is one.eps_bin_means
+            if d == row:  # the redraw replaced the forced 0.0 from the row's own stream
+                fresh = substream(24, "xi", d)
+                first = spec.weight_law.sample(fresh, (spec.b_x, spec.b_eps))
+                assert one.partition_weights.flat[1] == spec.weight_law.sample(fresh, 1)[0]
+                assert one.partition_weights.flat[1] != first.flat[1]
+        # each generator made the one-generator draw's calls and no more
+        assert stack_rngs[d].random() == rng.random()
+    with pytest.raises(ValueError, match="need one or more generators"):
+        draw_perturbation(spec, [])
+
+
+def test_a_stuck_row_of_a_stacked_draw_aborts_with_diagnostic():
+    spec = PartitionSpec(b_x=2, b_eps=3, weight_law=WeightLaw.exponential(), baseline=BASE)
+    rngs = [substream(15, "stuck", d) for d in range(3)]
+    real = WeightLaw.sample
+    with mock.patch.object(WeightLaw, "sample", lambda self, rng, size: (
+            np.zeros(size) if rng is rngs[2] else real(self, rng, size))):
+        with pytest.raises(RuntimeError, match="weight draw degenerate after 100 redraws "
+                                               "\\(6 stuck cells\\)"):
+            draw_perturbation(spec, rngs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -734,3 +798,42 @@ def test_correlated_noise_spec_accepts_a_large_finite_shift_variance():
 def test_realization_names_the_rule_its_draw_breaks(spec, name, draw, got):
     with pytest.raises(ValueError, match=re.escape(got) + "$"):
         PerturbationRealization(spec, **{name: draw})
+
+
+@pytest.mark.parametrize("spec, name, draw", [
+    (_SHIFTS4, "bucket_shifts", [0.0, math.inf, 0.0, 0.0]),
+    (_CELLS34, "partition_weights", np.full((3, 4), math.nan)),
+    (_CELLS34, "partition_weights", np.eye(3, 4)),
+    (_CELLS34, "partition_weights", -np.ones((3, 4))),
+], ids=["shifts-inf", "weights-nan", "weights-zero", "weights-negative"])
+def test_a_stacked_draw_names_the_rule_of_one_draw(spec, name, draw):
+    good = np.ones(np.shape(draw))
+    with pytest.raises(ValueError) as one:
+        PerturbationRealization(spec, **{name: draw})
+    with pytest.raises(ValueError) as stacked:
+        PerturbationRealization(spec, **{name: np.stack([good, draw, good])})
+    assert str(stacked.value) == str(one.value)
+    for shape in ((0,) + good.shape, (2,) + good.shape[:-1] + (9,), (2, 2) + good.shape):
+        with pytest.raises(ValueError, match=re.escape(f"; got shape {shape}") + "$"):
+            PerturbationRealization(spec, **{name: np.ones(shape)})
+
+
+@pytest.mark.parametrize("spec", [_CELLS34, _SHIFTS4], ids=["partition", "correlated-noise"])
+def test_one_realization_functions_refuse_a_stack(spec, tmp_path):
+    stack = draw_perturbation(spec, [substream(25, "xi", d) for d in range(2)])
+    calls = {"delta_at": lambda: delta_at(stack, 0.5),
+             "a replay document": lambda: realization_to_json(stack)}
+    if spec is _CELLS34:
+        calls["kl_to_baseline_partition"] = lambda: kl_to_baseline_partition(stack)
+    for what, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{what} needs one realization, got a stack of 2$"):
+            call()
+    with pytest.raises(ValueError, match="needs one realization"):
+        save_realization(stack, tmp_path / "xi.json")
+    assert not (tmp_path / "xi.json").exists()
+    doc = realization_to_json(draw_perturbation(spec, substream(25, "xi", 0)))
+    name = "partition_weights" if spec is _CELLS34 else "bucket_shifts"
+    doc[name] = [doc[name], doc[name]]
+    with pytest.raises(ValueError, match="^a replay document needs one realization, got a "
+                                         "stack of 2$"):
+        realization_from_json(json.loads(json.dumps(doc)))
