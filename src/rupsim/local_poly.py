@@ -6,9 +6,11 @@ the responses, y_hat(x0) = sum_k W_k(x0) y_k, and the weight vector is exposed
 so weight-level invariants (sum to one, zero outside the window, 1/(nh) decay)
 can be checked directly.
 
-Every fit goes through one batched engine, `local_fit`. For a design sorted
-once (`sort_design`), or a stack of equal-size designs sorted row by row, one
-bandwidth and a vector of query points it builds the window moments
+Fits come in two kinds of traffic. Grids (`predict_grid`, and through it
+the MISE ladders and both CVs) go through one batched engine, `local_fit`,
+as does `fit_predict`. For a design sorted once (`sort_design`), or a stack
+of equal-size designs sorted row by row, one bandwidth and a vector of query
+points it builds the window moments
 sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one stacked
 call. A design may carry k response vectors at once: the window, moments
 of x, Gram matrices, ridge and solve are shared, and only the y moments
@@ -28,6 +30,14 @@ designs share its batch, or on what the design was fitted at before, so a
 grid fit equals the scalar fits at its points, a stacked fit equals the fits
 of its designs one by one, and a fit over a design that has served other
 bandwidths equals the fit over a freshly sorted one, bit for bit.
+
+Fits of one query per design (`equivalent_kernel_weights`, and through it
+the distributional-variance oracle, and the risk split of `risk`) take the
+point path, `_point_fit`: no sort and no lattice, only K(u) and its moments
+summed densely over each unsorted design row, then the same solve. A stacked
+point fit equals its designs fitted one by one, bit for bit, and agrees with
+`local_fit` at the same query to within a small multiple of eps times the
+condition number of the local Gram matrix.
 """
 
 from __future__ import annotations
@@ -132,6 +142,20 @@ class SortedDesign:
     _lattice: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
+def _design_points(xs) -> np.ndarray:
+    """xs as a float array; any point outside [0, 1], NaN included, is a ValueError."""
+    xs = np.asarray(xs, dtype=float)
+    check_unit_interval(xs, "design points must lie in [0, 1]")
+    return xs
+
+
+def _query_points(queries) -> np.ndarray:
+    """Query points as a flat float array; any outside [0, 1], NaN included, is a ValueError."""
+    g = np.asarray(queries, dtype=float).ravel()
+    check_unit_interval(g, "query points outside [0, 1]")
+    return g
+
+
 def sort_design(xs, ys=None) -> SortedDesign:
     """Sort a design by x, stably; a 2-D (D, n) xs is sorted row by row.
 
@@ -142,8 +166,7 @@ def sort_design(xs, ys=None) -> SortedDesign:
     order is unique, so it is the stable one; ties and signed zeros fall back
     to the stable sort.
     """
-    xs = np.asarray(xs, dtype=float)
-    check_unit_interval(xs, "design points must lie in [0, 1]")
+    xs = _design_points(xs)
     order = np.argsort(xs, axis=-1)
     ordered = np.take_along_axis(xs, order, -1)
     if not (ordered[..., 1:] > ordered[..., :-1]).all():
@@ -528,8 +551,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     for all of them: values gains a leading axis of length k, and values[j]
     equals the fit of the design with ys[j] alone bit for bit.
     """
-    g = np.asarray(queries, dtype=float).ravel()
-    check_unit_interval(g, "query points outside [0, 1]")
+    g = _query_points(queries)
     p = config.order + 1
     m = g.size
     shape = design.xs.shape[:-1] + (m,)
@@ -559,47 +581,85 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
                     hi=hi.reshape(shape))
 
 
-def _kernel_weights(config: LpeConfig, design: SortedDesign, fit: LocalFit,
-                    x0: float) -> np.ndarray:
-    """Equivalent-kernel weights of a fit at the single query x0.
+@dataclass
+class _PointFit:
+    """The point path's fit of one query per design, for one design (n,) or a stack (D, n).
 
-    Returns one weight per design point, in each design's original order
-    (shape design.xs.shape); a design without support at x0 gets zeros.
+    u = (x - x0)/h and k = K(u) have the design's shape and order; values
+    (None without responses), supported and degenerate have its leading
+    shape, and coef one more axis of length order + 1 (a NaN row where the
+    design has no point with K(u) > 0).
     """
-    xs = np.atleast_2d(design.xs)
-    count, n = xs.shape
-    lo, hi = fit.lo.reshape(count), fit.hi.reshape(count)
-    coef = fit.coef.reshape(count, config.order + 1)
-    span = hi - lo
-    valid = np.arange(max(int(span.max(initial=0)), 1)) < span[:, None]
-    rows = np.broadcast_to(np.arange(count)[:, None], valid.shape)
-    idx = np.minimum(lo[:, None] + np.arange(valid.shape[1]), n - 1)
-    u = (xs[rows, idx] - x0) / config.bandwidth
-    basis = coef[:, -1:]
-    for j in range(coef.shape[1] - 2, -1, -1):
-        basis = basis * u + coef[:, j:j + 1]
-    ordered = np.zeros((count, n))
-    ordered[rows[valid], idx[valid]] = (basis * config.kernel(u))[valid]
-    weights = np.empty((count, n))
-    np.put_along_axis(weights, np.atleast_2d(design.order), ordered, -1)
-    return weights.reshape(design.xs.shape)
+
+    u: np.ndarray
+    k: np.ndarray
+    values: np.ndarray | None
+    coef: np.ndarray
+    supported: np.ndarray
+    degenerate: np.ndarray
+
+    def weights(self) -> np.ndarray:
+        """W_k = K(u_k) sum_j coef_j u_k^j; +0.0 where K(u_k) = 0, so on every unsupported row."""
+        inside = self.k > 0.0
+        # the basis is read only where K(u) > 0, so |u| <= 1; a far point's u (up to
+        # 1/h) is zeroed so that its powers cannot overflow
+        u = np.where(inside, self.u, 0.0)
+        basis = self.coef[..., -1:]
+        for j in range(self.coef.shape[-1] - 2, -1, -1):
+            basis = basis * u + self.coef[..., j:j + 1]
+        out = np.zeros(u.shape)
+        np.multiply(basis, self.k, out=out, where=inside)
+        return out
+
+
+def _point_fit(config: LpeConfig, xs, ys, x0: float) -> _PointFit:
+    """LP(order) fit at the one query x0 over an unsorted design (n,) or stack (D, n).
+
+    u = (x - x0)/h is computed as `_window` computes it, and the 2p - 1
+    moments sum K(u) u^j and the p moments sum K(u) u^j y are row sums over
+    every design point (a point with K(u) = 0 adds zeros), then `_solve`
+    solves them with the engine's ridge rule. ys is None or has the shape of
+    xs. Each row's arithmetic is its own, so a stack equals its designs
+    fitted one by one, bit for bit.
+    """
+    xs = _design_points(xs)
+    (x0,) = _query_points(x0)
+    p = config.order + 1
+    lead = xs.shape[:-1]
+    rows = (math.prod(lead), xs.shape[-1])  # (D, n)
+    u = (xs - x0) / config.bandwidth
+    k = config.kernel(u)
+    y = None if ys is None else np.asarray(ys, dtype=float).reshape(rows)
+    moments = np.empty((2 * p - 1, rows[0]))
+    ymoments = None if y is None else np.empty((p, 1, rows[0]))
+    term, scratch = k.reshape(rows).copy(), np.empty(rows)
+    for j in range(2 * p - 1):  # one power at a time, each summed along its rows
+        if j:
+            term *= u.reshape(rows)
+        np.add.reduce(term, axis=-1, out=moments[j])
+        if y is not None and j < p:
+            np.add.reduce(np.multiply(term, y, out=scratch), axis=-1, out=ymoments[j, 0])
+    supported = (k > 0.0).any(axis=-1)
+    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p)
+    return _PointFit(u=u, k=k, values=None if values is None else values.reshape(lead),
+                     coef=coef.reshape(lead + (p,)), supported=supported,
+                     degenerate=degenerate.reshape(lead))
 
 
 def equivalent_kernel_weights(config: LpeConfig, xs, x0: float) -> WeightVector:
     """Weight vector of the LP(order) fit at x0 over the design xs.
 
-    xs is one design (n,) or a stack (D, n) of points in [0, 1] (see
-    sort_design), whose row d of weights equals the call on xs[d] bit for
-    bit. Raises NoLocalSupport unless every design has a point with positive
-    kernel weight. A near-singular local Gram gets the RIDGE term, and the
-    result is flagged degenerate (its weights need not sum to one).
+    xs is one design (n,) or a stack (D, n) of points in [0, 1], fitted by
+    the point path without a sort; weights keep the design's order, and row
+    d equals the call on xs[d] bit for bit. Raises NoLocalSupport unless every
+    design has a point with positive kernel weight. A near-singular local
+    Gram gets the RIDGE term, and the result is flagged degenerate (its
+    weights need not sum to one).
     """
-    design = sort_design(xs)
-    fit = local_fit(config, design, [x0])
+    fit = _point_fit(config, xs, None, x0)
     if not fit.supported.all():
         raise NoLocalSupport(f"no kernel support at x0={x0} with h={config.bandwidth}")
-    return WeightVector(weights=_kernel_weights(config, design, fit, x0),
-                        degenerate=bool(fit.degenerate.any()))
+    return WeightVector(weights=fit.weights(), degenerate=bool(fit.degenerate.any()))
 
 
 def fit_predict(config: LpeConfig, data: Dataset | SortedDesign, x0: float) -> float:

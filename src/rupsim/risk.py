@@ -7,6 +7,10 @@ estimator subtracts the inner-noise contamination from the outer variance so
 the three pieces add up to the total mean squared error within Monte Carlo
 error.
 
+The risk split and the oracle fit one query per design, so they take
+local_poly's point path (a stack of unsorted designs, no lattice); the MISE
+curves fit grids through the batched engine.
+
 Every Monte Carlo routine here (the risk split, the oracle, MISE curves and
 the optimal bandwidth per (n, tau) cell) draws each replicate from its own
 pre-assigned stream, taken from a streams.substreams batch, and runs the
@@ -30,7 +34,7 @@ import numpy as np
 
 from .bandwidth import NumericDeadEnd, argmin_prefer_larger
 from .baseline import BaselineConfig
-from .local_poly import (LpeConfig, equivalent_kernel_weights, local_fit, predict_grid,
+from .local_poly import (LpeConfig, _point_fit, equivalent_kernel_weights, predict_grid,
                          sort_design)
 from .perturbation import (CorrelatedNoiseSpec, PerturbationSpec, bucket_of,
                            draw_perturbation, sample_perturbed)
@@ -102,7 +106,9 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     conditional on each realization; realization i draws from stream
     (seed, "xi", i) and its dataset j from (seed, "data", i, j), so the
     report depends on the seed alone. The datasets of one realization are
-    drawn in one stacked sampler call and fitted in one stacked engine call.
+    drawn in one stacked sampler call and fitted at x0 in one stacked call of
+    local_poly's point path, which neither sorts them nor builds a lattice;
+    each dataset's fit equals its fit alone bit for bit.
     Aborts if more than 1% of fits lack local support.
     diagnostics["ridged_fits"] counts the supported fits whose local Gram
     matrix was ridged. spec.baseline must be base.
@@ -116,8 +122,8 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     def one_realization(i: int):
         xi = draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
         stack = sample_perturbed(spec, xi, base.n, substreams(seed, "data", i, count=reps_data))
-        fit = local_fit(lpe, sort_design(stack.xs, stack.ys), [x0])
-        return fit.values[:, 0], int((fit.degenerate & fit.supported).sum())
+        fit = _point_fit(lpe, stack.xs, stack.ys, x0)
+        return fit.values, int((fit.degenerate & fit.supported).sum())
 
     rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi)))
     valid = ~np.isnan(rows)
@@ -165,7 +171,9 @@ def dist_var_weight_oracle(base: BaselineConfig, spec: CorrelatedNoiseSpec,
     _check_baseline(base, spec)
     acc = np.empty(reps)
     for run, rngs in substreams(seed, "oracle-design", count=reps).stacks(base.n):
-        xs = np.array([rng.random(base.n) for rng in rngs])
+        xs = np.empty((len(run), base.n))
+        for rng, row in zip(rngs, xs):
+            rng.random(out=row)
         w = equivalent_kernel_weights(lpe, xs, x0).weights
         # one bincount: design k's buckets are offset by k * b_x
         keys = bucket_of(xs, spec.b_x) + (np.arange(len(run)) * spec.b_x)[:, None]

@@ -10,7 +10,7 @@ from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kern
                     fit_predict, get_kernel, local_fit, predict_grid, sine_function,
                     sort_design, substream)
 from rupsim import local_poly
-from rupsim.local_poly import (_NEAR_CELLS, DEGENERATE_EIG, MIN_BANDWIDTH, _kernel_weights,
+from rupsim.local_poly import (_NEAR_CELLS, DEGENERATE_EIG, MIN_BANDWIDTH, _point_fit,
                                _prefix_moments, _window, _window_moments)
 
 
@@ -137,7 +137,7 @@ def test_queries_outside_unit_interval_or_nan_rejected():
     for grid in ([0.5, np.nan], [np.nan], [np.nan, 0.5], [0.5, 1.5], [-0.2]):
         with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
             predict_grid(cfg, ds, grid)
-    # fit_predict and equivalent_kernel_weights leave the query check to local_fit
+    # local_fit and the point path behind equivalent_kernel_weights share one query check
     for query in (np.nan, 1.5, -0.2):
         with pytest.raises(ValueError, match=r"query points outside \[0, 1\]"):
             fit_predict(cfg, ds, query)
@@ -361,21 +361,6 @@ def test_stacked_fit_covers_an_unsupported_design():
     assert fit.supported[[0, 1, 3]].all()
 
 
-def weights_one_design(cfg, xs, x0):
-    """Equivalent-kernel weights from a one-design fit, evaluated on its window alone."""
-    design = sort_design(xs)
-    fit = local_fit(cfg, design, [x0])
-    lo, hi = fit.lo[0], fit.hi[0]
-    u = (design.xs[lo:hi] - x0) / cfg.bandwidth
-    coef = fit.coef[0]
-    basis = np.full(u.size, coef[-1])
-    for c in coef[-2::-1]:
-        basis = basis * u + c
-    weights = np.zeros(xs.size)
-    weights[design.order[lo:hi]] = basis * cfg.kernel(u)
-    return weights
-
-
 @settings(max_examples=60, deadline=None)
 @given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
        h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 8),
@@ -385,22 +370,24 @@ def weights_one_design(cfg, xs, x0):
 def test_stacked_weights_equal_equivalent_kernel_weights(kernel, order, h, count, n, seed,
                                                          far, x0):
     rng = substream(seed, "stacked-weights")
-    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
+    xs, ys = _stacked_designs(rng, count, n, count - 1 if far else None)
     cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
-    design = sort_design(xs)
-    fit = local_fit(cfg, design, [x0])
-    weights = _kernel_weights(cfg, design, fit, x0)
+    fit = _point_fit(cfg, xs, ys, x0)
+    weights = fit.weights()
     assert weights.shape == xs.shape
     for d in range(count):
+        one = _point_fit(cfg, xs[d], ys[d], x0)
+        for field in ("values", "coef", "supported", "degenerate"):
+            assert _same_bits(getattr(fit, field)[d], getattr(one, field)), (field, d)
+        assert _same_bits(weights[d], one.weights())
         try:
             alone = equivalent_kernel_weights(cfg, xs[d], x0)
         except NoLocalSupport:
-            assert not fit.supported[d, 0]
+            assert not fit.supported[d]
             assert _same_bits(weights[d], np.zeros(n))
             continue
         assert _same_bits(weights[d], alone.weights)
-        assert _same_bits(weights[d], weights_one_design(cfg, xs[d], x0))
-        assert bool(fit.degenerate[d, 0]) == alone.degenerate
+        assert bool(fit.degenerate[d]) == alone.degenerate
     # the stack as a whole: every design must have support, and any ridged design flags it
     if not fit.supported.all():
         with pytest.raises(NoLocalSupport):
@@ -547,10 +534,10 @@ WEIGHT_TOL = 1e4 * np.finfo(float).eps
        x0=st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]))
 @example(kernel="epanechnikov", order=5, h=0.3, n=800, seed=0, lattice=False, x0=0.0)
 def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
-    # weights are exactly zero outside [lo, hi) of the sorted design and, when
-    # the Gram was not ridged, reproduce polynomials of degree <= order: the
-    # local moments sum_k W_k u_k^j are 1 for j = 0 (weights sum to one) and
-    # 0 for 1 <= j <= order
+    # weights are exactly zero outside local_fit's window [lo, hi) of the sorted
+    # design and, when the Gram was not ridged, reproduce polynomials of degree
+    # <= order: the local moments sum_k W_k u_k^j are 1 for j = 0 (weights sum
+    # to one) and 0 for 1 <= j <= order
     rng = substream(seed, "weight-invariants")
     xs = rng.random(n)
     if lattice:
@@ -558,11 +545,13 @@ def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
     cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
     design = sort_design(xs)
     fit = local_fit(cfg, design, [x0])
-    weights = _kernel_weights(cfg, design, fit, x0)
+    point = _point_fit(cfg, xs, None, x0)
+    weights = point.weights()
     in_order = weights[design.order]
     lo, hi = fit.lo[0], fit.hi[0]
     assert np.all(in_order[:lo] == 0.0) and np.all(in_order[hi:] == 0.0)
-    if not fit.supported[0] or fit.degenerate[0]:
+    assert point.supported == fit.supported[0]
+    if not point.supported or point.degenerate:
         return
     u = (xs - x0) / h
     basis = np.vander(u, order + 1, increasing=True)
@@ -570,6 +559,47 @@ def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
     moments = weights @ basis
     target = np.eye(order + 1)[0]
     assert np.abs(moments - target).max() <= WEIGHT_TOL * np.linalg.cond(gram)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_point_fit_agrees_with_local_fit(kernel):
+    # the point path sums every design point densely, local_fit its sorted window
+    # by prefix sums or gathered windows; the support and ridge flags agree, and
+    # so do the values, to within WEIGHT_TOL * cond(G) * max|y|
+    rng = substream(3, "point-fit")
+    xs = np.concatenate([rng.random(300), np.round(rng.random(100), 2)])
+    ys = rng.normal(size=xs.size)
+    design = sort_design(xs, ys)
+    for order in range(6):
+        for h in (0.01, 0.05, 0.15, 0.3, 1.0):
+            cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
+            for x0 in (0.0, 0.03, 0.5, 0.77, 1.0):
+                fit = local_fit(cfg, design, [x0])
+                point = _point_fit(cfg, xs, ys, x0)
+                assert point.supported == fit.supported[0], (order, h, x0)
+                assert point.degenerate == fit.degenerate[0], (order, h, x0)
+                if not point.supported:
+                    assert np.isnan(point.values) and np.isnan(fit.values[0])
+                    continue
+                u = (xs - x0) / h
+                basis = np.vander(u, order + 1, increasing=True)
+                gram = (basis * cfg.kernel(u)[:, None]).T @ basis
+                bound = WEIGHT_TOL * np.linalg.cond(gram) * np.abs(ys).max()
+                assert abs(point.values - fit.values[0]) <= bound, (order, h, x0)
+
+
+def test_point_weights_are_positive_zero_outside_the_window():
+    # K(u) = 0 on both sides of the window, where the basis has either sign, and
+    # on a design without support at x0: every such weight is +0.0, never -0.0 or NaN
+    cfg = LpeConfig(order=2, bandwidth=0.1)
+    xs = np.array([[0.1, 0.45, 0.5, 0.58, 0.9, 1.0], [0.0, 0.02, 0.05, 0.9, 0.95, 1.0]])
+    fit = _point_fit(cfg, xs, None, 0.5)
+    assert fit.supported.tolist() == [True, False]
+    weights = fit.weights()
+    zero = np.zeros(3)
+    assert _same_bits(weights[0, [0, 4, 5]], zero) and np.all(weights[0, 1:4] != 0.0)
+    assert _same_bits(weights[1], np.zeros(6))
+    assert _same_bits(equivalent_kernel_weights(cfg, xs[0], 0.5).weights, weights[0])
 
 
 def test_bandwidth_floor():

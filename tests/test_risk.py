@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from rupsim import (KERNELS, BaselineConfig, CorrelatedNoiseSpec, LpeConfig, NoLocalSupport,
                     PartitionSpec, RegressionFunction, WeightLaw, bucket_of,
                     dist_var_weight_oracle, draw_perturbation, equivalent_kernel_weights,
-                    fit_predict, get_kernel, mise_ladder, mise_mc, oracle_bandwidth,
+                    get_kernel, mise_ladder, mise_mc, oracle_bandwidth,
                     optimal_bandwidth_curve, pointwise_risk_mc, predict_grid, rate_fit, risk,
                     sample_perturbed, sine_function, sort_design, substream, zero_function)
+from rupsim.local_poly import _point_fit
 
 
 def affine_function(a=0.5, b=1.5):
@@ -91,17 +92,14 @@ def test_tiny_bandwidth_aborts_with_diagnostic():
 
 
 def per_dataset_risk(base, spec, lpe, x0, reps_xi, reps_data, seed):
-    """The risk decomposition with one fit_predict per dataset, as before stacking."""
+    """The risk decomposition with one point-path fit per dataset, as before stacking."""
     f0 = float(base.f(x0))
     rows = np.empty((reps_xi, reps_data))
     for i in range(reps_xi):
         xi = draw_perturbation(spec, substream(seed, "xi", i), realization_id=f"xi{i:05d}")
         for j in range(reps_data):
             ds = sample_perturbed(spec, xi, base.n, substream(seed, "data", i, j))
-            try:
-                rows[i, j] = fit_predict(lpe, ds, x0)
-            except NoLocalSupport:
-                rows[i, j] = np.nan
+            rows[i, j] = _point_fit(lpe, ds.xs, ds.ys, x0).values  # NaN without support
     valid = ~np.isnan(rows)
     counts = valid.sum(axis=1)
     sub = rows[counts >= 2]
