@@ -27,6 +27,16 @@ exp(-2) < p <= 1 - exp(-2) and agrees within 8 ulp in the tails, where
 numpy's vectorised log may round differently from libm's. The
 truncated-normal bin means depend only on (sigma2, B_eps) and are computed
 once per pair; the cached array is read-only.
+
+`sample_perturbed` works in two steps: a stream step, where each generator
+draws what it always draws, and a response step (bucket row, bin search,
+Gaussian quantile, f and the bucket shift). A caller that reads y only
+inside a window passes window=(lo, hi), and the response step then runs on
+the points there alone; the draws, and so every stream and every y inside,
+keep their bits. The risk split does this for its fit at one query x0: a
+local polynomial fit gives zero weight to every point beyond the kernel's
+reach (Fan & Gijbels 1996, Local Polynomial Modelling, 3.2), so a y there
+only adds exact zeros to the fit's sums.
 """
 
 from __future__ import annotations
@@ -376,11 +386,13 @@ def _bisect_rows(table: np.ndarray, rows, u) -> np.ndarray:
 
 
 def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int, rng,
-                     xs: np.ndarray | None = None) -> Dataset:
+                     xs: np.ndarray | None = None, *,
+                     window: tuple[float, float] | None = None) -> Dataset:
     """Draw n iid pairs from the perturbed law P_xi, or a stack of such datasets.
 
-    X stays uniform (forced via xs for tests); the noise law is shifted
-    (correlated noise) or bin-tilted (partition) according to xi.
+    X stays uniform (forced via xs for tests, which must lie in [0, 1]); the
+    noise law is shifted (correlated noise) or bin-tilted (partition)
+    according to xi.
 
     rng is one Generator, or a sequence of D generators that draws a stack:
     xs, ys and bucket_ids then have shape (D, n), xi is one realization for
@@ -390,6 +402,13 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
     draws, in the same order: the x uniforms unless xs is forced, then the
     partition model's bin and in-bin uniforms or the correlated model's
     noise. The dataset's realization_id is xi's.
+
+    window=(lo, hi) maps a response only at the points with lo <= x <= hi;
+    every other y is +0.0. The draws do not change, so xs, bucket_ids, the
+    generators' states and every y inside the window equal the full call's
+    bit for bit. A caller that reads y only where a kernel weight can be
+    positive (the risk split's fit at one query) skips the bin search, the
+    Gaussian quantile and f for the rest of the points.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -401,6 +420,8 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
                          "one realization per generator")
     if xi.spec is not spec and xi.spec != spec:
         raise ValueError("realization was drawn from a different spec")
+    if window is not None and not window[0] <= window[1]:  # NaN fails too
+        raise ValueError(f"window must be (lo, hi) with lo <= hi, got {window}")
     fresh = xs is None
     if fresh:
         xs = np.empty((depth, n))
@@ -408,8 +429,9 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
         xs = np.asarray(xs, dtype=float)
         if xs.shape not in ((n,), (depth, n)):
             raise ValueError("forced xs must have length n")
+        check_unit_interval(xs, "forced xs must lie in [0, 1]")
         xs = np.array(np.broadcast_to(xs, (depth, n)))
-    base = spec.baseline
+    # the stream step: each generator's draws, in the one-generator call's order
     partition = isinstance(spec, PartitionSpec)
     draws = np.empty((2 if partition else 1, depth, n))
     for d, g in enumerate(rngs):
@@ -419,29 +441,47 @@ def sample_perturbed(spec: PerturbationSpec, xi: PerturbationRealization, n: int
             g.random(out=draws[0, d])
             g.random(out=draws[1, d])
         else:
-            draws[0, d] = g.normal(0.0, math.sqrt(base.sigma2), n)
+            draws[0, d] = g.normal(0.0, math.sqrt(spec.baseline.sigma2), n)
     buckets = bucket_of(xs, spec.b_x)
     # a stack's per-bucket rows follow one another, row d's points index block d
     rows = buckets if xi.depth is None else buckets + spec.b_x * np.arange(depth)[:, None]
-
-    if partition:
-        # Pick a noise bin from the tilted row law, then sample the Gaussian
-        # restricted to that bin by inverse CDF on its probability slice.
-        b_eps = spec.b_eps
-        table = np.cumsum(xi.normalized_weights / b_eps, axis=-1).reshape(-1, b_eps)
-        bins = _bisect_rows(table, rows, draws[0])
-        np.minimum(bins, b_eps - 1, out=bins)  # a u past the row's rounded total
-        slice_prob = draws[1]
-        slice_prob += bins
-        slice_prob /= b_eps
-        np.maximum(slice_prob, _TINY, out=slice_prob)
-        np.minimum(slice_prob, 1.0 - np.finfo(float).epsneg, out=slice_prob)
-        ys = base.f(xs) + math.sqrt(base.sigma2) * _ndtri(slice_prob)
+    if window is None:
+        ys = _responses(xi, xs, rows, draws)
     else:
-        ys = base.f(xs) + xi.bucket_shifts.ravel()[rows] + draws[0]
+        inside = np.flatnonzero((xs >= window[0]) & (xs <= window[1]))
+        ys = np.zeros((depth, n))
+        np.put(ys, inside, _responses(xi, xs.take(inside), rows.take(inside),
+                                      draws.reshape(len(draws), -1).take(inside, axis=1)))
     if not stacked:
         xs, ys, buckets = xs[0], ys[0], buckets[0]
     return Dataset(xs=xs, ys=ys, bucket_ids=buckets, realization_id=xi.realization_id)
+
+
+def _responses(xi: PerturbationRealization, xs: np.ndarray, rows: np.ndarray,
+               draws: np.ndarray) -> np.ndarray:
+    """The response step of sample_perturbed: y at each point of xs.
+
+    rows holds each point's row of xi's per-bucket tables (realization d,
+    bucket b at d * B_X + b); draws[k] has xs' shape and holds its bin and
+    in-bin uniforms (partition, overwritten) or its noise (correlated noise).
+    Each y depends on its own point's values alone.
+    """
+    spec = xi.spec
+    base = spec.baseline
+    if xi.variant == "correlated_noise":
+        return base.f(xs) + xi.bucket_shifts.ravel()[rows] + draws[0]
+    # Pick a noise bin from the tilted row law, then sample the Gaussian
+    # restricted to that bin by inverse CDF on its probability slice.
+    b_eps = spec.b_eps
+    table = np.cumsum(xi.normalized_weights / b_eps, axis=-1).reshape(-1, b_eps)
+    bins = _bisect_rows(table, rows, draws[0])
+    np.minimum(bins, b_eps - 1, out=bins)  # a u past the row's rounded total
+    slice_prob = draws[1]
+    slice_prob += bins
+    slice_prob /= b_eps
+    np.maximum(slice_prob, _TINY, out=slice_prob)
+    np.minimum(slice_prob, 1.0 - np.finfo(float).epsneg, out=slice_prob)
+    return base.f(xs) + math.sqrt(base.sigma2) * _ndtri(slice_prob)
 
 
 def delta_at(xi: PerturbationRealization, x) -> np.ndarray:

@@ -108,7 +108,11 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     report depends on the seed alone. The datasets of one realization are
     drawn in one stacked sampler call and fitted at x0 in one stacked call of
     local_poly's point path, which neither sorts them nor builds a lattice;
-    each dataset's fit equals its fit alone bit for bit.
+    each dataset's fit equals its fit alone bit for bit. The sampler maps
+    responses only inside the kernel window x0 +- kernel.reach(h): a point
+    beyond it has K(u) = 0, so its terms in the fit's moment sums are zeros
+    whatever its y, and every fitted value keeps its bits (only the sign of
+    an exactly zero sum could differ).
     Aborts if more than 1% of fits lack local support.
     diagnostics["ridged_fits"] counts the supported fits whose local Gram
     matrix was ridged. spec.baseline must be base.
@@ -118,10 +122,14 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     _check_baseline(base, spec)
     f0 = float(base.f(x0))
     xi_rngs = substreams(seed, "xi", count=reps_xi)
+    # K(u) > 0 implies |x - x0| <= reach, the bound local_poly._window relies on
+    reach = lpe.kernel.reach(lpe.bandwidth)
+    window = (x0 - reach, x0 + reach)
 
     def one_realization(i: int):
         xi = draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
-        stack = sample_perturbed(spec, xi, base.n, substreams(seed, "data", i, count=reps_data))
+        stack = sample_perturbed(spec, xi, base.n, substreams(seed, "data", i, count=reps_data),
+                                 window=window)
         fit = _point_fit(lpe, stack.xs, stack.ys, x0)
         return fit.values, int((fit.degenerate & fit.supported).sum())
 

@@ -591,6 +591,7 @@ def test_generators_draw_what_the_one_call_draws():
     assert rng.random() == ref.random()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stack_validation():
     spec = _stack_case("partition", 4, 5)
     xi = draw_perturbation(spec, substream(22, "xi"))
@@ -606,6 +607,49 @@ def test_stack_validation():
         sample_perturbed(spec, other, 5, rngs)
     with pytest.raises(ValueError, match="forced xs"):
         sample_perturbed(spec, xi, 5, rngs, xs=np.full((3, 5), 0.5))
+    # a forced x outside [0, 1] is refused before any arithmetic, whatever the model
+    for model in ("partition", "correlated_noise"):
+        spec = _stack_case(model, 4, 5)
+        xi = draw_perturbation(spec, substream(22, "xi"))
+        for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300, -0.5, 1.5):
+            for forced, rng in (([0.1, bad, 0.5], substream(22, "d")),
+                                ([[0.1, 0.2, 0.5], [0.3, 0.4, bad]], rngs)):
+                with pytest.raises(ValueError, match=r"^forced xs must lie in \[0, 1\]$"):
+                    sample_perturbed(spec, xi, 3, rng, xs=forced)
+
+
+@pytest.mark.parametrize("model, b_eps", [("partition", 50), ("correlated_noise", None)])
+@pytest.mark.parametrize("depth, shared", [(None, True), (3, True), (3, False)],
+                         ids=["one", "stack-shared-xi", "stack-stacked-xi"])
+def test_window_maps_responses_inside_and_zero_outside(model, b_eps, depth, shared):
+    # a window changes no draw: xs, bucket ids, the generators' final states and
+    # every y with lo <= x <= hi equal the full call's bits; every other y is +0.0
+    spec = _stack_case(model, 10, b_eps)
+    n = 2000
+    xi = draw_perturbation(spec, substream(25, "xi") if shared else
+                           [substream(25, "xi", d) for d in range(depth)])
+    forced = np.concatenate(([0.0, 1.0, 0.05, 0.25, 0.95], substream(25, "xs").random(n - 5)))
+
+    def gens():
+        return substream(25, "d") if depth is None else [substream(25, "d", d) for d in range(3)]
+
+    for xs in (None, forced):
+        for window in ((-0.12, 0.05), (0.0, 0.25), (0.95, 1.12), (0.75, 1.0), (0.25, 0.25),
+                       (0.0, 1.0), (-0.5, 1.5)):
+            full_rngs, win_rngs = gens(), gens()
+            full = sample_perturbed(spec, xi, n, full_rngs, xs=xs)
+            win = sample_perturbed(spec, xi, n, win_rngs, xs=xs, window=window)
+            assert win.xs.tobytes() == full.xs.tobytes()
+            assert win.bucket_ids.tobytes() == full.bucket_ids.tobytes()
+            assert win.realization_id == full.realization_id
+            inside = (full.xs >= window[0]) & (full.xs <= window[1])  # none at 0.25 unless forced
+            assert win.ys[inside].tobytes() == full.ys[inside].tobytes()
+            assert np.zeros((~inside).sum()).tobytes() == win.ys[~inside].tobytes()
+            for a, b in zip(*(([r] if depth is None else r) for r in (full_rngs, win_rngs))):
+                assert a.random() == b.random()
+    for window in ((0.6, 0.4), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="window must be"):
+            sample_perturbed(spec, xi, n, gens(), window=window)
 
 
 def _sample_zero_once(flagged):

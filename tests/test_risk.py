@@ -129,8 +129,12 @@ def test_stacked_risk_is_bit_identical_to_per_dataset_fits(kernel):
     base = BaselineConfig(f=sine_function(), sigma2=1.0, n=120)
     partition = PartitionSpec(b_x=10, b_eps=50, weight_law=WeightLaw.exponential(),
                               baseline=base)
+    # the last three: h = 0.02 is near the support limit (the smooth bump's window
+    # holds about 2.4 points, and h = 0.015 leaves fits unsupported), h = 1.0, x0 = 0.0
     cases = [(corr_spec(0.02, base), 1, 0.2, 0.5), (partition, 2, 0.3, 0.03),
-             (corr_spec(0.01, base), 0, 0.1, 1.0), (partition, 4, 0.5, 0.77)]
+             (corr_spec(0.01, base), 0, 0.1, 1.0), (partition, 4, 0.5, 0.77),
+             (partition, 0, 0.02, 0.62), (corr_spec(0.02, base), 2, 1.0, 0.9),
+             (partition, 2, 0.25, 0.0)]
     for spec, order, h, x0 in cases:
         lpe = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
         components, ses, failed = per_dataset_risk(base, spec, lpe, x0, 7, 5, seed=21)
@@ -168,10 +172,10 @@ def test_ridged_fits_counted_in_diagnostics(monkeypatch):
                                  reps_xi=6, reps_data=5, seed=23)
     assert ordinary.diagnostics["ridged_fits"] == 0
 
-    def on_lattice(spec, xi, n, rng):
+    def on_lattice(spec, xi, n, rng, *, window=None):
         # x on a 0.05 lattice: a window of half-width 0.06 at 0.5 holds three
         # distinct x values, too few for a cubic, so every fit is ridged
-        ds = sample_perturbed(spec, xi, n, rng)
+        ds = sample_perturbed(spec, xi, n, rng, window=window)
         ds.xs = np.round(ds.xs * 20.0) / 20.0
         return ds
 
