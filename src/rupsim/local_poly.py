@@ -8,10 +8,9 @@ can be checked directly.
 
 Fits come in two kinds of traffic. Grids (`predict_grid`, and through it
 the MISE ladders and both CVs) go through one batched engine, `local_fit`,
-as does `fit_predict`. For a design sorted once (`sort_design`), or a stack
-of equal-size designs sorted row by row, one bandwidth and a vector of query
-points it builds the window moments
-sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one stacked
+as does `fit_predict`. For one design (n,) sorted once (`sort_design`), one
+bandwidth and a vector of query points it builds the window moments
+sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one batched
 call. A design may carry k response vectors at once: the window, moments
 of x, Gram matrices, ridge and solve are shared, and only the y moments
 widen to k groups, each computed with the arithmetic of a one-response fit.
@@ -26,10 +25,10 @@ h. Only occupied cells within reach of the queries get columns, so its
 memory is O(n) whatever h is. Other kernels sum over each gathered window,
 strictly left to right from +0: one add per window offset covers every
 query of a pass. Nothing a query computes depends on which other queries or
-designs share its batch, or on what the design was fitted at before, so a
-grid fit equals the scalar fits at its points, a stacked fit equals the fits
-of its designs one by one, and a fit over a design that has served other
-bandwidths equals the fit over a freshly sorted one, bit for bit.
+responses share its batch, or on what the design was fitted at before, so a
+grid fit equals the scalar fits at its points, a multi-response fit equals
+its responses fitted one by one, and a fit over a design that has served
+other bandwidths equals the fit over a freshly sorted one, bit for bit.
 
 Fits of one query per design (`equivalent_kernel_weights`, and through it
 the distributional-variance oracle, and the risk split of `risk`) take the
@@ -124,21 +123,17 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SortedDesign:
-    """A design sorted once by x, reusable across bandwidths and query sets.
+    """One design (n,) sorted once by x, reusable across bandwidths and query sets.
 
-    xs is ascending, ys (None when only weights are needed) follows it, and
-    xs == original_xs[order]. A stack of D designs of n points each has 2-D
-    (D, n) arrays, each row sorted on its own: xs[d] == original_xs[d][order[d]].
-    ys may carry one more leading axis of k responses over the same design,
-    (k, n) for one design or (k, D, n) for a stack; ys[j] is then sorted as xs.
-    The engine keeps the prefix lattice of the last dyadic level it fitted
-    here, so the bandwidths of one level share one build; the arrays must not
-    be changed in place once the design has been fitted.
+    xs is ascending, and ys (None for a design without responses) follows it:
+    (n,) for one response, or (k, n) for k responses over the same design,
+    each sorted as xs. The engine keeps the prefix lattice of the last dyadic
+    level it fitted here, so the bandwidths of one level share one build; the
+    arrays must not be changed in place once the design has been fitted.
     """
 
     xs: np.ndarray
     ys: np.ndarray | None
-    order: np.ndarray
     _lattice: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
@@ -157,84 +152,60 @@ def _query_points(queries) -> np.ndarray:
 
 
 def sort_design(xs, ys=None) -> SortedDesign:
-    """Sort a design by x, stably; a 2-D (D, n) xs is sorted row by row.
+    """Sort one design (n,) by x, stably, with its responses.
 
     Design points must lie in [0, 1]; any other point, NaN included, is a
-    ValueError. ys has the shape of xs, or one more leading axis of k
-    responses, and every response is sorted with its design. numpy's default
-    sort is tried first: where it leaves every row strictly increasing the
-    order is unique, so it is the stable one; ties and signed zeros fall back
-    to the stable sort.
+    ValueError, and so is an xs of any shape but (n,). ys is (n,), or (k, n)
+    for k responses, and every response is sorted with the design; any other
+    shape is a ValueError. numpy's default sort is tried first: where it
+    leaves xs strictly increasing the order is unique, so it is the stable
+    one; ties and signed zeros fall back to the stable sort.
     """
     xs = _design_points(xs)
-    order = np.argsort(xs, axis=-1)
-    ordered = np.take_along_axis(xs, order, -1)
-    if not (ordered[..., 1:] > ordered[..., :-1]).all():
-        order = np.argsort(xs, kind="stable", axis=-1)
-        ordered = np.take_along_axis(xs, order, -1)
+    if xs.ndim != 1:
+        raise ValueError(f"a design is one row of points (n,), got xs of shape {xs.shape}")
+    order = np.argsort(xs)
+    ordered = xs[order]
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = np.argsort(xs, kind="stable")
+        ordered = xs[order]
     if ys is not None:
         ys = np.asarray(ys, dtype=float)
-        if ys.ndim - xs.ndim not in (0, 1):
-            raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}")
-        ys = np.take_along_axis(ys, np.broadcast_to(order, ys.shape), -1)
-    return SortedDesign(xs=ordered, order=order, ys=ys)
+        if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
+            raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
+                             " responses are (n,) or (k, n)")
+        ys = ys[..., order]
+    return SortedDesign(xs=ordered, ys=ys)
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
-    return data if isinstance(data, SortedDesign) else sort_design(data.xs, data.ys)
+    """data as a sorted design that carries responses; a design without them is a ValueError."""
+    design = data if isinstance(data, SortedDesign) else sort_design(data.xs, data.ys)
+    if design.ys is None:
+        raise ValueError("the design carries no responses")
+    return design
 
 
 @dataclass
 class LocalFit:
-    """The engine's result for one (design, h) and m query points.
+    """The engine's result for one design, one h and m query points.
 
     The fit at query i has weights W_k = K(u_k) * sum_j coef[i, j] u_k^j on
-    the sorted design's window lo[i] <= k < hi[i] and zero elsewhere. values
-    is NaN (and coef a NaN row) where the query has no local support; values
-    is None when the design carries no responses. For a stack of D designs
-    every field has a leading axis of length D: values[d, i] is the fit of
-    design d at query i. A design with k responses puts one more leading
-    axis of length k on values alone: values[j] is the fit of ys[j].
+    the sorted design's window (`_window`) and zero elsewhere. values is NaN
+    (and coef a NaN row) where the query has no local support; values is
+    None when the design carries no responses. A design with k responses
+    puts a leading axis of length k on values alone: values[j] is the fit of
+    ys[j].
     """
 
     values: np.ndarray | None
     coef: np.ndarray
     supported: np.ndarray
     degenerate: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def _search_rows(table: np.ndarray, rows, q, side: str = "right") -> np.ndarray:
-    """searchsorted(table[r], v, side) for each pair (r, v) of rows and q.
-
-    table is (R, n) with nondecreasing rows; rows holds integer row indices
-    and broadcasts against q, and the result has their broadcast shape.
-    numpy orders complex numbers by real part, then imaginary part, so the
-    keys r + i*table[r] form one sorted array, and a search for r + i*v
-    lands after the r * n keys of the earlier rows plus the entries of row r
-    that the search in that row alone would pass. Keys and queries are filled
-    part by part, so no complex arithmetic rounds them. It serves only the
-    engine's window and lattice-cell searches; the partition sampler's bin
-    lookup bisects its rows instead (`perturbation._bisect_rows`).
-    """
-    count, n = table.shape
-    shape = np.broadcast(rows, q).shape
-    if count == 1:
-        out = np.empty(shape, dtype=np.intp)
-        out[...] = np.searchsorted(table[0], q, side=side)
-        return out
-    keys = np.empty(table.shape, dtype=complex)
-    keys.real = np.arange(count)[:, None]
-    keys.imag = table
-    queries = np.empty(shape, dtype=complex)
-    queries.real = rows
-    queries.imag = q
-    return np.searchsorted(keys.ravel(), queries, side=side) - rows * n
 
 
 def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
-    """Ranges [lo, hi), each (D, m), of each sorted row of xs where K((x - g)/h) > 0.
+    """Ranges [lo, hi), each (m,), of the sorted design xs where K((x - g)/h) > 0.
 
     The search runs slightly wide, then drops edge points whose kernel value
     is exactly zero, so membership follows the kernel's own arithmetic (the
@@ -242,12 +213,11 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
     nonincreasing in |u|, so the positive set is one contiguous range.
     """
     reach = kernel.reach(h)
-    design = np.arange(xs.shape[0])[:, None]
-    lo = _search_rows(xs, design, g - reach, "left")
-    hi = _search_rows(xs, design, g + reach, "right")
+    lo = np.searchsorted(xs, g - reach, "left")
+    hi = np.searchsorted(xs, g + reach, "right")
     while True:
-        edge = np.minimum(np.concatenate((lo[None], hi[None] - 1)), xs.shape[1] - 1)
-        drop = (kernel((xs[design, edge] - g) / h) == 0.0) & (lo < hi)
+        edge = np.minimum(np.stack((lo, hi - 1)), xs.size - 1)
+        drop = (kernel((xs[edge] - g) / h) == 0.0) & (lo < hi)
         if not drop.any():
             break
         lo = lo + drop[0]
@@ -298,14 +268,14 @@ def _moments(sums: np.ndarray, pieces, p: int):
 
 @dataclass
 class _Lattice:
-    """Restarted prefix sums of one design, or stack, on the cells of one dyadic level.
+    """Restarted prefix sums of one sorted design on the cells of one dyadic level.
 
-    cell[d, i] = floor(xs[d, i] * 2^level) is the cell of each sorted point.
-    Every cell c of cells[0] .. cells[1] that holds points of design d owns
-    the columns begin .. begin + count of table: a zero, then the running
-    sums, point by point, of z^i (group 0) and z^i y_j (group 1 + j) for
-    i < npow, where z = x * 2^level - (c + 1/2). slot[d * n + i] is the
-    begin of point i's cell, or 0, also a zero column, outside those cells.
+    cell[i] = floor(xs[i] * 2^level) is the cell of each sorted point. Every
+    cell c of cells[0] .. cells[1] that holds points owns the columns
+    begin .. begin + count of table: a zero, then the running sums, point by
+    point, of z^i (group 0) and z^i y_j (group 1 + j) for i < npow, where
+    z = x * 2^level - (c + 1/2). slot[i] is the begin of point i's cell, or
+    0, also a zero column, outside those cells.
     """
 
     level: int
@@ -318,30 +288,25 @@ class _Lattice:
 
 def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
                    cells: tuple) -> _Lattice:
-    """The lattice of the cells cells[0] .. cells[1] of each design; O(n) memory.
+    """The lattice of the cells cells[0] .. cells[1] of the sorted design xs; O(n) memory.
 
     Columns are taken by occupied cells alone. A cell is padded to the
     widest cell of its block; there is one block unless that would more
     than double the table, else one block per power of two of cell sizes.
     """
-    count, n = xs.shape
     t = xs * math.ldexp(1.0, level)  # exact: a power-of-two scaling
     cell = np.floor(t)
     groups = 1 if ys is None else 1 + len(ys)
-    slot = np.zeros(count * n, dtype=np.intp)
-    i0, i1 = _search_rows(cell, np.arange(count)[:, None], np.array([cells[0], cells[1] + 1.0]),
-                          "left").T
-    kept = i1 - i0
-    # total > 0: a lattice is built only for a reached window, and need (taken from its
-    # points) and widest (qcell - 1 .. qcell + 1, see _NEAR_CELLS) both hold its points
-    total = int(kept.sum())
-    # the points of those cells, design by design; a run is one (design, cell)
-    head = np.cumsum(kept) - kept  # where each design's points start
-    pick = np.arange(total) + np.repeat(np.arange(0, count * n, n) + i0 - head, kept)
-    kcell = cell.ravel()[pick]
+    slot = np.zeros(xs.size, dtype=np.intp)
+    i0, i1 = np.searchsorted(cell, [cells[0], cells[1] + 1.0], "left")
+    # the points of those cells; a run is one cell. total > 0: a lattice is built only
+    # for a reached window, and need (taken from its points) and widest
+    # (qcell - 1 .. qcell + 1, see _NEAR_CELLS) both hold its points
+    total = i1 - i0
+    kcell = cell[i0:i1]
     new = np.empty(total, dtype=bool)
     np.not_equal(kcell[1:], kcell[:-1], out=new[1:])
-    new[head[kept > 0]] = True
+    new[0] = True
     run = np.cumsum(new) - 1
     start = np.flatnonzero(new)
     size = np.bincount(run) + 1  # a zero column, then one per point
@@ -362,16 +327,16 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
     col = np.arange(1, total + 1) + (begin - start)[run]
     base, z = np.zeros(end), np.zeros(end)
     base[col] = 1.0
-    z[col] = t.ravel()[pick] - (kcell + 0.5)
+    z[col] = t[i0:i1] - (kcell + 0.5)
     y = None
     if ys is not None:
         y = np.zeros((len(ys), end))
-        y[:, col] = ys.reshape(len(ys), -1)[:, pick]
+        y[:, col] = ys[:, i0:i1]
     table = _powers((npow, end), base, z, y)
     for first, rows, width in spans:
         padded = table[:, :, first:first + rows * width].reshape(npow, groups, rows, width)
         np.cumsum(padded, axis=-1, out=padded)
-    slot[pick] = begin[run]
+    slot[i0:i1] = begin[run]
     return _Lattice(level, npow, cells, cell, slot, table)
 
 
@@ -416,32 +381,30 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     split = kernel.pieces[0] != kernel.pieces[1]
     pieces = kernel.pieces if split else kernel.pieces[:1]
     npow = 2 * p - 2 + max(len(c) for c in pieces)
-    count, n = xs.shape
+    n = xs.size
     reached = hi > lo
     if not reached.any():  # every window is empty
         return _moments(np.zeros((npow, 1 if ys is None else 1 + len(ys), len(pieces),
-                                  count * g.size)), pieces, p)
+                                  g.size)), pieces, p)
     level = -math.frexp(h)[1]
     scale = math.ldexp(1.0, level)
     qcell = np.floor(g * scale)
-    member = np.arange(count)[:, None, None]  # design index
-    need = (np.floor(xs[member[:, 0], np.minimum(lo, n - 1)][reached].min() * scale),
-            np.floor(xs[member[:, 0], hi - 1][reached].max() * scale))
+    need = (np.floor(xs[np.minimum(lo, n - 1)][reached].min() * scale),
+            np.floor(xs[hi - 1][reached].max() * scale))
     widest = (qcell.min() + _NEAR_CELLS[0, 0], qcell.max() + _NEAR_CELLS[-2, 0])
     lattice = _kept_lattice(design, xs, ys, level, npow, need, widest)
 
     near = qcell + _NEAR_CELLS  # (near cell, query)
     # a near cell outside the lattice holds no window point; clamped, it reads as empty
-    bounds = _search_rows(lattice.cell, member,
-                          np.minimum(np.maximum(near, lattice.cells[0]), lattice.cells[1] + 1),
-                          "left")  # (design, near cell, query)
-    first, size = bounds[:, :-1], bounds[:, 1:] - bounds[:, :-1]
+    bounds = np.searchsorted(lattice.cell, np.minimum(np.maximum(near, lattice.cells[0]),
+                                                      lattice.cells[1] + 1), "left")
+    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     # prefix column of a cell's first e - first points; an empty cell reads a zero column
-    begin = lattice.slot[np.minimum(first + member * n, count * n - 1)]
-    edges = np.stack([lo, _search_rows(xs, member[:, 0], g, "left"), hi] if split else [lo, hi])
+    begin = lattice.slot[np.minimum(first, n - 1)]
+    edges = np.stack([lo, np.searchsorted(xs, g, "left"), hi] if split else [lo, hi])
     at = np.take(lattice.table[:npow],
-                 begin + np.minimum(np.maximum(edges[:, :, None] - first, 0), size), axis=-1)
-    parts = at[:, :, 1:] - at[:, :, :-1]  # (power, group, side, design, near cell, query)
+                 begin + np.minimum(np.maximum(edges[:, None] - first, 0), size), axis=-1)
+    parts = at[:, :, 1:] - at[:, :, :-1]  # (power, group, side, near cell, query)
     _taylor_shift(parts, near[:-1] + 0.5 - g * scale)
     total = parts[..., 0, :].copy()
     for k in range(1, parts.shape[-2]):  # left to right: a fixed order for any batch
@@ -449,15 +412,15 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     # sums of ((x - g)/w)^i to sums of u^i, u = (x - g)/h
     ratio = np.full(npow, math.ldexp(1.0, -level) / h)
     ratio[0] = 1.0
-    total *= np.cumprod(ratio).reshape((npow,) + (1,) * (total.ndim - 1))
-    return _moments(total.reshape(total.shape[:3] + (-1,)), pieces, p)
+    total *= np.cumprod(ratio)[:, None, None, None]
+    return _moments(total, pieces, p)
 
 
 def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
                     h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of any kernel, each window summed left to right from +0.
 
-    Every design row ends in one pad point that no window from [0, 1] at
+    The design is extended by one pad point that no window from [0, 1] at
     h <= 1 can hold. A window's offsets run from lo up to the pad, so the
     kernel itself zeroes the points past hi and the pad, and past its span
     a window reads y from the pad, where it is 0. Those terms are all
@@ -469,19 +432,13 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     2p - 1 powers of u, the y moments p. The workspace of one block of
     offsets stays within CHUNK_ELEMENTS.
     """
-    count, n = xs.shape
+    n = xs.size  # the pad's index
     k = 0 if ys is None else len(ys)
     npow = 2 * p - 1
     rows = npow + k * p  # sum K u^j (j < 2p - 1), then sum K u^j y_r (j < p) per response
-    pad = 1.0 + 2.0 * kernel.reach(1.0)
-    flat_x = np.concatenate((xs, np.full((count, 1), pad)), axis=1).ravel()
-    flat_y = None if ys is None else np.concatenate(
-        (ys, np.zeros((k, count, 1))), axis=2).reshape(k, -1)
-    first = np.arange(0, count * (n + 1), n + 1)[:, None]  # each design's first point
-    start, stop = (lo + first).ravel(), np.broadcast_to(first + n, lo.shape).ravel()
-    end = (hi + first).ravel()
-    span = end - start
-    g = np.tile(g, count)
+    padded_x = np.append(xs, 1.0 + 2.0 * kernel.reach(1.0))
+    padded_y = None if ys is None else np.concatenate((ys, np.zeros((k, 1))), axis=1)
+    span = hi - lo
     sums = np.zeros((rows, g.size))
     # a pass takes as many queries as leave room for blocks of 32 offsets
     # (fewer when every window is narrower), so few calls are made per block
@@ -495,8 +452,8 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
         acc = sums[:, q]
         longest = int(span[q].max())
         for o0 in range(0, longest, block):
-            at = start[q] + offsets[o0:min(o0 + block, longest)]  # (offset, query)
-            u = np.take(flat_x, np.minimum(at, stop[q]))
+            at = lo[q] + offsets[o0:min(o0 + block, longest)]  # (offset, query)
+            u = np.take(padded_x, np.minimum(at, n))
             u -= g[q]
             u /= h
             terms = work[:rows * u.size].reshape(len(u), rows, -1)
@@ -504,7 +461,7 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
             for j in range(1, npow):
                 np.multiply(terms[:, j - 1], u, out=terms[:, j])
             if k:
-                y = np.take(flat_y, np.where(at < end[q], at, stop[q]), axis=1)
+                y = np.take(padded_y, np.where(at < hi[q], at, n), axis=1)
                 for r in range(k):
                     np.multiply(terms[:, :p], y[r, :, None],
                                 out=terms[:, npow + r * p:npow + (r + 1) * p])
@@ -542,30 +499,23 @@ def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarr
 
 
 def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
-    """LP(order) fits at every query point in [0, 1] over one sorted design.
+    """LP(order) fits at every query point in [0, 1] over one sorted design (n,).
 
-    A stacked design (2-D xs of D equal-size designs) is fitted at the same
-    queries in the same call; each field of the result then has a leading
-    axis of length D, and row d equals the fit of design d alone bit for bit.
-    A design with k responses (ys of shape (k,) + xs.shape) is fitted once
-    for all of them: values gains a leading axis of length k, and values[j]
-    equals the fit of the design with ys[j] alone bit for bit.
+    A design with k responses (ys of shape (k, n)) is fitted once for all of
+    them: values gains a leading axis of length k, and values[j] equals the
+    fit of the design with ys[j] alone bit for bit.
     """
     g = _query_points(queries)
     p = config.order + 1
     m = g.size
-    shape = design.xs.shape[:-1] + (m,)
     xs, ys = design.xs, design.ys
-    responses = () if ys is None or ys.ndim == xs.ndim else ys.shape[:1]
-    xs = np.atleast_2d(xs)
-    if ys is not None:  # (k, D, n), k = 1 for a single response
-        ys = ys.reshape((responses or (1,)) + xs.shape)
-    if m == 0 or xs.size == 0:  # no query, an empty design or an empty stack
-        none = np.zeros(shape, dtype=bool)
-        zero = np.zeros(shape, dtype=np.int64)
-        return LocalFit(values=None if ys is None else np.full(responses + shape, np.nan),
-                        coef=np.full(shape + (p,), np.nan), supported=none,
-                        degenerate=none.copy(), lo=zero, hi=zero.copy())
+    responses = () if ys is None or ys.ndim == 1 else ys.shape[:1]
+    if ys is not None:  # (k, n), k = 1 for a single response
+        ys = np.atleast_2d(ys)
+    if m == 0 or xs.size == 0:  # no query or an empty design
+        none = np.zeros(m, dtype=bool)
+        return LocalFit(values=None if ys is None else np.full(responses + (m,), np.nan),
+                        coef=np.full((m, p), np.nan), supported=none, degenerate=none.copy())
     h = config.bandwidth
     kernel = config.kernel
     lo, hi = _window(kernel, xs, g, h)
@@ -574,11 +524,9 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     else:
         moments, ymoments = _prefix_moments(kernel, design, xs, ys, g, h, lo, hi, p)
     supported = hi > lo
-    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p)
-    return LocalFit(values=None if values is None else values.reshape(responses + shape),
-                    coef=coef.reshape(shape + (p,)), supported=supported.reshape(shape),
-                    degenerate=degenerate.reshape(shape), lo=lo.reshape(shape),
-                    hi=hi.reshape(shape))
+    values, coef, degenerate = _solve(moments, ymoments, supported, p)
+    return LocalFit(values=None if values is None else values.reshape(responses + (m,)),
+                    coef=coef, supported=supported, degenerate=degenerate)
 
 
 @dataclass

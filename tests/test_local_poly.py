@@ -152,6 +152,24 @@ def test_no_local_support_raises_and_grid_marks_nan():
         fit_predict(cfg, ds, 0.1)
     out = predict_grid(cfg, ds, [0.1, 0.92])
     assert np.isnan(out[0]) and np.isfinite(out[1])
+    # the engine voids the unsupported fit: a NaN coef row, and it is not flagged ridged
+    fit = local_fit(cfg, sort_design(ds.xs, ds.ys), [0.1, 0.92])
+    assert fit.supported.tolist() == [False, True]
+    assert np.isnan(fit.coef[0]).all() and not fit.degenerate[0]
+    assert np.isfinite(fit.coef[1]).all()
+
+
+def test_grid_fits_refuse_a_design_without_responses():
+    # a design sorted without ys has no values to predict: refused at entry, before
+    # any fit or ridge count
+    design = sort_design(np.linspace(0.0, 1.0, 30))
+    cfg = LpeConfig(order=1, bandwidth=0.2)
+    ridged = []
+    with pytest.raises(ValueError, match="the design carries no responses"):
+        predict_grid(cfg, design, [0.5], ridged=ridged)
+    with pytest.raises(ValueError, match="the design carries no responses"):
+        fit_predict(cfg, design, 0.5)
+    assert ridged == []
 
 
 def test_degenerate_design_flagged_not_crashed():
@@ -322,43 +340,13 @@ def _stacked_designs(rng, count, n, far):
     return xs, rng.normal(size=(count, n))
 
 
+def _one_design(rng, n, far):
+    # one tie-heavy design (n,); a far one sits in [0.95, 1] only
+    xs, _ = _stacked_designs(rng, 1, n, 0 if far else None)
+    return xs[0]
+
+
 STACK_QUERIES = [np.array([0.5]), np.array([0.0, 0.3, 0.3, 0.77, 1.0]), np.linspace(0, 1, 9)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
-       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 8),
-       n=st.integers(1, 400), seed=st.integers(0, 2 ** 16), far=st.booleans(),
-       queries=st.integers(0, len(STACK_QUERIES) - 1))
-@example(kernel="triangular", order=3, h=0.05, count=8, n=400, seed=0, far=True, queries=1)
-@example(kernel="smooth_bump", order=2, h=0.05, count=3, n=400, seed=1, far=True, queries=2)
-@example(kernel="epanechnikov", order=0, h=0.01, count=2, n=13, seed=0, far=False, queries=2)
-def test_stacked_fit_equals_fits_one_design_at_a_time(kernel, order, h, count, n, seed,
-                                                      far, queries):
-    rng = substream(seed, "stacked-fit")
-    xs, ys = _stacked_designs(rng, count, n, count - 1 if far else None)
-    cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
-    g = STACK_QUERIES[queries]
-    for responses in (ys, None):
-        stacked = local_fit(cfg, sort_design(xs, responses), g)
-        assert stacked.coef.shape == (count, g.size, order + 1)
-        for d in range(count):
-            alone = local_fit(cfg, sort_design(xs[d], None if responses is None
-                                               else responses[d]), g)
-            for field in ("values", "coef", "supported", "degenerate", "lo", "hi"):
-                mine, theirs = getattr(stacked, field), getattr(alone, field)
-                if theirs is None:
-                    assert mine is None
-                else:
-                    assert _same_bits(mine[d], theirs), (field, d)
-
-
-def test_stacked_fit_covers_an_unsupported_design():
-    xs, ys = _stacked_designs(substream(2, "unsupported"), 4, 300, far=2)
-    fit = local_fit(LpeConfig(order=1, bandwidth=0.05), sort_design(xs, ys), [0.1, 0.5])
-    assert not fit.supported[2].any() and np.isnan(fit.values[2]).all()
-    assert np.isnan(fit.coef[2]).all() and not fit.degenerate[2].any()
-    assert fit.supported[[0, 1, 3]].all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,31 +407,26 @@ def test_weights_of_a_stack_flag_any_ridged_design():
 
 @settings(max_examples=60, deadline=None)
 @given(kernel=st.sampled_from(sorted(KERNELS)), order=st.integers(0, 5),
-       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), count=st.integers(1, 4),
-       flat=st.booleans(), k=st.integers(1, 5), n=st.integers(1, 400),
+       h=st.sampled_from([0.01, 0.05, 0.3, 1.0]), k=st.integers(1, 5), n=st.integers(1, 400),
        seed=st.integers(0, 2 ** 16), far=st.booleans(),
        queries=st.integers(0, len(STACK_QUERIES) - 1))
-@example(kernel="smooth_bump", order=2, h=0.05, count=3, flat=False, k=5, n=400, seed=1,
-         far=True, queries=2)
-@example(kernel="triangular", order=5, h=0.01, count=1, flat=True, k=3, n=400, seed=0,
-         far=False, queries=2)
-def test_multi_response_fit_equals_one_response_fits(kernel, order, h, count, flat, k, n,
-                                                      seed, far, queries):
+@example(kernel="smooth_bump", order=2, h=0.05, k=5, n=400, seed=1, far=True, queries=2)
+@example(kernel="triangular", order=5, h=0.01, k=3, n=400, seed=0, far=False, queries=2)
+def test_multi_response_fit_equals_one_response_fits(kernel, order, h, k, n, seed, far,
+                                                      queries):
     # a design's k responses share the window, Gram and solve; each response's
     # values and NaN positions equal its one-response fit bit for bit
     rng = substream(seed, "multi-response")
-    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
-    if flat and count == 1:
-        xs = xs[0]
-    ys = rng.normal(size=(k,) + xs.shape)
+    xs = _one_design(rng, n, far)
+    ys = rng.normal(size=(k, n))
     cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
     g = STACK_QUERIES[queries]
     multi = local_fit(cfg, sort_design(xs, ys), g)
-    assert multi.values.shape == (k,) + xs.shape[:-1] + (g.size,)
+    assert multi.values.shape == (k, g.size)
     for j in range(k):
         alone = local_fit(cfg, sort_design(xs, ys[j]), g)
         assert _same_bits(multi.values[j], alone.values), j
-        for field in ("coef", "supported", "degenerate", "lo", "hi"):
+        for field in ("coef", "supported", "degenerate"):
             assert _same_bits(getattr(multi, field), getattr(alone, field)), (field, j)
     with pytest.raises(ValueError):
         sort_design(xs, ys[None])
@@ -457,23 +440,19 @@ CACHED_FIT = st.tuples(st.sampled_from(sorted(KERNELS)), st.integers(0, 5),
 
 
 @settings(max_examples=60, deadline=None)
-@given(fits=st.lists(CACHED_FIT, min_size=1, max_size=6), count=st.integers(1, 3),
-       flat=st.booleans(), k=st.integers(-1, 3), n=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 16), far=st.booleans())
+@given(fits=st.lists(CACHED_FIT, min_size=1, max_size=6), k=st.integers(-1, 3),
+       n=st.integers(1, 300), seed=st.integers(0, 2 ** 16), far=st.booleans())
 @example(fits=[("epanechnikov", 1, h, 2) for h in (1.0, 0.5, 0.25, 0.125, 0.125, 0.3, 0.01)],
-         count=1, flat=True, k=3, n=300, seed=0, far=False)
+         k=3, n=300, seed=0, far=False)
 @example(fits=[("triangular", 5, 0.25, 0), ("uniform", 0, np.nextafter(0.25, 1.0), 1),
                ("triangular", 2, 0.3, 2), ("epanechnikov", 5, 0.25, 1)],
-         count=3, flat=False, k=0, n=300, seed=1, far=True)
-def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, count, flat, k, n, seed,
-                                                             far):
+         k=0, n=300, seed=1, far=True)
+def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, k, n, seed, far):
     # a design that has served other bandwidths, orders, kernels and query sets
     # fits every h as a freshly sorted copy does, bit for bit; k = -1 means no
     # responses and k = 0 one response without a response axis
     rng = substream(seed, "cached-lattice")
-    xs, _ = _stacked_designs(rng, count, n, count - 1 if far else None)
-    if flat and count == 1:
-        xs = xs[0]
+    xs = _one_design(rng, n, far)
     ys = None if k < 0 else rng.normal(size=((k,) if k else ()) + xs.shape)
     cached = sort_design(xs, ys)
     for kernel, order, h, queries in fits:
@@ -481,7 +460,7 @@ def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, count, flat, 
         g = STACK_QUERIES[queries]
         mine, fresh = local_fit(cfg, cached, g), local_fit(cfg, sort_design(xs, ys), g)
         assert len(cached._lattice) <= 1
-        for field in ("values", "coef", "supported", "degenerate", "lo", "hi"):
+        for field in ("values", "coef", "supported", "degenerate"):
             if getattr(fresh, field) is None:
                 assert getattr(mine, field) is None
             else:
@@ -547,8 +526,8 @@ def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
     fit = local_fit(cfg, design, [x0])
     point = _point_fit(cfg, xs, None, x0)
     weights = point.weights()
-    in_order = weights[design.order]
-    lo, hi = fit.lo[0], fit.hi[0]
+    in_order = weights[np.argsort(xs, kind="stable")]
+    (lo,), (hi,) = _window(cfg.kernel, design.xs, np.array([float(x0)]), h)
     assert np.all(in_order[:lo] == 0.0) and np.all(in_order[hi:] == 0.0)
     assert point.supported == fit.supported[0]
     if not point.supported or point.degenerate:
@@ -639,7 +618,7 @@ def test_windows_lie_in_the_near_cells(kernel):
                                  rng.random(500)]), 0.0, 1.0)
     ys = rng.normal(size=xs.size)
     design = sort_design(xs, ys)
-    xs2, ys3 = design.xs[None], design.ys[None, None]  # the engine's (D, n) and (k, D, n)
+    ys2 = design.ys[None]  # the engine's (k, n)
     ymax = max(1.0, np.abs(ys).max())
     for k in range(9):
         for h in (2.0 ** -k, np.nextafter(2.0 ** -k, 0.0)):
@@ -648,19 +627,20 @@ def test_windows_lie_in_the_near_cells(kernel):
             cell_edges = w * np.arange(int(1.0 / w) + 1)
             g = np.unique(np.clip(np.concatenate([cell_edges, np.nextafter(cell_edges, -1.0),
                                                   np.nextafter(cell_edges, 2.0)]), 0.0, 1.0))
-            lo, hi = _window(kernel, xs2, g, h)
-            reached = (hi > lo)[0]
+            lo, hi = _window(kernel, design.xs, g, h)
+            reached = hi > lo
             for order in range(6):
                 p = order + 1
-                moments, ymoments = _prefix_moments(kernel, design, xs2, ys3, g, h, lo, hi, p)
+                moments, ymoments = _prefix_moments(kernel, design, design.xs, ys2, g, h, lo, hi,
+                                                    p)
                 lattice = design._lattice[0]
                 assert math.ldexp(1.0, -lattice.level) == w, (h, lattice.level)
-                cell = lattice.cell[0]
-                first, last = cell[np.minimum(lo[0], xs.size - 1)], cell[hi[0] - 1]
+                cell = lattice.cell
+                first, last = cell[np.minimum(lo, xs.size - 1)], cell[hi - 1]
                 home = np.floor(g * math.ldexp(1.0, lattice.level))
                 assert np.all(first[reached] >= home[reached] + _NEAR_CELLS[0, 0]), (h, order)
                 assert np.all(last[reached] <= home[reached] + _NEAR_CELLS[-2, 0]), (h, order)
-                gathered, ygathered = _window_moments(kernel, xs2, ys3, g, h, lo, hi, p)
+                gathered, ygathered = _window_moments(kernel, design.xs, ys2, g, h, lo, hi, p)
                 points = np.searchsorted(cell, last, "right") - np.searchsorted(cell, first, "left")
                 scale = np.where(reached, points, 0) * ymax * (1e-10 if order <= 3 else 1e-8)
                 assert np.all(np.abs(moments - gathered) <= scale), (h, order)
@@ -682,34 +662,41 @@ def test_sort_design_equals_the_stable_sort(count, n, seed, ties, specials):
     if n and specials:
         xs[np.arange(count)[:, None], rng.integers(0, n, (count, len(specials)))] = specials
     ys = rng.normal(size=(2, count, n))
-    for x, y in ((xs, ys), (xs, ys[0]), (xs[0], ys[0, 0])):
-        design = sort_design(x, y)
-        order = np.argsort(x, kind="stable", axis=-1)
-        assert _same_bits(design.order, order)
-        assert _same_bits(design.xs, np.take_along_axis(x, order, -1))
-        assert _same_bits(design.ys, np.take_along_axis(y, np.broadcast_to(order, y.shape), -1))
+    for d in range(count):  # one design at a time, with two responses and with one
+        for x, y in ((xs[d], ys[:, d]), (xs[d], ys[0, d])):
+            design = sort_design(x, y)
+            order = np.argsort(x, kind="stable")
+            assert _same_bits(design.xs, x[order])
+            assert _same_bits(design.ys, y[..., order])
+    # a stack of designs, or responses that do not fit the design, is refused
+    with pytest.raises(ValueError, match=r"one row of points \(n,\), got xs of shape"):
+        sort_design(xs, ys[0])
+    with pytest.raises(ValueError, match=r"one row of points \(n,\), got xs of shape"):
+        predict_grid(LpeConfig(order=1, bandwidth=0.2), Dataset(xs=xs, ys=ys[0]), [0.5])
+    for y in (np.append(ys[0, 0], 0.0), np.zeros((2, n + 1)), ys[:, :1]):
+        with pytest.raises(ValueError, match=r"does not fit xs of shape"):
+            sort_design(xs[0], y)
 
 
 def _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p):
     """Window moments as plain Python float sums, point by point from 0.0."""
     k = 0 if ys is None else len(ys)
     moments, ymoments = [], []
-    for d in range(xs.shape[0]):
-        for i, x0 in enumerate(g):
-            window = slice(lo[d, i], hi[d, i])
-            u = (xs[d, window] - x0) / h
-            acc, yacc = [0.0] * (2 * p - 1), [[0.0] * k for _ in range(p)]
-            for t, (weight, ut) in enumerate(zip(kernel(u).tolist(), u.tolist())):
-                term = weight
-                for j in range(2 * p - 1):
-                    if j:
-                        term *= ut
-                    acc[j] += term
-                    if j < p:
-                        for r in range(k):
-                            yacc[j][r] += term * float(ys[r, d, window][t])
-            moments.append(acc)
-            ymoments.append(yacc)
+    for i, x0 in enumerate(g):
+        window = slice(lo[i], hi[i])
+        u = (xs[window] - x0) / h
+        acc, yacc = [0.0] * (2 * p - 1), [[0.0] * k for _ in range(p)]
+        for t, (weight, ut) in enumerate(zip(kernel(u).tolist(), u.tolist())):
+            term = weight
+            for j in range(2 * p - 1):
+                if j:
+                    term *= ut
+                acc[j] += term
+                if j < p:
+                    for r in range(k):
+                        yacc[j][r] += term * float(ys[r, window][t])
+        moments.append(acc)
+        ymoments.append(yacc)
     return np.array(moments).T, None if ys is None else np.moveaxis(np.array(ymoments), 0, -1)
 
 
@@ -721,7 +708,8 @@ def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k
 
     Chunks of 64 and 1000 elements cut a call into passes of one to a few
     dozen queries and blocks of 2 to 41 offsets; the windows here hold 9 to
-    133 points, so most span several blocks.
+    133 points, so most span several blocks. Each of the `count` designs is
+    fitted in a call of its own.
     """
     monkeypatch.setattr(local_poly, "CHUNK_ELEMENTS", chunk)
     rng = substream(count * 100 + m, "left-to-right", k)
@@ -729,17 +717,19 @@ def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k
     ys = rng.normal(size=(k, count, 150)) if k else None
     g = np.round(rng.random(m), 3)
     kernel = get_kernel("smooth_bump")
-    for h in (0.15, 0.8):
-        lo, hi = _window(kernel, xs, g, h)
-        assert (hi - lo).max() > 8
-        for p in (1, 3, 6):
-            moments, ymoments = _window_moments(kernel, xs, ys, g, h, lo, hi, p)
-            expected, yexpected = _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p)
-            assert _same_bits(moments, expected), (h, p)
-            if k:
-                assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (h, p)
-            else:
-                assert ymoments is None
+    for d in range(count):
+        y = None if ys is None else ys[:, d]
+        for h in (0.15, 0.8):
+            lo, hi = _window(kernel, xs[d], g, h)
+            assert (hi - lo).max() > 8
+            for p in (1, 3, 6):
+                moments, ymoments = _window_moments(kernel, xs[d], y, g, h, lo, hi, p)
+                expected, yexpected = _left_to_right_moments(kernel, xs[d], y, g, h, lo, hi, p)
+                assert _same_bits(moments, expected), (d, h, p)
+                if k:
+                    assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (d, h, p)
+                else:
+                    assert ymoments is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import rupsim
-from rupsim.local_poly import _search_rows as _noise_bins
 from rupsim.perturbation import _bisect_rows, _cached_bin_means, _ndtri
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
@@ -375,18 +374,6 @@ def bin_lookups(draw):
                                st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
                                min_size=n, max_size=n)))
     return row_cum, buckets, u
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=bin_lookups())
-@example(case=(np.array([[0.5, 1.0]]), np.array([0, 0, 0, 0]), np.array([0.0, 0.5, 0.75, 1.0])))
-@example(case=(np.array([[0.25, 0.25, np.nextafter(1.0, 0.0)], [0.0, 0.5, np.nextafter(1.0, 2.0)]]),
-               np.array([0, 0, 0, 1, 1, 1, 1]),
-               np.array([0.25, np.nextafter(1.0, 0.0), 0.999, 0.0, 0.5, np.nextafter(1.0, 0.0),
-                         np.nextafter(0.5, 0.0)])))
-def test_one_call_bin_lookup_equals_per_row_search(case):
-    row_cum, buckets, u = case
-    assert np.array_equal(_noise_bins(row_cum, buckets, u), _per_row_bins(row_cum, buckets, u))
 
 
 @settings(max_examples=200, deadline=None)
