@@ -254,7 +254,8 @@ def cmd_mise_sweep(root: Conf, seed: int, outdir: Path):
     csv_path = outdir / "mise_curve.csv"
     write_csv(csv_path, ["h", "tau", "mise", "se"], rows)
     svg_path = outdir / "fig4.svg"
-    _render_mise_svg(csv_path, svg_path)
+    _render_by_tau(csv_path, svg_path, "h", "mise", xlabel="bandwidth h", ylabel="MISE",
+                   title="MISE against bandwidth")
     return {"mise_curve.csv": csv_path, "fig4.svg": svg_path}, warnings
 
 
@@ -268,18 +269,14 @@ def _render_by_tau(csv_path: Path, svg_path: Path, x: str, y: str, **chart) -> N
     svg_path.write_text(line_chart(series, **chart), encoding="utf-8")
 
 
-def _render_mise_svg(csv_path: Path, svg_path: Path) -> None:
-    _render_by_tau(csv_path, svg_path, "h", "mise", xlabel="bandwidth h", ylabel="MISE",
-                   title="MISE against bandwidth")
-
-
 def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
     table = optimal_bandwidth_curve(**_parse_sweep(root, need="n_grid"), seed=seed)
     rows = [(r["n"], r["tau"], r["h_star"]) for r in table]
     csv_path = outdir / "hstar_vs_n.csv"
     write_csv(csv_path, ["n", "tau", "h_star"], rows)
     svg_path = outdir / "fig5.svg"
-    _render_hstar_svg(csv_path, svg_path)
+    _render_by_tau(csv_path, svg_path, "n", "h_star", xlabel="n", ylabel="optimal bandwidth",
+                   title="Optimal bandwidth against sample size", logx=True, logy=True)
     warnings = []
     for r in table:
         print(f"n={r['n']} tau={r['tau']:g}: h_star={r['h_star']:g}")
@@ -287,11 +284,6 @@ def cmd_bandwidth_vs_n(root: Conf, seed: int, outdir: Path):
             warnings.append(f"n={r['n']}, tau={r['tau']:g}: h={h:g} invalid "
                             "(no local support on the grid)")
     return {"hstar_vs_n.csv": csv_path, "fig5.svg": svg_path}, warnings
-
-
-def _render_hstar_svg(csv_path: Path, svg_path: Path) -> None:
-    _render_by_tau(csv_path, svg_path, "n", "h_star", xlabel="n", ylabel="optimal bandwidth",
-                   title="Optimal bandwidth against sample size", logx=True, logy=True)
 
 
 def cmd_kl_check(root: Conf, seed: int, outdir: Path):

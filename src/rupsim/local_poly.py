@@ -8,27 +8,31 @@ can be checked directly.
 
 Fits come in two kinds of traffic. Grids (`predict_grid`, and through it
 the MISE ladders and both CVs) go through one batched engine, `local_fit`,
-as does `fit_predict`. For one design (n,) sorted once (`sort_design`), one
-bandwidth and a vector of query points it builds the window moments
-sum K(u) u^j and sum K(u) u^j y, then solves all local systems in one batched
-call. A design may carry k response vectors at once: the window, moments
-of x, Gram matrices, ridge and solve are shared, and only the y moments
-widen to k groups, each computed with the arithmetic of a one-response fit.
-Piecewise-polynomial kernels get their moments from
+as does `fit_predict`. For one design (n,) sorted once with its responses
+(`sort_design`; a design always carries them), one bandwidth and a vector
+of query points it builds the window moments sum K(u) u^j and
+sum K(u) u^j y, then solves all local systems in one batched call. A design
+may carry k response vectors at once: the window, moments of x, Gram
+matrices, ridge and solve are shared, and only the y moments widen to k
+groups, each computed with the arithmetic of a one-response fit. A fit is
+unsupported, with NaN values, where its window is empty or its local solve
+is not finite. Piecewise-polynomial kernels get their moments from
 prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
 Engel & Gasser 1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and
 centred on every cell of a dyadic lattice of width w = 2^-k, w/2 <= h < w,
-so the sums do not cancel. The lattice depends on h only through its level:
-a SortedDesign keeps the last one built, and every bandwidth of that level
-reuses it, so a sweep over an h grid builds one lattice per level, not per
-h. Only occupied cells within reach of the queries get columns, so its
-memory is O(n) whatever h is. Other kernels sum over each gathered window,
-strictly left to right from +0: one add per window offset covers every
-query of a pass. Nothing a query computes depends on which other queries or
-responses share its batch, or on what the design was fitted at before, so a
-grid fit equals the scalar fits at its points, a multi-response fit equals
-its responses fitted one by one, and a fit over a design that has served
-other bandwidths equals the fit over a freshly sorted one, bit for bit.
+so the sums do not cancel. The lattice depends on h only through its level,
+and each build covers every cell that the level's widest window can reach
+from the queries: a SortedDesign keeps the last one built, and every
+bandwidth of that level over those queries reuses it, so a sweep over an h
+grid builds one lattice per level, not per h. Only occupied cells get
+columns, so its memory is O(n) whatever h is. Other kernels sum over each
+gathered window, strictly left to right from +0: one add per window offset
+covers every query of a pass. Nothing a query computes depends on which
+other queries or responses share its batch, or on what the design was
+fitted at before, so a grid fit equals the scalar fits at its points, a
+multi-response fit equals its responses fitted one by one, and a fit over a
+design that has served other bandwidths equals the fit over a freshly
+sorted one, bit for bit.
 
 Fits of one query per design (`equivalent_kernel_weights`, and through it
 the distributional-variance oracle, and the risk split of `risk`) take the
@@ -125,15 +129,16 @@ class WeightVector:
 class SortedDesign:
     """One design (n,) sorted once by x, reusable across bandwidths and query sets.
 
-    xs is ascending, and ys (None for a design without responses) follows it:
-    (n,) for one response, or (k, n) for k responses over the same design,
-    each sorted as xs. The engine keeps the prefix lattice of the last dyadic
-    level it fitted here, so the bandwidths of one level share one build; the
-    arrays must not be changed in place once the design has been fitted.
+    xs is ascending, and ys follows it: (n,) for one response, or (k, n) for
+    k responses over the same design, each sorted as xs. The engine keeps the
+    prefix lattice of the last dyadic level it fitted here, with every cell
+    that level's widest window can reach from the queries, so the bandwidths
+    of one level over one query range share one build; the arrays must not
+    be changed in place once the design has been fitted.
     """
 
     xs: np.ndarray
-    ys: np.ndarray | None
+    ys: np.ndarray
     _lattice: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
@@ -151,15 +156,16 @@ def _query_points(queries) -> np.ndarray:
     return g
 
 
-def sort_design(xs, ys=None) -> SortedDesign:
+def sort_design(xs, ys) -> SortedDesign:
     """Sort one design (n,) by x, stably, with its responses.
 
     Design points must lie in [0, 1]; any other point, NaN included, is a
     ValueError, and so is an xs of any shape but (n,). ys is (n,), or (k, n)
     for k responses, and every response is sorted with the design; any other
-    shape is a ValueError. numpy's default sort is tried first: where it
-    leaves xs strictly increasing the order is unique, so it is the stable
-    one; ties and signed zeros fall back to the stable sort.
+    shape is a ValueError, and so is None: a grid fit is a fit of responses.
+    numpy's default sort is tried first: where it leaves xs strictly
+    increasing the order is unique, so it is the stable one; ties and signed
+    zeros fall back to the stable sort.
     """
     xs = _design_points(xs)
     if xs.ndim != 1:
@@ -169,21 +175,16 @@ def sort_design(xs, ys=None) -> SortedDesign:
     if not (ordered[1:] > ordered[:-1]).all():
         order = np.argsort(xs, kind="stable")
         ordered = xs[order]
-    if ys is not None:
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
-            raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
-                             " responses are (n,) or (k, n)")
-        ys = ys[..., order]
-    return SortedDesign(xs=ordered, ys=ys)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
+        raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
+                         " responses are (n,) or (k, n)")
+    return SortedDesign(xs=ordered, ys=ys[..., order])
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
-    """data as a sorted design that carries responses; a design without them is a ValueError."""
-    design = data if isinstance(data, SortedDesign) else sort_design(data.xs, data.ys)
-    if design.ys is None:
-        raise ValueError("the design carries no responses")
-    return design
+    """data as a sorted design, sorting a Dataset."""
+    return data if isinstance(data, SortedDesign) else sort_design(data.xs, data.ys)
 
 
 @dataclass
@@ -192,13 +193,13 @@ class LocalFit:
 
     The fit at query i has weights W_k = K(u_k) * sum_j coef[i, j] u_k^j on
     the sorted design's window (`_window`) and zero elsewhere. values is NaN
-    (and coef a NaN row) where the query has no local support; values is
-    None when the design carries no responses. A design with k responses
-    puts a leading axis of length k on values alone: values[j] is the fit of
+    (and coef a NaN row) where the query has no local support, or where the
+    solve of its local system is not finite. A design with k responses puts
+    a leading axis of length k on values alone: values[j] is the fit of
     ys[j].
     """
 
-    values: np.ndarray | None
+    values: np.ndarray
     coef: np.ndarray
     supported: np.ndarray
     degenerate: np.ndarray
@@ -225,19 +226,18 @@ def _window(kernel: Kernel, xs: np.ndarray, g: np.ndarray, h: float):
     return lo, hi
 
 
-def _powers(shape: tuple, base, z: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+def _powers(shape: tuple, base, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Stack (shape[0], 1 + k, ...): base * z^i, then base * z^i * y[j] for k responses.
 
-    y is None (k = 0) or has shape (k,) + shape[1:]. Powers come from
-    repeated multiplication so every element's arithmetic is fixed, whatever
-    the array's shape or the number of responses.
+    y has shape (k,) + shape[1:]. Powers come from repeated multiplication so
+    every element's arithmetic is fixed, whatever the array's shape or the
+    number of responses.
     """
-    out = np.empty((shape[0], 1 + (0 if y is None else len(y))) + shape[1:])
+    out = np.empty((shape[0], 1 + len(y)) + shape[1:])
     out[0, 0] = base
     for i in range(1, shape[0]):
         np.multiply(out[i - 1, 0], z, out=out[i, 0])
-    if y is not None:
-        np.multiply(out[:, :1], y, out=out[:, 1:])
+    np.multiply(out[:, :1], y, out=out[:, 1:])
     return out
 
 
@@ -263,7 +263,7 @@ def _moments(sums: np.ndarray, pieces, p: int):
         for t, a in enumerate(coefs):
             if a:
                 acc += a * sums[t:t + count, :, side]
-    return acc[:, 0], (acc[:p, 1:] if acc.shape[1] > 1 else None)
+    return acc[:, 0], acc[:p, 1:]
 
 
 @dataclass
@@ -286,7 +286,7 @@ class _Lattice:
     table: np.ndarray
 
 
-def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
+def _build_lattice(xs: np.ndarray, ys: np.ndarray, level: int, npow: int,
                    cells: tuple) -> _Lattice:
     """The lattice of the cells cells[0] .. cells[1] of the sorted design xs; O(n) memory.
 
@@ -296,12 +296,12 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
     """
     t = xs * math.ldexp(1.0, level)  # exact: a power-of-two scaling
     cell = np.floor(t)
-    groups = 1 if ys is None else 1 + len(ys)
+    groups = 1 + len(ys)
     slot = np.zeros(xs.size, dtype=np.intp)
     i0, i1 = np.searchsorted(cell, [cells[0], cells[1] + 1.0], "left")
     # the points of those cells; a run is one cell. total > 0: a lattice is built only
-    # for a reached window, and need (taken from its points) and widest
-    # (qcell - 1 .. qcell + 1, see _NEAR_CELLS) both hold its points
+    # when a window is reached, and its cells (qcell - 1 .. qcell + 1 over the
+    # queries, see _NEAR_CELLS) hold that window's points
     total = i1 - i0
     kcell = cell[i0:i1]
     new = np.empty(total, dtype=bool)
@@ -328,10 +328,8 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
     base, z = np.zeros(end), np.zeros(end)
     base[col] = 1.0
     z[col] = t[i0:i1] - (kcell + 0.5)
-    y = None
-    if ys is not None:
-        y = np.zeros((len(ys), end))
-        y[:, col] = ys[:, i0:i1]
+    y = np.zeros((len(ys), end))
+    y[:, col] = ys[:, i0:i1]
     table = _powers((npow, end), base, z, y)
     for first, rows, width in spans:
         padded = table[:, :, first:first + rows * width].reshape(npow, groups, rows, width)
@@ -340,24 +338,7 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray | None, level: int, npow: int,
     return _Lattice(level, npow, cells, cell, slot, table)
 
 
-def _kept_lattice(design: SortedDesign, xs: np.ndarray, ys: np.ndarray | None, level: int,
-                  npow: int, need: tuple, widest: tuple) -> _Lattice:
-    """The design's lattice, rebuilt unless the kept one has this level and covers need.
-
-    A first fit builds the cells its windows need; a design fitted before is
-    likely to be fitted at more bandwidths of the level, so it gets every
-    cell the level's widest window can reach from the queries.
-    """
-    kept = design._lattice
-    if not (kept and kept[0].level == level and kept[0].npow >= npow
-            and kept[0].cells[0] <= need[0] and kept[0].cells[1] >= need[1]):
-        cells = widest if kept else need
-        kept.clear()  # the old level is freed before the new one is built
-        kept.append(_build_lattice(xs, ys, level, npow, cells))
-    return kept[0]
-
-
-def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np.ndarray | None,
+def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np.ndarray,
                     g: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of a piecewise-polynomial kernel from prefix sums.
 
@@ -367,11 +348,12 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     range. Each cell keeps prefix sums of z^i and z^i y in cell units,
     z = x/w - (l + 1/2), centred on the cell's own centre and restarted at
     its first point, so |z| <= 1/2 and no sum cancels; cell index and z are
-    exact or rounded once. Only cells that hold points and that the windows
-    can reach get columns (see _kept_lattice), so memory is O(n) whatever h
-    is, and a cell's sums depend on its own points alone. A window lies within
-    the cells floor(g/w) - 1 .. floor(g/w) + 1 (see _NEAR_CELLS); its part in
-    each of them is a difference of two prefix sums, gathered into contiguous
+    exact or rounded once. A build takes every cell that the level's widest
+    window can reach from the queries, and of those only the cells that hold
+    points get columns, so memory is O(n) whatever h is, and a cell's sums
+    depend on its own points alone. A window lies within the cells
+    floor(g/w) - 1 .. floor(g/w) + 1 (see _NEAR_CELLS); its part in each of
+    them is a difference of two prefix sums, gathered into contiguous
     memory, which a Taylor shift by (c_l - g)/w turns into sums of (x - g)/w;
     the sum over cells is then scaled by (w/h)^i into sums of u^i. The two
     kernel pieces are summed over x < g and x >= g separately unless they
@@ -382,22 +364,20 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     pieces = kernel.pieces if split else kernel.pieces[:1]
     npow = 2 * p - 2 + max(len(c) for c in pieces)
     n = xs.size
-    reached = hi > lo
-    if not reached.any():  # every window is empty
-        return _moments(np.zeros((npow, 1 if ys is None else 1 + len(ys), len(pieces),
-                                  g.size)), pieces, p)
+    if not (hi > lo).any():  # every window is empty
+        return _moments(np.zeros((npow, 1 + len(ys), len(pieces), g.size)), pieces, p)
     level = -math.frexp(h)[1]
     scale = math.ldexp(1.0, level)
-    qcell = np.floor(g * scale)
-    need = (np.floor(xs[np.minimum(lo, n - 1)][reached].min() * scale),
-            np.floor(xs[hi - 1][reached].max() * scale))
-    widest = (qcell.min() + _NEAR_CELLS[0, 0], qcell.max() + _NEAR_CELLS[-2, 0])
-    lattice = _kept_lattice(design, xs, ys, level, npow, need, widest)
-
-    near = qcell + _NEAR_CELLS  # (near cell, query)
-    # a near cell outside the lattice holds no window point; clamped, it reads as empty
-    bounds = np.searchsorted(lattice.cell, np.minimum(np.maximum(near, lattice.cells[0]),
-                                                      lattice.cells[1] + 1), "left")
+    near = np.floor(g * scale) + _NEAR_CELLS  # (near cell, query)
+    cells = (near[0].min(), near[-2].max())  # every cell a window can reach
+    kept = design._lattice
+    if not (kept and kept[0].level == level and kept[0].npow >= npow
+            and kept[0].cells[0] <= cells[0] and kept[0].cells[1] >= cells[1]):
+        kept.clear()  # the old level is freed before the new one is built
+        kept.append(_build_lattice(xs, ys, level, npow, cells))
+    lattice = kept[0]
+    # the lattice holds every near cell but the last, which only bounds the one before
+    bounds = np.searchsorted(lattice.cell, near, "left")
     first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     # prefix column of a cell's first e - first points; an empty cell reads a zero column
     begin = lattice.slot[np.minimum(first, n - 1)]
@@ -416,7 +396,7 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
     return _moments(total, pieces, p)
 
 
-def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np.ndarray,
+def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray, g: np.ndarray,
                     h: float, lo: np.ndarray, hi: np.ndarray, p: int):
     """Window moments of any kernel, each window summed left to right from +0.
 
@@ -433,11 +413,11 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
     offsets stays within CHUNK_ELEMENTS.
     """
     n = xs.size  # the pad's index
-    k = 0 if ys is None else len(ys)
+    k = len(ys)
     npow = 2 * p - 1
     rows = npow + k * p  # sum K u^j (j < 2p - 1), then sum K u^j y_r (j < p) per response
     padded_x = np.append(xs, 1.0 + 2.0 * kernel.reach(1.0))
-    padded_y = None if ys is None else np.concatenate((ys, np.zeros((k, 1))), axis=1)
+    padded_y = np.concatenate((ys, np.zeros((k, 1))), axis=1)
     span = hi - lo
     sums = np.zeros((rows, g.size))
     # a pass takes as many queries as leave room for blocks of 32 offsets
@@ -460,22 +440,24 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray | None, g: np
             terms[:, 0] = kernel(u)
             for j in range(1, npow):
                 np.multiply(terms[:, j - 1], u, out=terms[:, j])
-            if k:
-                y = np.take(padded_y, np.where(at < hi[q], at, n), axis=1)
-                for r in range(k):
-                    np.multiply(terms[:, :p], y[r, :, None],
-                                out=terms[:, npow + r * p:npow + (r + 1) * p])
+            y = np.take(padded_y, np.where(at < hi[q], at, n), axis=1)
+            for r in range(k):
+                np.multiply(terms[:, :p], y[r, :, None],
+                            out=terms[:, npow + r * p:npow + (r + 1) * p])
             for i in range(len(u)):
                 acc += terms[i]
-    return sums[:npow], None if ys is None else sums[npow:].reshape(k, p, -1).swapaxes(0, 1)
+    return sums[:npow], sums[npow:].reshape(k, p, -1).swapaxes(0, 1)
 
 
 def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray, p: int):
-    """Stacked local solves; returns (values, coef, degenerate).
+    """Stacked local solves; returns (values, coef, supported, degenerate).
 
     Gram[i, j] = moments[i + j]. A Gram whose smallest eigenvalue is below
-    DEGENERATE_EIG gets RIDGE * trace / p added to its diagonal. ymoments is
-    (p, k, fits), and values (k, fits) combine each response with one coef.
+    DEGENERATE_EIG gets RIDGE * trace / p added to its diagonal. A fit stays
+    supported only if its solve is finite: a kernel mass that is subnormal
+    can solve to inf. An unsupported fit gets a NaN coef row and NaN values,
+    and is not degenerate. ymoments is None (values None) or (p, k, fits),
+    and values (k, fits) combine each response with one coef.
     """
     gram = moments.T[:, _HANKEL[p]]
     unsupported = ~supported
@@ -488,14 +470,16 @@ def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarr
             trace += moments[2 * j]
         gram[degenerate] += (RIDGE * trace[degenerate] / p)[:, None, None] * np.eye(p)
     coef = np.linalg.solve(gram, np.broadcast_to(_E1[p], gram.shape[:2] + (1,)))[..., 0]
+    unsupported |= ~np.isfinite(coef).all(axis=1)
     if unsupported.any():
         coef[unsupported] = np.nan
+        degenerate[unsupported] = False
     if ymoments is None:
-        return None, coef, degenerate
+        return None, coef, ~unsupported, degenerate
     values = coef[:, 0] * ymoments[0]
     for j in range(1, p):
         values += coef[:, j] * ymoments[j]
-    return values, coef, degenerate
+    return values, coef, ~unsupported, degenerate
 
 
 def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
@@ -509,13 +493,12 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
     p = config.order + 1
     m = g.size
     xs, ys = design.xs, design.ys
-    responses = () if ys is None or ys.ndim == 1 else ys.shape[:1]
-    if ys is not None:  # (k, n), k = 1 for a single response
-        ys = np.atleast_2d(ys)
+    responses = ys.shape[:-1]  # () for one response (n,), (k,) for (k, n)
+    ys = np.atleast_2d(ys)
     if m == 0 or xs.size == 0:  # no query or an empty design
         none = np.zeros(m, dtype=bool)
-        return LocalFit(values=None if ys is None else np.full(responses + (m,), np.nan),
-                        coef=np.full((m, p), np.nan), supported=none, degenerate=none.copy())
+        return LocalFit(values=np.full(responses + (m,), np.nan), coef=np.full((m, p), np.nan),
+                        supported=none, degenerate=none.copy())
     h = config.bandwidth
     kernel = config.kernel
     lo, hi = _window(kernel, xs, g, h)
@@ -523,10 +506,9 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
         moments, ymoments = _window_moments(kernel, xs, ys, g, h, lo, hi, p)
     else:
         moments, ymoments = _prefix_moments(kernel, design, xs, ys, g, h, lo, hi, p)
-    supported = hi > lo
-    values, coef, degenerate = _solve(moments, ymoments, supported, p)
-    return LocalFit(values=None if values is None else values.reshape(responses + (m,)),
-                    coef=coef, supported=supported, degenerate=degenerate)
+    values, coef, supported, degenerate = _solve(moments, ymoments, hi > lo, p)
+    return LocalFit(values=values.reshape(responses + (m,)), coef=coef, supported=supported,
+                    degenerate=degenerate)
 
 
 @dataclass
@@ -536,7 +518,7 @@ class _PointFit:
     u = (x - x0)/h and k = K(u) have the design's shape and order; values
     (None without responses), supported and degenerate have its leading
     shape, and coef one more axis of length order + 1 (a NaN row where the
-    design has no point with K(u) > 0).
+    design has no point with K(u) > 0, or its solve is not finite).
     """
 
     u: np.ndarray
@@ -547,7 +529,7 @@ class _PointFit:
     degenerate: np.ndarray
 
     def weights(self) -> np.ndarray:
-        """W_k = K(u_k) sum_j coef_j u_k^j; +0.0 where K(u_k) = 0, so on every unsupported row."""
+        """W_k = K(u_k) sum_j coef_j u_k^j; +0.0 where K(u_k) = 0, else NaN if unsupported."""
         inside = self.k > 0.0
         # the basis is read only where K(u) > 0, so |u| <= 1; a far point's u (up to
         # 1/h) is zeroed so that its powers cannot overflow
@@ -587,10 +569,10 @@ def _point_fit(config: LpeConfig, xs, ys, x0: float) -> _PointFit:
         np.add.reduce(term, axis=-1, out=moments[j])
         if y is not None and j < p:
             np.add.reduce(np.multiply(term, y, out=scratch), axis=-1, out=ymoments[j, 0])
-    supported = (k > 0.0).any(axis=-1)
-    values, coef, degenerate = _solve(moments, ymoments, supported.ravel(), p)
+    values, coef, supported, degenerate = _solve(moments, ymoments,
+                                                 (k > 0.0).any(axis=-1).ravel(), p)
     return _PointFit(u=u, k=k, values=None if values is None else values.reshape(lead),
-                     coef=coef.reshape(lead + (p,)), supported=supported,
+                     coef=coef.reshape(lead + (p,)), supported=supported.reshape(lead),
                      degenerate=degenerate.reshape(lead))
 
 

@@ -14,7 +14,7 @@ from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec, WeightLa
                     draw_perturbation, estimate_tau_from_summaries, load_realization,
                     sample_perturbed, substream, within_bucket_noise_variance, zero_function)
 from rupsim.bandwidth import NumericDeadEnd
-from rupsim.cli import _render_hstar_svg, _render_mise_svg, main
+from rupsim.cli import _render_by_tau, main
 from rupsim.config import ConfigError, load_yaml
 from rupsim.streams import STACK_POINTS
 
@@ -368,7 +368,8 @@ def test_fig4_rerenders_byte_identically(tmp_path):
     out = tmp_path / "o"
     assert main(["mise-sweep", "--config", cfg, "--out", str(out)]) == 0
     again = tmp_path / "again.svg"
-    _render_mise_svg(out / "mise_curve.csv", again)
+    _render_by_tau(out / "mise_curve.csv", again, "h", "mise", xlabel="bandwidth h",
+                   ylabel="MISE", title="MISE against bandwidth")
     assert again.read_bytes() == (out / "fig4.svg").read_bytes()
 
 
@@ -405,7 +406,9 @@ mc: {reps: 2}
     assert list(rows[0]) == ["n", "tau", "h_star"]
     assert len(rows) == 2
     again = tmp_path / "again.svg"
-    _render_hstar_svg(out / "hstar_vs_n.csv", again)
+    _render_by_tau(out / "hstar_vs_n.csv", again, "n", "h_star", xlabel="n",
+                   ylabel="optimal bandwidth", title="Optimal bandwidth against sample size",
+                   logx=True, logy=True)
     assert again.read_bytes() == (out / "fig5.svg").read_bytes()
 
 

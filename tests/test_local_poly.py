@@ -159,17 +159,37 @@ def test_no_local_support_raises_and_grid_marks_nan():
     assert np.isfinite(fit.coef[1]).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_fit_whose_solve_is_not_finite_is_unsupported():
+    # the one point in the window has a subnormal kernel mass, so the ridged solve
+    # of the local system overflows to inf: both paths void the fit as they void a
+    # fit without support, with no RuntimeWarning, even for a zero response
+    h, x0 = 0.004, 0.5
+    xs = np.array([x0 + 0.49965521 * h, 0.9])
+    cfg = LpeConfig(order=1, bandwidth=h, kernel=get_kernel("smooth_bump"))
+    mass = cfg.kernel((xs - x0) / h)
+    assert 0.0 < mass[0] < np.finfo(float).tiny and mass[1] == 0.0
+    for ys in (np.array([1.0, 2.0]), np.zeros(2)):
+        fit = local_fit(cfg, sort_design(xs, ys), [x0])
+        assert fit.supported.tolist() == [False] and fit.degenerate.tolist() == [False]
+        assert np.isnan(fit.coef).all() and np.isnan(fit.values).all()
+        ridged = []
+        assert np.isnan(predict_grid(cfg, Dataset(xs=xs, ys=ys), [x0], ridged=ridged)).all()
+        assert ridged == [0]
+        point = _point_fit(cfg, np.stack([xs, [0.499, 0.5015]]), np.stack([ys, ys]), x0)
+        assert point.supported.tolist() == [False, True]
+        assert point.degenerate.tolist() == [False, False]
+        assert np.isnan(point.coef[0]).all() and np.isfinite(point.coef[1]).all()
+        assert np.isnan(point.values[0]) and np.isfinite(point.values[1])
+    with pytest.raises(NoLocalSupport):
+        equivalent_kernel_weights(cfg, xs, x0)
+
+
 def test_grid_fits_refuse_a_design_without_responses():
-    # a design sorted without ys has no values to predict: refused at entry, before
-    # any fit or ridge count
-    design = sort_design(np.linspace(0.0, 1.0, 30))
-    cfg = LpeConfig(order=1, bandwidth=0.2)
-    ridged = []
-    with pytest.raises(ValueError, match="the design carries no responses"):
-        predict_grid(cfg, design, [0.5], ridged=ridged)
-    with pytest.raises(ValueError, match="the design carries no responses"):
-        fit_predict(cfg, design, 0.5)
-    assert ridged == []
+    # a grid fit is a fit of responses, so no design is sorted without them: None
+    # is a 0-d ys, refused by sort_design's shape check before any fit
+    with pytest.raises(ValueError, match=r"ys of shape \(\) does not fit xs of shape \(30,\)"):
+        sort_design(np.linspace(0.0, 1.0, 30), None)
 
 
 def test_degenerate_design_flagged_not_crashed():
@@ -440,7 +460,7 @@ CACHED_FIT = st.tuples(st.sampled_from(sorted(KERNELS)), st.integers(0, 5),
 
 
 @settings(max_examples=60, deadline=None)
-@given(fits=st.lists(CACHED_FIT, min_size=1, max_size=6), k=st.integers(-1, 3),
+@given(fits=st.lists(CACHED_FIT, min_size=1, max_size=6), k=st.integers(0, 3),
        n=st.integers(1, 300), seed=st.integers(0, 2 ** 16), far=st.booleans())
 @example(fits=[("epanechnikov", 1, h, 2) for h in (1.0, 0.5, 0.25, 0.125, 0.125, 0.3, 0.01)],
          k=3, n=300, seed=0, far=False)
@@ -449,11 +469,11 @@ CACHED_FIT = st.tuples(st.sampled_from(sorted(KERNELS)), st.integers(0, 5),
          k=0, n=300, seed=1, far=True)
 def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, k, n, seed, far):
     # a design that has served other bandwidths, orders, kernels and query sets
-    # fits every h as a freshly sorted copy does, bit for bit; k = -1 means no
-    # responses and k = 0 one response without a response axis
+    # fits every h as a freshly sorted copy does, bit for bit; k = 0 means one
+    # response without a response axis
     rng = substream(seed, "cached-lattice")
     xs = _one_design(rng, n, far)
-    ys = None if k < 0 else rng.normal(size=((k,) if k else ()) + xs.shape)
+    ys = rng.normal(size=((k,) if k else ()) + xs.shape)
     cached = sort_design(xs, ys)
     for kernel, order, h, queries in fits:
         cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
@@ -461,10 +481,26 @@ def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, k, n, seed, f
         mine, fresh = local_fit(cfg, cached, g), local_fit(cfg, sort_design(xs, ys), g)
         assert len(cached._lattice) <= 1
         for field in ("values", "coef", "supported", "degenerate"):
-            if getattr(fresh, field) is None:
-                assert getattr(mine, field) is None
-            else:
-                assert _same_bits(getattr(mine, field), getattr(fresh, field)), (field, h)
+            assert _same_bits(getattr(mine, field), getattr(fresh, field)), (field, h)
+
+
+def test_one_lattice_serves_every_bandwidth_of_a_level(monkeypatch):
+    # a build takes every cell the level's widest window can reach from the
+    # queries, so a wider bandwidth of the same level (h = 0.065 and 0.124 are
+    # both level 3) reuses the first fit's lattice
+    builds = []
+    build = local_poly._build_lattice
+
+    def counted(xs, ys, level, npow, cells):
+        builds.append(level)
+        return build(xs, ys, level, npow, cells)
+
+    monkeypatch.setattr(local_poly, "_build_lattice", counted)
+    rng = substream(8, "one-lattice")
+    design = sort_design(rng.random(2000), rng.normal(size=2000))
+    for h in (0.065, 0.124):
+        assert local_fit(LpeConfig(order=1, bandwidth=h), design, [0.52]).supported.all()
+    assert builds == [3]
 
 
 @pytest.mark.parametrize("h, skewed", [(1e-5, False), (1e-3, True)])
@@ -522,7 +558,7 @@ def test_weight_invariants(kernel, order, h, n, seed, lattice, x0):
     if lattice:
         xs = np.round(xs, 2)
     cfg = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
-    design = sort_design(xs)
+    design = sort_design(xs, np.zeros(n))
     fit = local_fit(cfg, design, [x0])
     point = _point_fit(cfg, xs, None, x0)
     weights = point.weights()
@@ -680,7 +716,7 @@ def test_sort_design_equals_the_stable_sort(count, n, seed, ties, specials):
 
 def _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p):
     """Window moments as plain Python float sums, point by point from 0.0."""
-    k = 0 if ys is None else len(ys)
+    k = len(ys)
     moments, ymoments = [], []
     for i, x0 in enumerate(g):
         window = slice(lo[i], hi[i])
@@ -697,12 +733,11 @@ def _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p):
                         yacc[j][r] += term * float(ys[r, window][t])
         moments.append(acc)
         ymoments.append(yacc)
-    return np.array(moments).T, None if ys is None else np.moveaxis(np.array(ymoments), 0, -1)
+    return np.array(moments).T, np.moveaxis(np.array(ymoments), 0, -1)
 
 
 @pytest.mark.parametrize("chunk", [64, 1000, local_poly.CHUNK_ELEMENTS])
-@pytest.mark.parametrize("count,m,k", [(1, 1, 0), (1, 1, 1), (1, 40, 1), (3, 7, 1), (2, 9, 3),
-                                       (1, 25, 0)])
+@pytest.mark.parametrize("count,m,k", [(1, 1, 1), (1, 40, 1), (3, 7, 1), (2, 9, 3)])
 def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k):
     """Each window of the gathered path is summed in order, however the call is cut.
 
@@ -714,11 +749,11 @@ def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k
     monkeypatch.setattr(local_poly, "CHUNK_ELEMENTS", chunk)
     rng = substream(count * 100 + m, "left-to-right", k)
     xs = np.sort(np.round(rng.random((count, 150)), 2), axis=-1)  # ties on a 0.01 grid
-    ys = rng.normal(size=(k, count, 150)) if k else None
+    ys = rng.normal(size=(k, count, 150))
     g = np.round(rng.random(m), 3)
     kernel = get_kernel("smooth_bump")
     for d in range(count):
-        y = None if ys is None else ys[:, d]
+        y = ys[:, d]
         for h in (0.15, 0.8):
             lo, hi = _window(kernel, xs[d], g, h)
             assert (hi - lo).max() > 8
@@ -726,10 +761,7 @@ def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k
                 moments, ymoments = _window_moments(kernel, xs[d], y, g, h, lo, hi, p)
                 expected, yexpected = _left_to_right_moments(kernel, xs[d], y, g, h, lo, hi, p)
                 assert _same_bits(moments, expected), (d, h, p)
-                if k:
-                    assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (d, h, p)
-                else:
-                    assert ymoments is None
+                assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (d, h, p)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
