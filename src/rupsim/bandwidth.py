@@ -87,24 +87,25 @@ def _in_eval_window(xs: np.ndarray) -> np.ndarray:
     return (xs >= EVAL_WINDOW[0]) & (xs <= EVAL_WINDOW[1])
 
 
-def _cv_grid(h_grid) -> np.ndarray:
+def _cv_grid(h_grid, lpe_base: LpeConfig) -> tuple[np.ndarray, list[LpeConfig]]:
+    """The sorted h grid and its fit configs, made before any fit so a bad h fails first."""
     h_grid = np.sort(np.asarray(h_grid, dtype=float))
     if h_grid.size == 0:
         raise ValueError("h_grid must be nonempty")
-    return h_grid
+    return h_grid, [replace(lpe_base, bandwidth=float(h)) for h in h_grid]
 
 
 def _cv_scores(train: Dataset, test_xs: np.ndarray, test_ys: np.ndarray,
-               h_grid: np.ndarray, lpe_base: LpeConfig) -> np.ndarray:
+               configs: list[LpeConfig]) -> np.ndarray:
     """Held-out squared prediction error per h in EVAL_WINDOW; an unsupported point makes h +inf."""
     keep = _in_eval_window(test_xs)
-    scores = np.full(h_grid.size, np.inf)
+    scores = np.full(len(configs), np.inf)
     if not keep.any():
         return scores
     xs, ys = test_xs[keep], test_ys[keep]
     design = sort_design(train.xs, train.ys)
-    for i, h in enumerate(h_grid):
-        preds = predict_grid(replace(lpe_base, bandwidth=float(h)), design, xs)
+    for i, cfg in enumerate(configs):
+        preds = predict_grid(cfg, design, xs)
         if np.isnan(preds).any():
             continue
         scores[i] = float(np.mean((ys - preds) ** 2))
@@ -142,7 +143,7 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
         groups.setdefault(ds.realization_id, []).append(ds)
     if len(groups) < 2:
         raise NeedsMultipleDomains(f"got {len(groups)} realization(s), need at least 2")
-    h_grid = _cv_grid(h_grid)
+    h_grid, configs = _cv_grid(h_grid, lpe_base)
     keys = sorted(groups)
     per_domain = []
     for held in keys:
@@ -153,7 +154,7 @@ def domain_cv_bandwidth(datasets: Sequence[Dataset], h_grid,
         train_parts = [ds for k in keys if k != held for ds in groups[k]]
         train = Dataset(xs=np.concatenate([d.xs for d in train_parts]),
                         ys=np.concatenate([d.ys for d in train_parts]))
-        per_domain.append(_cv_scores(train, test_xs, test_ys, h_grid, lpe_base))
+        per_domain.append(_cv_scores(train, test_xs, test_ys, configs))
     return _selection(h_grid, per_domain, "realization")
 
 
@@ -171,7 +172,7 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
         raise ValueError("folds must be at least 2")
     if folds > n:
         raise ValueError("more folds than data points")
-    h_grid = _cv_grid(h_grid)
+    h_grid, configs = _cv_grid(h_grid, lpe_base)
     perm = substream(seed, "cv-folds").permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % folds
@@ -181,8 +182,7 @@ def naive_cv_bandwidth(dataset: Dataset, h_grid, lpe_base: LpeConfig, folds: int
         if not _in_eval_window(dataset.xs[hold]).any():
             continue
         train = Dataset(xs=dataset.xs[~hold], ys=dataset.ys[~hold])
-        per_fold.append(_cv_scores(train, dataset.xs[hold], dataset.ys[hold],
-                                   h_grid, lpe_base))
+        per_fold.append(_cv_scores(train, dataset.xs[hold], dataset.ys[hold], configs))
     return _selection(h_grid, per_fold, "fold")
 
 

@@ -21,18 +21,17 @@ prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
 Engel & Gasser 1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and
 centred on every cell of a dyadic lattice of width w = 2^-k, w/2 <= h < w,
 so the sums do not cancel. The lattice depends on h only through its level,
-and each build covers every cell that the level's widest window can reach
-from the queries: a SortedDesign keeps the last one built, and every
-bandwidth of that level over those queries reuses it, so a sweep over an h
-grid builds one lattice per level, not per h. Only occupied cells get
-columns, so its memory is O(n) whatever h is. Other kernels sum over each
-gathered window, strictly left to right from +0: one add per window offset
-covers every query of a pass. Nothing a query computes depends on which
-other queries or responses share its batch, or on what the design was
-fitted at before, so a grid fit equals the scalar fits at its points, a
-multi-response fit equals its responses fitted one by one, and a fit over a
-design that has served other bandwidths equals the fit over a freshly
-sorted one, bit for bit.
+and each build covers every cell of the design: a SortedDesign keeps the
+last one built, and every bandwidth of that level, over any queries, reuses
+it, so a sweep over an h grid builds one lattice per level, not per h. Only
+occupied cells get columns, so its memory is O(n) whatever h is. Other
+kernels sum over each gathered window, strictly left to right from +0, in
+one pass over every query: one add per window offset. Nothing a query
+computes depends on which other queries or responses share its batch, or
+on what the design was fitted at before, so a grid fit equals the scalar
+fits at its points, a multi-response fit equals its responses fitted one by
+one, and a fit over a design that has served other bandwidths equals the
+fit over a freshly sorted one, bit for bit.
 
 Fits of one query per design (`equivalent_kernel_weights`, and through it
 the distributional-variance oracle, and the risk split of `risk`) take the
@@ -79,11 +78,12 @@ _NEAR_CELLS = np.arange(-1.0, 3.0)[:, None]
 _HANKEL = [np.add.outer(np.arange(p), np.arange(p)) for p in range(7)]
 _E1 = [np.eye(p)[:, :1] for p in range(7)]
 
-# Upper bound on the elements of the one workspace (window offset, moment,
-# query) of a block of gathered windows, which bounds the working memory of
-# kernels without polynomial pieces; each window is summed sequentially along
-# its offsets, so how the queries and offsets are cut into blocks leaves every
-# sum unchanged.
+# Elements of the one workspace (window offset, moment, query) of a block of
+# gathered windows, which bounds the working memory of kernels without
+# polynomial pieces: a block takes as many offsets as fit, and at least one, so
+# the workspace stays within max(CHUNK_ELEMENTS, the size of the sums). Each
+# window is summed sequentially along its offsets, so how the offsets are cut
+# into blocks leaves every sum unchanged.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -125,28 +125,52 @@ class WeightVector:
     degenerate: bool
 
 
+def _design_points(xs) -> np.ndarray:
+    """xs as a float array; any point outside [0, 1], NaN included, is a ValueError."""
+    xs = np.asarray(xs, dtype=float)
+    check_unit_interval(xs, "design points must lie in [0, 1]")
+    return xs
+
+
+def _design_arrays(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """xs and ys as float arrays of one design with responses, else ValueError.
+
+    xs is one row (n,) of points in [0, 1]; ys is (n,) for one response or
+    (k, n) for k >= 1 responses: a grid fit is a fit of responses.
+    """
+    xs = _design_points(xs)
+    if xs.ndim != 1:
+        raise ValueError(f"a design is one row of points (n,), got xs of shape {xs.shape}")
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size or ys.shape[:-1] == (0,):
+        raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
+                         " responses are (n,) or (k, n) with k >= 1")
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class SortedDesign:
     """One design (n,) sorted once by x, reusable across bandwidths and query sets.
 
     xs is ascending, and ys follows it: (n,) for one response, or (k, n) for
-    k responses over the same design, each sorted as xs. The engine keeps the
-    prefix lattice of the last dyadic level it fitted here, with every cell
-    that level's widest window can reach from the queries, so the bandwidths
-    of one level over one query range share one build; the arrays must not
-    be changed in place once the design has been fitted.
+    k >= 1 responses over the same design, each sorted as xs; any other
+    design is a ValueError here, so `sort_design` is the way to make one.
+    The engine keeps the prefix lattice of the last dyadic level it fitted
+    here, over every cell of the design, so all bandwidths of one level
+    share one build; the arrays must not be changed in place once the
+    design has been fitted.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     _lattice: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-
-def _design_points(xs) -> np.ndarray:
-    """xs as a float array; any point outside [0, 1], NaN included, is a ValueError."""
-    xs = np.asarray(xs, dtype=float)
-    check_unit_interval(xs, "design points must lie in [0, 1]")
-    return xs
+    def __post_init__(self):
+        xs, ys = _design_arrays(self.xs, self.ys)
+        if not (xs[1:] >= xs[:-1]).all():
+            raise ValueError("a SortedDesign's xs must be ascending; sort_design sorts a design")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
 
 def _query_points(queries) -> np.ndarray:
@@ -161,25 +185,17 @@ def sort_design(xs, ys) -> SortedDesign:
 
     Design points must lie in [0, 1]; any other point, NaN included, is a
     ValueError, and so is an xs of any shape but (n,). ys is (n,), or (k, n)
-    for k responses, and every response is sorted with the design; any other
-    shape is a ValueError, and so is None: a grid fit is a fit of responses.
+    for k >= 1 responses, and every response is sorted with the design; any
+    other shape is a ValueError, and so is None (see `SortedDesign`).
     numpy's default sort is tried first: where it leaves xs strictly
     increasing the order is unique, so it is the stable one; ties and signed
     zeros fall back to the stable sort.
     """
-    xs = _design_points(xs)
-    if xs.ndim != 1:
-        raise ValueError(f"a design is one row of points (n,), got xs of shape {xs.shape}")
+    xs, ys = _design_arrays(xs, ys)
     order = np.argsort(xs)
-    ordered = xs[order]
-    if not (ordered[1:] > ordered[:-1]).all():
+    if not (np.diff(xs[order]) > 0.0).all():  # ties or signed zeros
         order = np.argsort(xs, kind="stable")
-        ordered = xs[order]
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
-        raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
-                         " responses are (n,) or (k, n)")
-    return SortedDesign(xs=ordered, ys=ys[..., order])
+    return SortedDesign(xs=xs[order], ys=ys[..., order])
 
 
 def _as_design(data: Dataset | SortedDesign) -> SortedDesign:
@@ -271,24 +287,21 @@ class _Lattice:
     """Restarted prefix sums of one sorted design on the cells of one dyadic level.
 
     cell[i] = floor(xs[i] * 2^level) is the cell of each sorted point. Every
-    cell c of cells[0] .. cells[1] that holds points owns the columns
-    begin .. begin + count of table: a zero, then the running sums, point by
-    point, of z^i (group 0) and z^i y_j (group 1 + j) for i < npow, where
-    z = x * 2^level - (c + 1/2). slot[i] is the begin of point i's cell, or
-    0, also a zero column, outside those cells.
+    cell c that holds points owns the columns begin .. begin + count of
+    table: a zero, then the running sums, point by point, of z^i (group 0)
+    and z^i y_j (group 1 + j) for i < npow, where z = x * 2^level - (c + 1/2).
+    slot[i] is the begin of point i's cell.
     """
 
     level: int
     npow: int
-    cells: tuple
     cell: np.ndarray
     slot: np.ndarray
     table: np.ndarray
 
 
-def _build_lattice(xs: np.ndarray, ys: np.ndarray, level: int, npow: int,
-                   cells: tuple) -> _Lattice:
-    """The lattice of the cells cells[0] .. cells[1] of the sorted design xs; O(n) memory.
+def _build_lattice(xs: np.ndarray, ys: np.ndarray, level: int, npow: int) -> _Lattice:
+    """The lattice of every cell of the sorted design xs (n >= 1); O(n) memory.
 
     Columns are taken by occupied cells alone. A cell is padded to the
     widest cell of its block; there is one block unless that would more
@@ -297,15 +310,8 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray, level: int, npow: int,
     t = xs * math.ldexp(1.0, level)  # exact: a power-of-two scaling
     cell = np.floor(t)
     groups = 1 + len(ys)
-    slot = np.zeros(xs.size, dtype=np.intp)
-    i0, i1 = np.searchsorted(cell, [cells[0], cells[1] + 1.0], "left")
-    # the points of those cells; a run is one cell. total > 0: a lattice is built only
-    # when a window is reached, and its cells (qcell - 1 .. qcell + 1 over the
-    # queries, see _NEAR_CELLS) hold that window's points
-    total = i1 - i0
-    kcell = cell[i0:i1]
-    new = np.empty(total, dtype=bool)
-    np.not_equal(kcell[1:], kcell[:-1], out=new[1:])
+    new = np.empty(xs.size, dtype=bool)  # a run of points is one cell
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
     new[0] = True
     run = np.cumsum(new) - 1
     start = np.flatnonzero(new)
@@ -324,18 +330,17 @@ def _build_lattice(xs: np.ndarray, ys: np.ndarray, level: int, npow: int,
         end += rows.size * width
     # powers are taken in the table's own layout; its zero and padding columns
     # have base 0 and z = y = 0, so they hold zeros and leave each running sum as is
-    col = np.arange(1, total + 1) + (begin - start)[run]
+    col = np.arange(1, xs.size + 1) + (begin - start)[run]
     base, z = np.zeros(end), np.zeros(end)
     base[col] = 1.0
-    z[col] = t[i0:i1] - (kcell + 0.5)
+    z[col] = t - (cell + 0.5)
     y = np.zeros((len(ys), end))
-    y[:, col] = ys[:, i0:i1]
+    y[:, col] = ys
     table = _powers((npow, end), base, z, y)
     for first, rows, width in spans:
         padded = table[:, :, first:first + rows * width].reshape(npow, groups, rows, width)
         np.cumsum(padded, axis=-1, out=padded)
-    slot[i0:i1] = begin[run]
-    return _Lattice(level, npow, cells, cell, slot, table)
+    return _Lattice(level, npow, cell, begin[run], table)
 
 
 def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np.ndarray,
@@ -344,43 +349,37 @@ def _prefix_moments(kernel: Kernel, design: SortedDesign, xs: np.ndarray, ys: np
 
     The lattice has dyadic cells [l w, (l + 1) w), w = 2^-level with
     w/2 <= h < w, so one lattice serves every h of a level: the design
-    keeps it, and a call builds one only for a new level, order or query
-    range. Each cell keeps prefix sums of z^i and z^i y in cell units,
+    keeps it, and a call builds one only for a new level or a higher order.
+    Each cell keeps prefix sums of z^i and z^i y in cell units,
     z = x/w - (l + 1/2), centred on the cell's own centre and restarted at
     its first point, so |z| <= 1/2 and no sum cancels; cell index and z are
-    exact or rounded once. A build takes every cell that the level's widest
-    window can reach from the queries, and of those only the cells that hold
-    points get columns, so memory is O(n) whatever h is, and a cell's sums
-    depend on its own points alone. A window lies within the cells
-    floor(g/w) - 1 .. floor(g/w) + 1 (see _NEAR_CELLS); its part in each of
-    them is a difference of two prefix sums, gathered into contiguous
-    memory, which a Taylor shift by (c_l - g)/w turns into sums of (x - g)/w;
-    the sum over cells is then scaled by (w/h)^i into sums of u^i. The two
-    kernel pieces are summed over x < g and x >= g separately unless they
-    coincide. The work is O(n) per (design, level) plus O(1) per query point
-    and h.
+    exact or rounded once. A build takes every cell of the design, and only
+    the cells that hold points get columns, so memory is O(n) whatever h
+    is, and a cell's sums depend on its own points alone. A window lies
+    within the cells floor(g/w) - 1 .. floor(g/w) + 1 (see _NEAR_CELLS); its
+    part in each of them is a difference of two prefix sums, gathered into
+    contiguous memory, which a Taylor shift by (c_l - g)/w turns into sums
+    of (x - g)/w; the sum over cells is then scaled by (w/h)^i into sums of
+    u^i. An empty near cell, or an empty window, reads one zero column. The
+    two kernel pieces are summed over x < g and x >= g separately unless
+    they coincide. The work is O(n) per (design, level) plus O(1) per query
+    point and h.
     """
     split = kernel.pieces[0] != kernel.pieces[1]
     pieces = kernel.pieces if split else kernel.pieces[:1]
     npow = 2 * p - 2 + max(len(c) for c in pieces)
-    n = xs.size
-    if not (hi > lo).any():  # every window is empty
-        return _moments(np.zeros((npow, 1 + len(ys), len(pieces), g.size)), pieces, p)
     level = -math.frexp(h)[1]
     scale = math.ldexp(1.0, level)
-    near = np.floor(g * scale) + _NEAR_CELLS  # (near cell, query)
-    cells = (near[0].min(), near[-2].max())  # every cell a window can reach
     kept = design._lattice
-    if not (kept and kept[0].level == level and kept[0].npow >= npow
-            and kept[0].cells[0] <= cells[0] and kept[0].cells[1] >= cells[1]):
+    if not (kept and kept[0].level == level and kept[0].npow >= npow):
         kept.clear()  # the old level is freed before the new one is built
-        kept.append(_build_lattice(xs, ys, level, npow, cells))
+        kept.append(_build_lattice(xs, ys, level, npow))
     lattice = kept[0]
-    # the lattice holds every near cell but the last, which only bounds the one before
+    near = np.floor(g * scale) + _NEAR_CELLS  # (near cell, query)
     bounds = np.searchsorted(lattice.cell, near, "left")
     first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     # prefix column of a cell's first e - first points; an empty cell reads a zero column
-    begin = lattice.slot[np.minimum(first, n - 1)]
+    begin = lattice.slot[np.minimum(first, xs.size - 1)]
     edges = np.stack([lo, np.searchsorted(xs, g, "left"), hi] if split else [lo, hi])
     at = np.take(lattice.table[:npow],
                  begin + np.minimum(np.maximum(edges[:, None] - first, 0), size), axis=-1)
@@ -405,12 +404,13 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray, g: np.ndarra
     kernel itself zeroes the points past hi and the pad, and past its span
     a window reads y from the pad, where it is 0. Those terms are all
     zeros, and adding a zero to a sum started at +0 leaves it as it is, so
-    a sum does not depend on how wide its batch was. A pass lays its queries
-    out offset by offset, and one add per window offset extends every
+    a sum does not depend on how wide its batch was. One pass lays every
+    query out offset by offset, and one add per window offset extends every
     query's running sum; an explicit loop fixes that order, where a
     reduction along a contiguous axis would sum pairwise. The x moments take
-    2p - 1 powers of u, the y moments p. The workspace of one block of
-    offsets stays within CHUNK_ELEMENTS.
+    2p - 1 powers of u, the y moments p. A block of offsets takes at least
+    one offset, and as many as keep its workspace within CHUNK_ELEMENTS, so
+    the workspace stays within max(CHUNK_ELEMENTS, the size of the sums).
     """
     n = xs.size  # the pad's index
     k = len(ys)
@@ -418,34 +418,25 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray, g: np.ndarra
     rows = npow + k * p  # sum K u^j (j < 2p - 1), then sum K u^j y_r (j < p) per response
     padded_x = np.append(xs, 1.0 + 2.0 * kernel.reach(1.0))
     padded_y = np.concatenate((ys, np.zeros((k, 1))), axis=1)
-    span = hi - lo
     sums = np.zeros((rows, g.size))
-    # a pass takes as many queries as leave room for blocks of 32 offsets
-    # (fewer when every window is narrower), so few calls are made per block
-    width = max(int(span.max()), 1)
-    step = min(g.size, max(1, CHUNK_ELEMENTS // (rows * min(width, 32))))  # queries per pass
-    block = max(1, CHUNK_ELEMENTS // (rows * step))  # offsets per block
-    work = np.empty(rows * block * step)
-    offsets = np.arange(width)[:, None]
-    for q0 in range(0, g.size, step):
-        q = slice(q0, q0 + step)
-        acc = sums[:, q]
-        longest = int(span[q].max())
-        for o0 in range(0, longest, block):
-            at = lo[q] + offsets[o0:min(o0 + block, longest)]  # (offset, query)
-            u = np.take(padded_x, np.minimum(at, n))
-            u -= g[q]
-            u /= h
-            terms = work[:rows * u.size].reshape(len(u), rows, -1)
-            terms[:, 0] = kernel(u)
-            for j in range(1, npow):
-                np.multiply(terms[:, j - 1], u, out=terms[:, j])
-            y = np.take(padded_y, np.where(at < hi[q], at, n), axis=1)
-            for r in range(k):
-                np.multiply(terms[:, :p], y[r, :, None],
-                            out=terms[:, npow + r * p:npow + (r + 1) * p])
-            for i in range(len(u)):
-                acc += terms[i]
+    longest = int((hi - lo).max())
+    block = max(1, CHUNK_ELEMENTS // (rows * g.size))  # offsets per block
+    work = np.empty(rows * block * g.size)
+    offsets = np.arange(longest)[:, None]
+    for o0 in range(0, longest, block):
+        at = lo + offsets[o0:o0 + block]  # (offset, query)
+        u = np.take(padded_x, np.minimum(at, n))
+        u -= g
+        u /= h
+        terms = work[:rows * u.size].reshape(len(u), rows, -1)
+        terms[:, 0] = kernel(u)
+        for j in range(1, npow):
+            np.multiply(terms[:, j - 1], u, out=terms[:, j])
+        y = np.take(padded_y, np.where(at < hi, at, n), axis=1)
+        for r in range(k):
+            np.multiply(terms[:, :p], y[r, :, None], out=terms[:, npow + r * p:npow + (r + 1) * p])
+        for i in range(len(u)):
+            sums += terms[i]
     return sums[:npow], sums[npow:].reshape(k, p, -1).swapaxes(0, 1)
 
 

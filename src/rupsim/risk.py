@@ -234,7 +234,9 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
     the h scored +inf, and
     meta["ridged_fits"], per h, counts the supported fits over all
     replicates whose local Gram matrix was ridged; it depends on the design
-    alone, so every spec reports the same counts.
+    alone, so every spec reports the same counts. Every h of the grid makes
+    its LpeConfig before replicate 0 is drawn, so a bandwidth outside (0, 1]
+    is a ValueError before any sampling.
     """
     specs = list(specs)
     if reps < 2:
@@ -247,6 +249,7 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
     eval_grid = np.asarray(eval_grid, dtype=float)
     if h_grid.size == 0 or eval_grid.size == 0:
         raise ValueError("h_grid and eval_grid must be nonempty")
+    configs = [replace(lpe_base, bandwidth=float(h)) for h in h_grid]  # refused before any draw
     truth = base.f(eval_grid)
     xi_rngs, data_rngs = substreams(seed, "xi", count=reps), substreams(seed, "data", count=reps)
 
@@ -260,8 +263,7 @@ def mise_ladder(base: BaselineConfig, specs, lpe_base: LpeConfig, h_grid, eval_g
         design = sort_design(sets[0].xs, [ds.ys for ds in sets])
         out = np.empty((len(specs), h_grid.size))
         ridged: list[int] = []
-        for i, h in enumerate(h_grid):
-            cfg = replace(lpe_base, bandwidth=float(h))
+        for i, cfg in enumerate(configs):
             err = predict_grid(cfg, design, eval_grid, ridged=ridged) - truth
             out[:, i] = np.mean(err ** 2, axis=-1)  # NaN if any grid point lacked support
         return out, ridged

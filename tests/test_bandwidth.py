@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from rupsim import bandwidth
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, Dataset, LpeConfig,
                     NeedsMultipleDomains, domain_cv_bandwidth, draw_perturbation,
                     effective_sample_size, estimate_tau_from_summaries,
                     naive_cv_bandwidth, oracle_bandwidth, predict_grid,
                     sample_baseline, sample_perturbed, sine_function, substream,
                     within_bucket_noise_variance, zero_function)
-from rupsim.bandwidth import EVAL_WINDOW, NumericDeadEnd, _cv_scores, argmin_prefer_larger
+from rupsim.bandwidth import (EVAL_WINDOW, NumericDeadEnd, _cv_grid, _cv_scores,
+                              argmin_prefer_larger)
 
 
 def simulate_suite(tau, n_per, j, seed, sigma2=0.25, b_x=10, f=None):
@@ -308,16 +310,16 @@ def test_effective_sample_size_and_tau_estimate_refuse_n_below_one():
 def test_cv_scores_without_held_out_points_in_the_window_are_infinite():
     train = Dataset(xs=np.linspace(0.0, 1.0, 50), ys=np.zeros(50))
     test_xs = np.array([EVAL_WINDOW[0] / 2, (1.0 + EVAL_WINDOW[1]) / 2])
-    scores = _cv_scores(train, test_xs, np.ones(2), np.array([0.1, 0.5]),
-                        LpeConfig(order=1, bandwidth=0.1))
+    _, configs = _cv_grid([0.1, 0.5], LpeConfig(order=1, bandwidth=0.1))
+    scores = _cv_scores(train, test_xs, np.ones(2), configs)
     assert np.array_equal(scores, [np.inf, np.inf])
 
 
 def test_cv_scores_skip_an_h_that_leaves_a_held_out_point_unsupported():
     # training points lie in [0.1, 0.3]; at h = 0.05 the held-out x = 0.6 has no support
     train = Dataset(xs=np.linspace(0.1, 0.3, 40), ys=np.ones(40))
-    scores = _cv_scores(train, np.array([0.2, 0.6]), np.array([1.0, 3.0]),
-                        np.array([0.05, 0.6]), LpeConfig(order=0, bandwidth=0.1))
+    _, configs = _cv_grid([0.05, 0.6], LpeConfig(order=0, bandwidth=0.1))
+    scores = _cv_scores(train, np.array([0.2, 0.6]), np.array([1.0, 3.0]), configs)
     assert scores[0] == np.inf
     assert scores[1] == pytest.approx(2.0)  # the fit is 1 everywhere: (0 + 4) / 2
 
@@ -330,8 +332,9 @@ def test_leave_one_out_cv_leaves_out_the_folds_outside_the_window():
     sel = naive_cv_bandwidth(ds, h_grid, lpe, folds=50)
     inside = np.flatnonzero((xs >= EVAL_WINDOW[0]) & (xs <= EVAL_WINDOW[1]))
     assert 0 < inside.size < xs.size
+    configs = _cv_grid(h_grid, lpe)[1]
     rows = [_cv_scores(Dataset(xs=np.delete(xs, i), ys=np.delete(ds.ys, i)), xs[i:i + 1],
-                       ds.ys[i:i + 1], h_grid, lpe) for i in inside]
+                       ds.ys[i:i + 1], configs) for i in inside]
     assert [s for _, s in sel.diagnostics] == pytest.approx(np.mean(rows, axis=0), rel=1e-12)
 
 
@@ -345,7 +348,7 @@ def test_domain_cv_leaves_out_a_domain_outside_the_window():
         train = [d for d in suite + [edge] if d is not held]
         rows.append(_cv_scores(Dataset(xs=np.concatenate([d.xs for d in train]),
                                        ys=np.concatenate([d.ys for d in train])),
-                               held.xs, held.ys, h_grid, lpe))
+                               held.xs, held.ys, _cv_grid(h_grid, lpe)[1]))
     assert np.isfinite(rows).all()
     assert [s for _, s in sel.diagnostics] == pytest.approx(np.mean(rows, axis=0), rel=1e-12)
 
@@ -367,6 +370,22 @@ def test_cv_refuses_an_empty_h_grid():
         domain_cv_bandwidth(suite, [], lpe)
     with pytest.raises(ValueError, match="h_grid must be nonempty"):
         naive_cv_bandwidth(suite[0], [], lpe, folds=3)
+
+
+def test_cv_refuses_a_bad_h_before_any_fit(monkeypatch):
+    # every h of the grid makes its LpeConfig first, so h = 1.5 fails before
+    # the fits at 0.05 .. 0.2 that come before it in the sorted grid
+    def no_fits(*args, **kwargs):
+        raise AssertionError("predict_grid called before the h grid was checked")
+
+    monkeypatch.setattr(bandwidth, "predict_grid", no_fits)
+    suite = simulate_suite(0.0, 60, 2, seed=9)
+    lpe = LpeConfig(order=1, bandwidth=0.2)
+    h_grid = [0.05, 0.1, 0.2, 1.5]
+    with pytest.raises(ValueError, match=r"bandwidth must be in \(0, 1\], got 1.5"):
+        domain_cv_bandwidth(suite, h_grid, lpe)
+    with pytest.raises(ValueError, match=r"bandwidth must be in \(0, 1\], got 1.5"):
+        naive_cv_bandwidth(suite[0], h_grid, lpe, folds=3)
 
 
 def test_within_bucket_noise_variance_refuses_mismatched_shapes():

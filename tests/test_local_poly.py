@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, equivalent_kernel_weights,
-                    fit_predict, get_kernel, local_fit, predict_grid, sine_function,
-                    sort_design, substream)
+from rupsim import (KERNELS, Dataset, LpeConfig, NoLocalSupport, SortedDesign,
+                    equivalent_kernel_weights, fit_predict, get_kernel, local_fit, predict_grid,
+                    sine_function, sort_design, substream)
 from rupsim import local_poly
 from rupsim.local_poly import (_NEAR_CELLS, DEGENERATE_EIG, MIN_BANDWIDTH, _point_fit,
                                _prefix_moments, _window, _window_moments)
@@ -186,10 +186,36 @@ def test_a_fit_whose_solve_is_not_finite_is_unsupported():
 
 
 def test_grid_fits_refuse_a_design_without_responses():
-    # a grid fit is a fit of responses, so no design is sorted without them: None
-    # is a 0-d ys, refused by sort_design's shape check before any fit
-    with pytest.raises(ValueError, match=r"ys of shape \(\) does not fit xs of shape \(30,\)"):
-        sort_design(np.linspace(0.0, 1.0, 30), None)
+    # a grid fit is a fit of responses, so no design is made without them: None
+    # is a 0-d ys, and (0, n) is zero responses, both refused before any fit
+    xs = np.linspace(0.0, 1.0, 30)
+    for ys, shape in ((None, r"\(\)"), (np.empty((0, 30)), r"\(0, 30\)")):
+        message = rf"ys of shape {shape} does not fit xs of shape \(30,\)"
+        with pytest.raises(ValueError, match=message):
+            sort_design(xs, ys)
+        with pytest.raises(ValueError, match=message):
+            SortedDesign(xs=xs, ys=ys)
+
+
+def test_a_sorted_design_is_checked_when_it_is_made():
+    # the constructor owns the design checks, so a design that is not sorted,
+    # not one row, or not in [0, 1] is refused however it is made, and the
+    # engine never fits an unsorted xs as if it were sorted
+    xs, ys = np.array([0.6, 0.4, 0.5]), np.array([1.0, 2.0, 3.0])
+    cfg = LpeConfig(order=0, bandwidth=0.2)
+    with pytest.raises(ValueError, match="must be ascending"):
+        SortedDesign(xs=xs, ys=ys)
+    assert local_fit(cfg, sort_design(xs, ys), [0.5]).values.item() == pytest.approx(2.1)
+    with pytest.raises(ValueError, match=r"one row of points \(n,\), got xs of shape \(1, 3\)"):
+        SortedDesign(xs=np.sort(xs)[None], ys=ys)
+    with pytest.raises(ValueError, match=r"ys of shape \(2,\) does not fit xs of shape \(3,\)"):
+        SortedDesign(xs=np.sort(xs), ys=ys[:2])
+    with pytest.raises(ValueError, match=r"design points must lie in \[0, 1\]"):
+        SortedDesign(xs=np.array([0.4, 0.5, np.nan]), ys=ys)
+    design = SortedDesign(xs=[0.4, 0.5, 0.6], ys=[[2.0, 3.0, 1.0]])  # arrays are made here
+    assert design.xs.dtype == design.ys.dtype == np.float64 and design.ys.shape == (1, 3)
+    assert _same_bits(local_fit(cfg, design, [0.5]).values[0],
+                      local_fit(cfg, sort_design(xs, ys), [0.5]).values)
 
 
 def test_degenerate_design_flagged_not_crashed():
@@ -484,23 +510,45 @@ def test_fits_over_a_cached_design_equal_fits_on_a_fresh_one(fits, k, n, seed, f
             assert _same_bits(getattr(mine, field), getattr(fresh, field)), (field, h)
 
 
-def test_one_lattice_serves_every_bandwidth_of_a_level(monkeypatch):
-    # a build takes every cell the level's widest window can reach from the
-    # queries, so a wider bandwidth of the same level (h = 0.065 and 0.124 are
-    # both level 3) reuses the first fit's lattice
+def _counted_builds(monkeypatch) -> list:
+    """The levels of the lattices built from here on, one entry per build."""
     builds = []
     build = local_poly._build_lattice
 
-    def counted(xs, ys, level, npow, cells):
+    def counted(xs, ys, level, npow):
         builds.append(level)
-        return build(xs, ys, level, npow, cells)
+        return build(xs, ys, level, npow)
 
     monkeypatch.setattr(local_poly, "_build_lattice", counted)
+    return builds
+
+
+def test_one_lattice_serves_every_bandwidth_of_a_level(monkeypatch):
+    # a build takes every cell of the design, so a wider bandwidth of the same
+    # level (h = 0.065 and 0.124 are both level 3) reuses the first fit's lattice
+    builds = _counted_builds(monkeypatch)
     rng = substream(8, "one-lattice")
     design = sort_design(rng.random(2000), rng.normal(size=2000))
     for h in (0.065, 0.124):
         assert local_fit(LpeConfig(order=1, bandwidth=h), design, [0.52]).supported.all()
     assert builds == [3]
+
+
+def test_one_lattice_serves_every_query_set_of_a_level(monkeypatch):
+    # a fit at one query and then at a grid over all of [0, 1], on one level,
+    # build one lattice: the first build already holds every cell of the design
+    builds = _counted_builds(monkeypatch)
+    rng = substream(9, "one-lattice")
+    xs, ys = rng.random(2000), rng.normal(size=2000)
+    design = sort_design(xs, ys)
+    cfg = LpeConfig(order=1, bandwidth=0.1)
+    grid = np.linspace(0.0, 1.0, 101)
+    assert local_fit(cfg, design, [0.52]).supported.all()
+    fit = local_fit(cfg, design, grid)
+    assert builds == [3]
+    fresh = local_fit(cfg, sort_design(xs, ys), grid)
+    for field in ("values", "coef", "supported", "degenerate"):
+        assert _same_bits(getattr(fit, field), getattr(fresh, field)), field
 
 
 @pytest.mark.parametrize("h, skewed", [(1e-5, False), (1e-3, True)])
@@ -737,20 +785,23 @@ def _left_to_right_moments(kernel, xs, ys, g, h, lo, hi, p):
 
 
 @pytest.mark.parametrize("chunk", [64, 1000, local_poly.CHUNK_ELEMENTS])
-@pytest.mark.parametrize("count,m,k", [(1, 1, 1), (1, 40, 1), (3, 7, 1), (2, 9, 3)])
+@pytest.mark.parametrize("count,m,k", [(1, 1, 1), (1, 40, 1), (3, 7, 1), (2, 9, 3), (1, 3001, 2)])
 def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k):
     """Each window of the gathered path is summed in order, however the call is cut.
 
-    Chunks of 64 and 1000 elements cut a call into passes of one to a few
-    dozen queries and blocks of 2 to 41 offsets; the windows here hold 9 to
-    133 points, so most span several blocks. Each of the `count` designs is
-    fitted in a call of its own.
+    One pass takes every query, in blocks of as many offsets as fit a chunk,
+    and at least one: chunks of 64 and 1000 elements give blocks from one
+    offset up to whole windows, and 3001 queries take at most 14 offsets a
+    block even at the default chunk. The windows here hold 9 to 133 points,
+    so many span several blocks. Each of the `count` designs is fitted in a
+    call of its own; the oracle sums each distinct query once.
     """
     monkeypatch.setattr(local_poly, "CHUNK_ELEMENTS", chunk)
     rng = substream(count * 100 + m, "left-to-right", k)
     xs = np.sort(np.round(rng.random((count, 150)), 2), axis=-1)  # ties on a 0.01 grid
     ys = rng.normal(size=(k, count, 150))
     g = np.round(rng.random(m), 3)
+    distinct, inverse = np.unique(g, return_inverse=True)
     kernel = get_kernel("smooth_bump")
     for d in range(count):
         y = ys[:, d]
@@ -759,9 +810,11 @@ def test_gathered_moments_are_left_to_right_sums(monkeypatch, chunk, count, m, k
             assert (hi - lo).max() > 8
             for p in (1, 3, 6):
                 moments, ymoments = _window_moments(kernel, xs[d], y, g, h, lo, hi, p)
-                expected, yexpected = _left_to_right_moments(kernel, xs[d], y, g, h, lo, hi, p)
-                assert _same_bits(moments, expected), (d, h, p)
-                assert _same_bits(np.ascontiguousarray(ymoments), yexpected), (d, h, p)
+                expected, yexpected = _left_to_right_moments(
+                    kernel, xs[d], y, distinct, h, *_window(kernel, xs[d], distinct, h), p)
+                assert _same_bits(moments, expected[:, inverse]), (d, h, p)
+                ygot = np.ascontiguousarray(ymoments)
+                assert _same_bits(ygot, yexpected[..., inverse]), (d, h, p)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -235,6 +235,21 @@ def test_mise_invalid_h_scored_infinite():
     assert set(curve.meta) == {"failed_h", "ridged_fits"}
 
 
+def test_mise_refuses_a_bad_h_before_any_draw(monkeypatch):
+    # every h of the grid makes its LpeConfig before replicate 0 is drawn, so
+    # h = 1.5 fails before the sampler runs, though 0.05 .. 0.2 come first
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replicate was drawn before the h grid was checked")
+
+    monkeypatch.setattr(risk, "draw_perturbation", no_draws)
+    monkeypatch.setattr(risk, "sample_perturbed", no_draws)
+    base = BaselineConfig(f=sine_function(), sigma2=0.5, n=100)
+    with pytest.raises(ValueError, match=r"bandwidth must be in \(0, 1\], got 1.5"):
+        mise_mc(base, corr_spec(0.0, base), LpeConfig(order=1, bandwidth=0.1),
+                h_grid=[0.05, 0.1, 0.2, 1.5], eval_grid=np.linspace(0.05, 0.95, 11),
+                reps=3, seed=0)
+
+
 def test_optimal_bandwidth_curve_single_cell():
     base = BaselineConfig(f=sine_function(), sigma2=0.5, n=200)
     rows = optimal_bandwidth_curve(base, LpeConfig(order=1, bandwidth=0.1), b_x=10,
