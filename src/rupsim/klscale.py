@@ -197,9 +197,7 @@ def kl_mc(n_grid, bucket_rule, delta2: float, base: BaselineConfig, beta: float,
                                       beta=beta, holder_const=holder_const)
         kls = np.empty(reps)
         for run, rngs in substreams(seed, "design", ni, count=reps).stacks(n):
-            if not run.start:  # the first run is the longest; later runs reuse its rows
-                designs = np.empty((len(run), n))
-            stack = designs[:len(run)]
+            stack = np.empty((len(run), n))
             for rng, row in zip(rngs, stack):
                 rng.random(out=row)
             kls[run] = conditional_kl(stack, constr, spec)

@@ -6,32 +6,33 @@ the responses, y_hat(x0) = sum_k W_k(x0) y_k, and the weight vector is exposed
 so weight-level invariants (sum to one, zero outside the window, 1/(nh) decay)
 can be checked directly.
 
-Fits come in two kinds of traffic. Grids (`predict_grid`, and through it
-the MISE ladders and both CVs) go through one batched engine, `local_fit`,
-as does `fit_predict`. For one design (n,) sorted once with its responses
-(`sort_design`; a design always carries them), one bandwidth and a vector
-of query points it builds the window moments sum K(u) u^j and
-sum K(u) u^j y, then solves all local systems in one batched call. A design
-may carry k response vectors at once: the window, moments of x, Gram
-matrices, ridge and solve are shared, and only the y moments widen to k
-groups, each computed with the arithmetic of a one-response fit. A fit is
-unsupported, with NaN values, where its window is empty or its local solve
-is not finite. Piecewise-polynomial kernels get their moments from
-prefix sums over the sorted design ("fast sum updating": Seifert, Brockmann,
-Engel & Gasser 1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and
-centred on every cell of a dyadic lattice of width w = 2^-k, w/2 <= h < w,
-so the sums do not cancel. The lattice depends on h only through its level,
-and each build covers every cell of the design: a SortedDesign keeps the
-last one built, and every bandwidth of that level, over any queries, reuses
-it, so a sweep over an h grid builds one lattice per level, not per h. Only
-occupied cells get columns, so its memory is O(n) whatever h is. Other
-kernels sum over each gathered window, strictly left to right from +0, in
-one pass over every query: one add per window offset. Nothing a query
-computes depends on which other queries or responses share its batch, or
-on what the design was fitted at before, so a grid fit equals the scalar
-fits at its points, a multi-response fit equals its responses fitted one by
-one, and a fit over a design that has served other bandwidths equals the
-fit over a freshly sorted one, bit for bit.
+Fits come in two kinds of traffic. Grids (`predict_grid`, and through it the
+MISE ladders and both CVs) go through one batched engine, `local_fit`, as
+does `fit_predict`. For one design (n,) sorted once with its responses
+(`sort_design`; a design always carries them), one bandwidth and a vector of
+query points it builds the window moments sum K(u) u^j and sum K(u) u^j y,
+then solves all local systems in one batched call. A design may carry k
+response vectors at once: the window, moments of x, Gram matrices, ridge and
+solve are shared, and only the y moments widen to k groups, each computed
+with the arithmetic of a one-response fit. A fit is unsupported, with NaN
+values, where its kernel mass sum K(u) is not positive (an empty window, or
+a tiny mass that prefix sums cancel to 0), or where its local solve is not
+finite. Piecewise-polynomial kernels get their moments from prefix sums over
+the sorted design ("fast sum updating": Seifert, Brockmann, Engel & Gasser
+1994; Fan & Marron 1994; Langrene & Warin 2019), restarted and centred on
+every cell of a dyadic lattice of width w = 2^-k, w/2 <= h < w, so the sums
+do not cancel. The lattice depends on h only through its level, and each
+build covers every cell of the design: a SortedDesign keeps the last one
+built, and every bandwidth of that level, over any queries, reuses it, so a
+sweep over an h grid builds one lattice per level, not per h. Only occupied
+cells get columns, so its memory is O(n) whatever h is. Other kernels sum
+over each gathered window, strictly left to right from +0, in one pass over
+every query: one add per window offset. Nothing a query computes depends on
+which other queries or responses share its batch, or on what the design was
+fitted at before, so a grid fit equals the scalar fits at its points, a
+multi-response fit equals its responses fitted one by one, and a fit over a
+design that has served other bandwidths equals the fit over a freshly sorted
+one, bit for bit.
 
 Fits of one query per design (`equivalent_kernel_weights`, and through it
 the distributional-variance oracle, and the risk split of `risk`) take the
@@ -136,7 +137,9 @@ def _design_arrays(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """xs and ys as float arrays of one design with responses, else ValueError.
 
     xs is one row (n,) of points in [0, 1]; ys is (n,) for one response or
-    (k, n) for k >= 1 responses: a grid fit is a fit of responses.
+    (k, n) for k >= 1 responses, every one finite: a grid fit is a fit of
+    responses, and a NaN or inf y would spoil every later prefix sum of its
+    lattice cell.
     """
     xs = _design_points(xs)
     if xs.ndim != 1:
@@ -145,6 +148,8 @@ def _design_arrays(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size or ys.shape[:-1] == (0,):
         raise ValueError(f"ys of shape {ys.shape} does not fit xs of shape {xs.shape}:"
                          " responses are (n,) or (k, n) with k >= 1")
+    if not np.isfinite(ys).all():
+        raise ValueError("responses must be finite, got a NaN or inf y")
     return xs, ys
 
 
@@ -209,8 +214,9 @@ class LocalFit:
 
     The fit at query i has weights W_k = K(u_k) * sum_j coef[i, j] u_k^j on
     the sorted design's window (`_window`) and zero elsewhere. values is NaN
-    (and coef a NaN row) where the query has no local support, or where the
-    solve of its local system is not finite. A design with k responses puts
+    (and coef a NaN row) where the query's kernel mass sum K(u) is not
+    positive, or where the solve of its local system is not finite (see
+    `_solve`). A design with k responses puts
     a leading axis of length k on values alone: values[j] is the fit of
     ys[j].
     """
@@ -440,18 +446,20 @@ def _window_moments(kernel: Kernel, xs: np.ndarray, ys: np.ndarray, g: np.ndarra
     return sums[:npow], sums[npow:].reshape(k, p, -1).swapaxes(0, 1)
 
 
-def _solve(moments: np.ndarray, ymoments: np.ndarray | None, supported: np.ndarray, p: int):
+def _solve(moments: np.ndarray, ymoments: np.ndarray | None, p: int):
     """Stacked local solves; returns (values, coef, supported, degenerate).
 
     Gram[i, j] = moments[i + j]. A Gram whose smallest eigenvalue is below
-    DEGENERATE_EIG gets RIDGE * trace / p added to its diagonal. A fit stays
-    supported only if its solve is finite: a kernel mass that is subnormal
-    can solve to inf. An unsupported fit gets a NaN coef row and NaN values,
-    and is not degenerate. ymoments is None (values None) or (p, k, fits),
-    and values (k, fits) combine each response with one coef.
+    DEGENERATE_EIG gets RIDGE * trace / p added to its diagonal. A fit is
+    supported where its kernel mass moments[0] is positive and its solve is
+    finite: an empty window has mass 0, prefix sums can cancel a tiny mass
+    to 0, and a subnormal mass can solve to inf. An unsupported fit gets a
+    NaN coef row and NaN values, and is not degenerate. ymoments is None
+    (values None) or (p, k, fits), and values (k, fits) combine each
+    response with one coef.
     """
     gram = moments.T[:, _HANKEL[p]]
-    unsupported = ~supported
+    unsupported = ~(moments[0] > 0.0)
     if unsupported.any():
         gram[unsupported] = np.eye(p)  # solvable; its row is voided below
     degenerate = np.linalg.eigvalsh(gram)[:, 0] < DEGENERATE_EIG
@@ -497,7 +505,7 @@ def local_fit(config: LpeConfig, design: SortedDesign, queries) -> LocalFit:
         moments, ymoments = _window_moments(kernel, xs, ys, g, h, lo, hi, p)
     else:
         moments, ymoments = _prefix_moments(kernel, design, xs, ys, g, h, lo, hi, p)
-    values, coef, supported, degenerate = _solve(moments, ymoments, hi > lo, p)
+    values, coef, supported, degenerate = _solve(moments, ymoments, p)
     return LocalFit(values=values.reshape(responses + (m,)), coef=coef, supported=supported,
                     degenerate=degenerate)
 
@@ -509,7 +517,8 @@ class _PointFit:
     u = (x - x0)/h and k = K(u) have the design's shape and order; values
     (None without responses), supported and degenerate have its leading
     shape, and coef one more axis of length order + 1 (a NaN row where the
-    design has no point with K(u) > 0, or its solve is not finite).
+    design has no point with K(u) > 0, so its mass is 0, or its solve is not
+    finite).
     """
 
     u: np.ndarray
@@ -560,8 +569,7 @@ def _point_fit(config: LpeConfig, xs, ys, x0: float) -> _PointFit:
         np.add.reduce(term, axis=-1, out=moments[j])
         if y is not None and j < p:
             np.add.reduce(np.multiply(term, y, out=scratch), axis=-1, out=ymoments[j, 0])
-    values, coef, supported, degenerate = _solve(moments, ymoments,
-                                                 (k > 0.0).any(axis=-1).ravel(), p)
+    values, coef, supported, degenerate = _solve(moments, ymoments, p)
     return _PointFit(u=u, k=k, values=None if values is None else values.reshape(lead),
                      coef=coef.reshape(lead + (p,)), supported=supported.reshape(lead),
                      degenerate=degenerate.reshape(lead))
@@ -608,5 +616,5 @@ def predict_grid(config: LpeConfig, data: Dataset | SortedDesign, grid, *,
     grid = np.asarray(grid, dtype=float)
     fit = local_fit(config, _as_design(data), grid)
     if ridged is not None:
-        ridged.append(int((fit.degenerate & fit.supported).sum()))
+        ridged.append(int(fit.degenerate.sum()))
     return fit.values.reshape(fit.values.shape[:-1] + grid.shape)

@@ -11,22 +11,25 @@ the average within-bucket correlation 1/B_X.
 Sampling cost. `draw_perturbation` draws a stack of D realizations in one
 call, one generator per row, into one array that is checked and normalised
 once; `sample_perturbed` draws a stack of D datasets from one realization or
-from such a stack, with one table of cumulative bin weights. Their fixed
-cost of a few dozen numpy calls is paid once per stack rather than once per
-realization or dataset. The partition model finds each
-point's noise bin by inversion (Devroye 1986, Non-Uniform Random Variate
-Generation, III.2): a bisection over the point's (realization, bucket) row of
-cumulative weights that takes the same ceil(log2 B_eps) halving steps for
-every point, one gathered row entry per point per step (Khuong & Morin 2017,
-"Array layouts for comparison-based searching"). Its cost per point grows
-with log B_eps alone, not with the stack's size or B_X. The Gaussian quantile
-is `_ndtri`, a numpy port of Cephes ndtri (Moshier 1989, Methods and Programs
-for Mathematical Functions), the routine behind `scipy.special.ndtri`, so the
-package needs no scipy at run time. It gives scipy's bits for
-exp(-2) < p <= 1 - exp(-2) and agrees within 8 ulp in the tails, where
-numpy's vectorised log may round differently from libm's. The
-truncated-normal bin means depend only on (sigma2, B_eps) and are computed
-once per pair; the cached array is read-only.
+from such a stack, with one table of cumulative bin weights. Their fixed cost
+of a few dozen numpy calls is paid once per stack rather than once per
+realization or dataset. Every stacked caller takes its stacks from
+`streams.Substreams.stacks`, so a call holds at most STACK_POINTS points or
+one dataset, and the sampler works on all of it in one pass, `_ndtri`
+included. The partition model finds each point's noise bin by inversion
+(Devroye 1986, Non-Uniform Random Variate Generation, III.2): a bisection
+over the point's (realization, bucket) row of cumulative weights that takes
+the same ceil(log2 B_eps) halving steps for every point, one gathered row
+entry per point per step (Khuong & Morin 2017, "Array layouts for
+comparison-based searching"). Its cost per point grows with log B_eps alone,
+not with the stack's size or B_X. The Gaussian quantile is `_ndtri`, a numpy
+port of Cephes ndtri (Moshier 1989, Methods and Programs for Mathematical
+Functions), the routine behind `scipy.special.ndtri`, so the package needs no
+scipy at run time. It gives scipy's bits for exp(-2) < p <= 1 - exp(-2) and
+agrees within 8 ulp in the tails, where numpy's vectorised log may round
+differently from libm's. The truncated-normal bin means depend only on
+(sigma2, B_eps) and are computed once per pair; the cached array is
+read-only.
 
 `sample_perturbed` works in two steps: a stream step, where each generator
 draws what it always draws, and a response step (bucket row, bin search,
@@ -87,9 +90,6 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
              1.37702099489081330271e0, 2.16236993594496635890e-1,
              1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
-# Points per pass: the buffers stay in cache. An estimate-tau stack of
-# streams.STACK_POINTS = 2**14 points takes two passes.
-_NDTRI_CHUNK = 8192
 
 
 def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
@@ -106,32 +106,26 @@ def _ndtri(p) -> np.ndarray:
     """Standard normal quantile of p in [0, 1]: -inf at 0, +inf at 1.
 
     A port of Cephes ndtri with its branches, coefficients and operation
-    order. Central inputs give scipy.special.ndtri's bits. In the tails a
-    one-ulp difference in log(y) can move x = sqrt(-2 log y) by one ulp of
-    x, up to two ulp of the result, before the later roundings; the tests
-    allow 8 ulp against scipy.
+    order, in one pass over p: every operation is elementwise, so each point
+    gets the bits it gets alone. Central inputs give scipy.special.ndtri's
+    bits. In the tails a one-ulp difference in log(y) can move
+    x = sqrt(-2 log y) by one ulp of x, up to two ulp of the result, before
+    the later roundings; the tests allow 8 ulp against scipy.
     """
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
-    out = np.empty_like(flat)
-    width = min(flat.size, _NDTRI_CHUNK)
-    y, y2, den = np.empty((3, width))
-    for lo in range(0, flat.size, _NDTRI_CHUNK):
-        pc = flat[lo:lo + _NDTRI_CHUNK]
-        oc = out[lo:lo + _NDTRI_CHUNK]
-        m = pc.size
-        # the central branch on the whole chunk; the tails overwrite their points
-        np.subtract(pc, 0.5, out=y[:m])
-        np.multiply(y[:m], y[:m], out=y2[:m])
-        _polevl(y2[:m], _NDTRI_P0, oc)
-        oc *= y2[:m]
-        oc /= _polevl(y2[:m], _NDTRI_Q0, den[:m])
-        oc *= y[:m]
-        oc += y[:m]
-        oc *= _S2PI
-        tail = np.flatnonzero((pc <= _EXP_M2) | (pc > 1.0 - _EXP_M2))
-        if tail.size:
-            oc[tail] = _ndtri_tail(pc.take(tail))
+    # the central branch on every point; the tails overwrite their points
+    y = flat - 0.5
+    y2 = y * y
+    out = _polevl(y2, _NDTRI_P0, np.empty_like(y2))
+    out *= y2
+    out /= _polevl(y2, _NDTRI_Q0, np.empty_like(y2))
+    out *= y
+    out += y
+    out *= _S2PI
+    tail = np.flatnonzero((flat <= _EXP_M2) | (flat > 1.0 - _EXP_M2))
+    if tail.size:
+        out[tail] = _ndtri_tail(flat.take(tail))
     return out.reshape(p.shape)
 
 

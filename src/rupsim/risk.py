@@ -9,7 +9,9 @@ error.
 
 The risk split and the oracle fit one query per design, so they take
 local_poly's point path (a stack of unsorted designs, no lattice); the MISE
-curves fit grids through the batched engine.
+curves fit grids through the batched engine. The risk split and the oracle
+draw their stacks in the runs of streams.Substreams.stacks, so their working
+memory stays within the one budget STACK_POINTS whatever the replicate counts.
 
 Every Monte Carlo routine here (the risk split, the oracle, MISE curves and
 the optimal bandwidth per (n, tau) cell) draws each replicate from its own
@@ -106,9 +108,11 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
     conditional on each realization; realization i draws from stream
     (seed, "xi", i) and its dataset j from (seed, "data", i, j), so the
     report depends on the seed alone. The datasets of one realization are
-    drawn in one stacked sampler call and fitted at x0 in one stacked call of
-    local_poly's point path, which neither sorts them nor builds a lattice;
-    each dataset's fit equals its fit alone bit for bit. The sampler maps
+    drawn and fitted in the runs of Substreams.stacks(n): each run is one
+    stacked sampler call and one stacked call of local_poly's point path,
+    which neither sorts them nor builds a lattice, so the working memory
+    follows STACK_POINTS, not reps_data * n; each dataset's fit equals its
+    fit alone bit for bit. The sampler maps
     responses only inside the kernel window x0 +- kernel.reach(h): a point
     beyond it has K(u) = 0, so its terms in the fit's moment sums are zeros
     whatever its y, and every fitted value keeps its bits (only the sign of
@@ -128,10 +132,13 @@ def pointwise_risk_mc(base: BaselineConfig, spec: PerturbationSpec, lpe: LpeConf
 
     def one_realization(i: int):
         xi = draw_perturbation(spec, xi_rngs[i], realization_id=f"xi{i:05d}")
-        stack = sample_perturbed(spec, xi, base.n, substreams(seed, "data", i, count=reps_data),
-                                 window=window)
-        fit = _point_fit(lpe, stack.xs, stack.ys, x0)
-        return fit.values, int((fit.degenerate & fit.supported).sum())
+        values, ridged = np.empty(reps_data), 0
+        for run, rngs in substreams(seed, "data", i, count=reps_data).stacks(base.n):
+            stack = sample_perturbed(spec, xi, base.n, rngs, window=window)
+            fit = _point_fit(lpe, stack.xs, stack.ys, x0)
+            values[run] = fit.values
+            ridged += int(fit.degenerate.sum())
+        return values, ridged
 
     rows, ridged = map(np.array, zip(*map_indexed(one_realization, reps_xi)))
     valid = ~np.isnan(rows)

@@ -11,9 +11,12 @@ gives stream i the bits of `substream(seed, *prefix, i)` at about a tenth of
 the cost: numpy's SeedSequence hash runs once for the shared prefix and once,
 vectorised, over the replicate indices, and each generator is built from its
 four seed words only when it is read. Such a generator has no SeedSequence
-behind it, so its `spawn()` raises TypeError; nothing in rupsim calls it. A
-loop that draws its replicates in stacks takes them from `Substreams.stacks`,
-under the one budget STACK_POINTS. `substream` is left for a single named
+behind it, so its `spawn()` raises TypeError; nothing in rupsim calls it.
+Every loop that draws its replicates in stacks (the datasets of each
+realization in the risk split, the designs of the distributional-variance
+oracle and of kl_mc, and estimate-tau's realizations) takes them from
+`Substreams.stacks`, under the one budget STACK_POINTS, which is the only
+bound on their working memory. `substream` is left for a single named
 stream.
 """
 

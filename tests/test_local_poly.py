@@ -183,6 +183,17 @@ def test_a_fit_whose_solve_is_not_finite_is_unsupported():
         assert np.isnan(point.values[0]) and np.isfinite(point.values[1])
     with pytest.raises(NoLocalSupport):
         equivalent_kernel_weights(cfg, xs, x0)
+    # a window holding x = 0.55 alone, whose kernel mass (1.1e-16) the prefix sums
+    # cancel to exactly 0, so the ridge would be 0 too: the engine voids the fit by
+    # its zero mass instead of solving a singular system
+    cfg = LpeConfig(order=0, bandwidth=0.11, kernel=get_kernel("triangular"))
+    xs, ys = np.array([0.55, 0.28, 0.92, 0.11, 0.37, 0.87, 0.42]), np.zeros(7)
+    fit = local_fit(cfg, sort_design(xs, ys), [0.66])
+    assert fit.supported.tolist() == [False] and fit.degenerate.tolist() == [False]
+    assert np.isnan(fit.coef).all() and np.isnan(fit.values).all()
+    ridged = []
+    assert np.isnan(predict_grid(cfg, Dataset(xs=xs, ys=ys), [0.66], ridged=ridged)).all()
+    assert ridged == [0]
 
 
 def test_grid_fits_refuse_a_design_without_responses():
@@ -212,6 +223,18 @@ def test_a_sorted_design_is_checked_when_it_is_made():
         SortedDesign(xs=np.sort(xs), ys=ys[:2])
     with pytest.raises(ValueError, match=r"design points must lie in \[0, 1\]"):
         SortedDesign(xs=np.array([0.4, 0.5, np.nan]), ys=ys)
+    # a NaN or inf y would spoil every later prefix sum of its lattice cell, and so
+    # fits at 0.53 and 0.55 whose windows do not hold x = 0.5
+    grid = np.linspace(0.0, 1.0, 201)
+    for bad in (np.nan, np.inf, -np.inf):
+        noisy = np.sin(grid)
+        noisy[100] = bad
+        for make in (sort_design, SortedDesign, lambda x, y: sort_design(x, np.stack([y, y]))):
+            with pytest.raises(ValueError, match="responses must be finite"):
+                make(grid, noisy)
+        with pytest.raises(ValueError, match="responses must be finite"):
+            predict_grid(LpeConfig(order=1, bandwidth=0.02), Dataset(xs=grid, ys=noisy),
+                         [0.53, 0.55])
     design = SortedDesign(xs=[0.4, 0.5, 0.6], ys=[[2.0, 3.0, 1.0]])  # arrays are made here
     assert design.xs.dtype == design.ys.dtype == np.float64 and design.ys.shape == (1, 3)
     assert _same_bits(local_fit(cfg, design, [0.5]).values[0],

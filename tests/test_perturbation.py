@@ -14,6 +14,7 @@ from scipy import integrate, special, stats
 
 import rupsim
 from rupsim.perturbation import _bisect_rows, _cached_bin_means, _ndtri
+from rupsim.streams import STACK_POINTS
 
 from rupsim import (BaselineConfig, CorrelatedNoiseSpec, PartitionSpec,
                     PerturbationRealization, RegressionFunction, WeightLaw, bucket_of,
@@ -462,12 +463,16 @@ def test_ndtri_port_matches_scipy_on_bin_edges_uniforms_and_tails():
     assert np.array_equal(_ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
 
 
-def test_ndtri_port_keeps_shape_and_is_elementwise_across_chunks():
-    # central and tail points alternate, so every chunk edge meets both branches
-    p = np.where(np.arange(8193) % 2, 0.5, 1e-3) + substream(21, "ndtri").random(8193) * 1e-3
-    one_by_one = np.array([_ndtri(p[i:i + 1])[0] for i in range(p.size)])
-    for size in (1, 8191, 8192, 8193):
-        assert np.array_equal(_ndtri(p[:size]), one_by_one[:size])
+def test_ndtri_port_keeps_shape_and_is_elementwise():
+    # central and tail points alternate, so every size meets both branches; one pass
+    # over up to 40000 points, past an estimate-tau stack of STACK_POINTS, gives the
+    # bits of each point alone (its first 8193) and of passes over ten points at a time
+    p = np.where(np.arange(40000) % 2, 0.5, 1e-3) + substream(21, "ndtri").random(40000) * 1e-3
+    one_by_one = np.array([_ndtri(p[i:i + 1])[0] for i in range(8193)])
+    by_tens = np.concatenate([_ndtri(part) for part in np.split(p, 4000)])
+    assert np.array_equal(by_tens[:8193], one_by_one)
+    for size in (1, 8191, 8192, 8193, STACK_POINTS, 40000):
+        assert np.array_equal(_ndtri(p[:size]), by_tens[:size])
     stack = p[:8190].reshape(3, 2730)
     assert np.array_equal(_ndtri(stack), one_by_one[:8190].reshape(3, 2730))
 

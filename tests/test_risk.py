@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rupsim import (KERNELS, BaselineConfig, CorrelatedNoiseSpec, LpeConfig, NoL
                     optimal_bandwidth_curve, pointwise_risk_mc, predict_grid, rate_fit, risk,
                     sample_perturbed, sine_function, sort_design, substream, zero_function)
 from rupsim.local_poly import _point_fit
+from rupsim.streams import STACK_POINTS
 
 
 def affine_function(a=0.5, b=1.5):
@@ -129,16 +131,21 @@ def test_stacked_risk_is_bit_identical_to_per_dataset_fits(kernel):
     base = BaselineConfig(f=sine_function(), sigma2=1.0, n=120)
     partition = PartitionSpec(b_x=10, b_eps=50, weight_law=WeightLaw.exponential(),
                               baseline=base)
-    # the last three: h = 0.02 is near the support limit (the smooth bump's window
-    # holds about 2.4 points, and h = 0.015 leaves fits unsupported), h = 1.0, x0 = 0.0
-    cases = [(corr_spec(0.02, base), 1, 0.2, 0.5), (partition, 2, 0.3, 0.03),
-             (corr_spec(0.01, base), 0, 0.1, 1.0), (partition, 4, 0.5, 0.77),
-             (partition, 0, 0.02, 0.62), (corr_spec(0.02, base), 2, 1.0, 0.9),
-             (partition, 2, 0.25, 0.0)]
-    for spec, order, h, x0 in cases:
+    wide = BaselineConfig(f=sine_function(), sigma2=1.0, n=2000)
+    # the three before the last: h = 0.02 is near the support limit (the smooth bump's
+    # window holds about 2.4 points, and h = 0.015 leaves fits unsupported), h = 1.0,
+    # x0 = 0.0; the last has reps_data * n = 40000 > STACK_POINTS, so each realization's
+    # datasets are drawn and fitted in three runs of Substreams.stacks (8, 8 and 4)
+    cases = [(corr_spec(0.02, base), 1, 0.2, 0.5, 5), (partition, 2, 0.3, 0.03, 5),
+             (corr_spec(0.01, base), 0, 0.1, 1.0, 5), (partition, 4, 0.5, 0.77, 5),
+             (partition, 0, 0.02, 0.62, 5), (corr_spec(0.02, base), 2, 1.0, 0.9, 5),
+             (partition, 2, 0.25, 0.0, 5), (corr_spec(0.02, wide), 1, 0.05, 0.3, 20)]
+    assert 20 * wide.n > STACK_POINTS
+    for spec, order, h, x0, reps_data in cases:
         lpe = LpeConfig(order=order, bandwidth=h, kernel=get_kernel(kernel))
-        components, ses, failed = per_dataset_risk(base, spec, lpe, x0, 7, 5, seed=21)
-        rep = pointwise_risk_mc(base, spec, lpe, x0, 7, 5, seed=21)
+        components, ses, failed = per_dataset_risk(spec.baseline, spec, lpe, x0, 7, reps_data,
+                                                   seed=21)
+        rep = pointwise_risk_mc(spec.baseline, spec, lpe, x0, 7, reps_data, seed=21)
         got = np.array([rep.bias2, rep.sampling_var, rep.diagnostics["dist_var_raw"],
                         rep.total_mse, rep.se_bias2, rep.se_sampling, rep.se_dist,
                         rep.se_total])
@@ -156,6 +163,22 @@ def test_stacked_oracle_is_bit_identical_to_per_design_weights(kernel):
         stacked = dist_var_weight_oracle(base, spec, lpe, x0, reps, seed=22)
         alone = per_design_oracle(base, spec, lpe, x0, reps, seed=22)
         assert np.array(stacked).tobytes() == np.array(alone).tobytes()
+
+
+def test_risk_split_working_memory_stays_within_the_stack_budget():
+    # at n = 20000 a run of Substreams.stacks holds one dataset, so the split's
+    # working set is a few arrays of one run's points, not of reps_data * n points
+    # (one stack of all 50 datasets would peak near 57 MB)
+    base = BaselineConfig(f=sine_function(), sigma2=1.0, n=20_000)
+    tracemalloc.start()
+    try:
+        rep = pointwise_risk_mc(base, corr_spec(0.025, base), LpeConfig(order=1, bandwidth=0.1),
+                                x0=0.5, reps_xi=3, reps_data=50, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.diagnostics["total_fits"] == 150
+    assert peak < 16 * 8 * max(STACK_POINTS, base.n), peak
 
 
 def test_oracle_without_support_raises():
